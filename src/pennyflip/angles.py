@@ -38,14 +38,13 @@ _EIGHTH_TABLE = {
 class CanonicalRange(enum.Enum):
     """Normalization mode for angle values.
 
-    Rotation angles live mod 2*pi, reflection axes mod pi, and projective
-    state angles also mod pi; a single normalizer parametrized by the period
-    avoids three copies of the same code.
+    Rotation angles live mod 2*pi; reflection axes, and projective state
+    angles with them, mod pi.  A single normalizer parametrized by the
+    period avoids a copy of the same code per range.
     """
 
     FULL_TURN = Fraction(2)
     AXIS = Fraction(1)
-    PROJECTIVE = Fraction(1)
 
     @property
     def period(self) -> Fraction:
@@ -149,8 +148,8 @@ class Angle:
         return f"{self.numerator}/{self.denominator}·π"
 
     _PARSE_RE = re.compile(
-        r"^\s*(?P<num>-?\d+)?\s*(?:/\s*(?P<den>\d+))?\s*"
-        r"(?:[·*]?\s*(?:π|pi))?\s*$",
+        r"^\s*(?P<sign>-?)(?P<num>\d*)\s*(?P<pi>[·*]?\s*(?:π|pi))?\s*"
+        r"(?:/\s*(?P<den>\d+))?\s*(?P<pi_last>[·*]?\s*(?:π|pi))?\s*$",
         re.IGNORECASE,
     )
 
@@ -159,15 +158,16 @@ class Angle:
               mode: CanonicalRange = CanonicalRange.FULL_TURN) -> "Angle":
         """Parse the textual form produced by ``str()``, e.g. ``3/4·π``.
 
-        ASCII spellings like ``3/4*pi`` and ``pi`` are accepted too.
+        ASCII spellings like ``3/4*pi`` and ``pi``, and spellings with π
+        before the denominator like ``3π/4`` and ``-pi/4``, are accepted too.
         """
         m = cls._PARSE_RE.match(text)
-        if m is None or (m.group("num") is None and "π" not in text
-                         and "pi" not in text.lower()):
+        has_pi = m is not None and bool(m["pi"] or m["pi_last"])
+        if (m is None or (m["pi"] and m["pi_last"])
+                or not (m["num"] or has_pi)):
             raise ValueError(f"cannot parse angle: {text!r}")
-        num = int(m.group("num")) if m.group("num") is not None else 1
-        den = int(m.group("den")) if m.group("den") is not None else 1
-        has_pi = "π" in text or "pi" in text.lower()
+        num = int(m["sign"] + (m["num"] or "1"))
+        den = int(m["den"] or 1)
         if not has_pi:
             if num != 0:
                 raise ValueError(f"cannot parse angle: {text!r}")

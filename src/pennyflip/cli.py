@@ -126,7 +126,7 @@ def enumerate(n: int, turns: str, initial: str, target_q: str | None,
         click.echo(reports.dump_json(
             reports.game_report(spec, None, classes, len(winners))))
     else:
-        click.echo(reports.table_winning_classes(classes))
+        click.echo(reports.table_winning_classes(classes, spec.turns))
 
 
 @main.command()

@@ -20,7 +20,6 @@ class Config:
     samples: int = 10_000
     seed: int = 0
     tolerance: float = 1e-9
-    output_format: str = "json"
 
     def __post_init__(self) -> None:
         if not 3 <= self.n_min <= self.n_max <= 1024:
@@ -29,8 +28,6 @@ class Config:
             raise ValueError(f"max_rounds {self.max_rounds} outside [2, 12]")
         if self.samples < 0 or self.seed < 0:
             raise ValueError("samples and seed must be nonnegative")
-        if self.output_format not in ("json", "markdown"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 def parse_n_range(text: str) -> tuple[int, int]:
@@ -40,35 +37,27 @@ def parse_n_range(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-_KEYS = {
-    "n_range": "n_range",
-    "n-range": "n_range",
-    "max_rounds": "max_rounds",
-    "max-rounds": "max_rounds",
-    "samples": "samples",
-    "seed": "seed",
-    "tolerance": "tolerance",
-    "output_format": "output_format",
-    "output-format": "output_format",
-}
-
-
 def load_config_file(path: str | Path, base: Config | None = None) -> Config:
     """Read a ``key=value`` config file; unknown keys are an error.
 
-    Flags always win over file values, so callers apply the file first.
+    Keys may be spelled with ``_`` or ``-``.  A file that cannot be read is
+    a ``ValueError`` like any other bad input.  Flags always win over file
+    values, so callers apply the file first.
     """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read config file {path}: {exc.strerror}") from exc
     cfg = base or Config()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        field = _KEYS.get(key)
-        if field is None:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        field = key.replace("-", "_")
         if field == "n_range":
             lo, hi = parse_n_range(value)
             cfg = replace(cfg, n_min=lo, n_max=hi)
@@ -77,7 +66,7 @@ def load_config_file(path: str | Path, base: Config | None = None) -> Config:
         elif field == "tolerance":
             cfg = replace(cfg, tolerance=float(value))
         else:
-            cfg = replace(cfg, output_format=value)
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     return cfg
 
 

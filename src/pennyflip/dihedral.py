@@ -232,7 +232,3 @@ def verify_presentation(n: int) -> bool:
 def sort_key(g: DihedralElement) -> tuple[int, int]:
     """Canonical ordering: rotations first, each block by ascending k."""
     return (1 if g.reflect else 0, g.k)
-
-
-def isometry_sort_key(p: PlanarIsometry) -> tuple[int, Angle]:
-    return (0 if p.is_rotor else 1, p.angle)

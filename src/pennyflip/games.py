@@ -1,16 +1,18 @@
 """Coin games between the classical and the quantum player.
 
-Covers game specifications, play-out, exhaustive winning-strategy
-enumeration and classification for the three-round game, intermediate-state
-synthesis, and the decision procedure for arbitrary alternating games,
-together with a finite brute-force cross-check.
+Covers game specifications, play-out, classification, intermediate-state
+synthesis for the three-round game, and the closed-form decision procedure
+for arbitrary alternating games.  Winning-strategy enumeration and the
+finite brute-force check of that decision share one search over the sets of
+states reachable under the opponent's choices (the subset construction of
+Andronikos et al., Mathematics 6(2), 2018).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import dihedral
 from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
@@ -163,26 +165,66 @@ def state_path(sigma: Strategy, initial: CoinState) -> tuple[CoinState, ...]:
 
 
 def q_pool(n: int) -> list[PlanarIsometry]:
-    """The distinct isometries of D_n in canonical order."""
-    return sorted(set(dihedral.isometries(n)), key=dihedral.isometry_sort_key)
+    """The isometries of D_n in canonical order: rotors by ascending angle,
+    then reflectors.  The representation is faithful, so they are distinct."""
+    return dihedral.isometries(n)
+
+
+def _winning_moves(spec: GameSpec, owner: str,
+                   own_pool: Sequence[PlanarIsometry],
+                   opp_pool: Sequence[PlanarIsometry]
+                   ) -> Iterator[tuple[PlanarIsometry, ...]]:
+    """Lazily yield every move tuple of *owner* that forces the coin to its
+    target whatever the opponent plays, in the product order of *own_pool*.
+
+    The search walks (turn index, set of states reachable under the
+    opponent's choices), a set that depends only on the owner's own prefix:
+    the owner's turns branch over *own_pool*, the opponent's turns take the
+    image under all of *opp_pool*, and a move tuple wins iff the final set
+    is the target alone.  Pairs with no winning continuation are memoised.
+    """
+    target = frozenset({spec.target_q if owner == "Q" else spec.target_p})
+    dead: set[tuple[int, frozenset[CoinState]]] = set()
+
+    def image(moves: Iterable[PlanarIsometry],
+              states: frozenset[CoinState]) -> frozenset[CoinState]:
+        return frozenset(act(m, s) for m in moves for s in states)
+
+    def walk(i: int, states: frozenset[CoinState]
+             ) -> Iterator[tuple[PlanarIsometry, ...]]:
+        if i == len(spec.turns):
+            if states == target:
+                yield ()
+            return
+        if (i, states) in dead:
+            return
+        won = False
+        if spec.turns[i] == owner:
+            for m in own_pool:
+                for rest in walk(i + 1, image((m,), states)):
+                    won = True
+                    yield (m, *rest)
+        else:
+            for rest in walk(i + 1, image(opp_pool, states)):
+                won = True
+                yield rest
+        if not won:
+            dead.add((i, states))
+
+    return walk(0, frozenset({spec.initial}))
 
 
 def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
-    """Exhaustive scan of Q move tuples drawn from D_n, deterministic order.
+    """All of Q's winning move tuples drawn from D_n, in the product order
+    of :func:`q_pool`.
 
     Strategies are counted as tuples of isometries (matrix values), so
     distinct symbolic elements with the same representation coincide.
     """
     if n % 4 != 0:
         raise FNotInGroup(f"the classical flip is not in D_{n}")
-    pool = q_pool(n)
-    qc = spec.turn_count("Q")
-    winners = []
-    for moves in itertools.product(pool, repeat=qc):
-        sigma = Strategy("Q", moves)
-        if is_winning_strategy(spec, sigma):
-            winners.append(sigma)
-    return winners
+    return [Strategy("Q", moves)
+            for moves in _winning_moves(spec, "Q", q_pool(n), PICARD_POOL)]
 
 
 def classify_strategies(strategies: Iterable[Strategy],
@@ -263,11 +305,7 @@ def decide_extended_game(spec: GameSpec) -> Decision:
 def brute_force_extended_check(spec: GameSpec, n: int = 8,
                                max_rounds: int = DEFAULT_MAX_ROUNDS) -> Decision:
     """Exhaustive search over the finite pool D_n for both players' winning
-    strategies.
-
-    The scan over Q move tuples is pruned by merging branches that produce
-    the same set of states reachable under the opponent's choices; this is
-    exact because that set is a function of Q's own prefix alone.
+    strategies; the witness is Q's first winning move tuple in product order.
     """
     if len(spec.turns) > max_rounds:
         raise SearchBudgetExceeded(
@@ -275,51 +313,10 @@ def brute_force_extended_check(spec: GameSpec, n: int = 8,
     if n % 8 != 0:
         raise FNotInGroup(f"brute force needs both flip and Hadamard, 8 | n; got {n}")
     pool = q_pool(n)
-
-    memo_q: dict[tuple[int, frozenset], tuple[PlanarIsometry, ...] | None] = {}
-
-    def q_can_force(i: int, states: frozenset[CoinState]):
-        # Returns Q's remaining moves if some continuation pins every
-        # reachable final state to Q's target, else None.
-        if i == len(spec.turns):
-            return () if states == frozenset({spec.target_q}) else None
-        key = (i, states)
-        if key not in memo_q:
-            if spec.turns[i] == "Q":
-                result = None
-                for m in pool:
-                    rest = q_can_force(
-                        i + 1, frozenset(act(m, s) for s in states))
-                    if rest is not None:
-                        result = (m, *rest)
-                        break
-            else:
-                result = q_can_force(
-                    i + 1, states | {act(FLIP, s) for s in states})
-            memo_q[key] = result
-        return memo_q[key]
-
-    memo_p: dict[tuple[int, frozenset], bool] = {}
-
-    def p_can_force(i: int, states: frozenset[CoinState]) -> bool:
-        if i == len(spec.turns):
-            return states == frozenset({spec.target_p})
-        key = (i, states)
-        if key not in memo_p:
-            if spec.turns[i] == "P":
-                memo_p[key] = any(
-                    p_can_force(i + 1, frozenset(act(m, s) for s in states))
-                    for m in PICARD_POOL)
-            else:
-                memo_p[key] = p_can_force(
-                    i + 1, frozenset(act(m, s) for m in pool for s in states))
-        return memo_p[key]
-
-    start = frozenset({spec.initial})
-    q_moves = q_can_force(0, start)
-    picard_wins = p_can_force(0, start)
+    q_moves = next(_winning_moves(spec, "Q", pool, PICARD_POOL), None)
+    p_moves = next(_winning_moves(spec, "P", PICARD_POOL, pool), None)
     strategy = Strategy("Q", q_moves) if q_moves is not None else None
-    return Decision(q_moves is not None, strategy, picard_wins)
+    return Decision(q_moves is not None, strategy, p_moves is not None)
 
 
 def alternating_turn_sequences(min_rounds: int = 2,

@@ -102,21 +102,21 @@ def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_winning_classes(classes: Sequence[StrategyClass]) -> str:
-    """The two-class table of the three-round game: one row per class with
-    all member strategies and the round-by-round evolution of the coin."""
-    n_rounds = max((len(c.path) for c in classes), default=3)
+def table_winning_classes(classes: Sequence[StrategyClass],
+                          turns: Sequence[str]) -> str:
+    """One row per class with all member strategies and the state after each
+    turn; the opponent's turns repeat the previous state of the class path."""
     header = ["Strategies", "Initial state"] + [
-        f"Round {i}" for i in range(1, n_rounds + 1)]
+        f"Round {i}" for i in range(1, len(turns) + 1)]
     rows = []
     for cls in classes:
         members = sorted(cls.members, key=strategy_name)
-        cells = [", ".join(strategy_name(m) for m in members)]
-        cells.append(str(cls.path[0]))
-        # the intermediate state persists through the opponent's round
-        cells.append(str(cls.path[1]))
-        cells.append(str(cls.path[1]))
-        cells.append(str(cls.path[-1]))
+        cells = [", ".join(strategy_name(m) for m in members),
+                 str(cls.path[0])]
+        step = 0
+        for turn in turns:
+            step += turn == cls.representative.owner
+            cells.append(str(cls.path[step]))
         rows.append(cells)
     return _md_table(header, rows)
 

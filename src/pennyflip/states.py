@@ -3,7 +3,9 @@
 A coin state cos(phi)|0> + sin(phi)|1> is identified with its antipode, so
 the carrier is a single exact angle phi in [0, pi).  The whole dihedral
 action is real, which makes exactness free: a rotor adds its angle mod pi
-and a reflector sends phi to 2*beta - phi mod pi.
+and a reflector sends phi to 2*beta - phi mod pi.  Projective angles thus
+live mod pi like reflection axes, so they normalize with
+``CanonicalRange.AXIS``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class CoinState:
 
     @classmethod
     def from_angle(cls, phi: Angle) -> "CoinState":
-        return cls(phi.normalized(CanonicalRange.PROJECTIVE))
+        return cls(phi.normalized(CanonicalRange.AXIS))
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "CoinState":
@@ -67,9 +69,9 @@ _NAMES = {
 def act(p: PlanarIsometry, x: CoinState) -> CoinState:
     """Apply an isometry to a projective state."""
     if p.is_rotor:
-        return CoinState.from_angle(x.phi.add(p.angle, CanonicalRange.PROJECTIVE))
+        return CoinState.from_angle(x.phi.add(p.angle, CanonicalRange.AXIS))
     return CoinState.from_angle(
-        p.angle.double().sub(x.phi, CanonicalRange.PROJECTIVE))
+        p.angle.double().sub(x.phi, CanonicalRange.AXIS))
 
 
 def win_probability(final: CoinState, target: CoinState) -> float:
@@ -78,7 +80,7 @@ def win_probability(final: CoinState, target: CoinState) -> float:
     The differences that actually occur in game analysis (multiples of
     pi/4) return literal 1.0, 0.5 or 0.0 rather than approximations.
     """
-    d = final.phi.sub(target.phi, CanonicalRange.PROJECTIVE)
+    d = final.phi.sub(target.phi, CanonicalRange.AXIS)
     if d.denominator == 1:          # difference 0 mod pi
         return 1.0
     if d.denominator == 2:          # difference pi/2

@@ -57,7 +57,7 @@ def test_overflow_is_an_error():
 def test_normalization_modes():
     a = Angle(5, 4)
     assert a.normalized(CanonicalRange.FULL_TURN) == Angle(5, 4)
-    assert a.normalized(CanonicalRange.PROJECTIVE) == Angle(1, 4)
+    assert a.normalized(CanonicalRange.AXIS) == Angle(1, 4)
     assert Angle(-1, 4).normalized(CanonicalRange.AXIS) == Angle(3, 4)
 
 
@@ -68,8 +68,13 @@ def test_str_and_parse_roundtrip():
     assert Angle.parse("3·π") == Angle(1)
     assert Angle.parse("3/4*pi") == Angle(3, 4)
     assert Angle.parse("pi") == Angle(1)
-    with pytest.raises(ValueError):
-        Angle.parse("banana")
+    for text in ("π/4", "pi/4", "1/4π"):
+        assert Angle.parse(text) == Angle(1, 4)
+    assert Angle.parse("3π/4") == Angle(3, 4)
+    assert Angle.parse("-pi/4") == Angle(7, 4)
+    for text in ("banana", "π/4π"):
+        with pytest.raises(ValueError):
+            Angle.parse(text)
 
 
 angles = st.builds(Angle,

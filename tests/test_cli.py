@@ -161,6 +161,30 @@ class TestVerifyAll:
         # the flag wins over the file's samples=100
         assert by_id["u2-sampling"]["status"] == "skipped"
 
+    def test_unknown_config_key_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("output_format=json\n")
+        result = invoke(runner, "verify-all", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert "unknown key" in result.output
+
+    def test_env_config_accepts_dashed_keys(self, runner, tmp_path,
+                                            monkeypatch):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("n-range=3..8\nmax-rounds=3\nsamples=0\n")
+        monkeypatch.setenv("PENNYFLIP_CONFIG", str(cfg))
+        result = invoke(runner, "verify-all")
+        assert result.exit_code == 0
+        by_id = {r["checkId"]: r for r in json.loads(result.output)}
+        assert by_id["u2-sampling"]["status"] == "skipped"
+
+    def test_missing_env_config_is_usage_error(self, runner, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv("PENNYFLIP_CONFIG", str(tmp_path / "absent.cfg"))
+        result = invoke(runner, "verify-all")
+        assert result.exit_code == 2
+        assert "cannot read config file" in result.output
+
     def test_timings_flag_fills_elapsed(self, runner):
         result = invoke(runner, "verify-all", "--n-range", "3..8",
                         "--max-rounds", "3", "--samples", "0", "--timings")

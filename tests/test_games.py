@@ -89,6 +89,16 @@ class TestWinningStrategies:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("turns, sizes", [
+        ("QPQ", (4, 8, 12, 16)), ("PQP", (4, 8, 12, 16)),
+        ("QPQP", (4, 8, 12, 16)), ("PQPQ", (4, 8, 12, 16)), ("QPQPQ", (8,)),
+    ])
+    def test_matches_product_scan_in_order(self, turns, sizes):
+        for spec in all_specs(turns):
+            for n in sizes:
+                assert (enumerate_winning_strategies(spec, n)
+                        == product_scan(spec, n))
+
     def test_d8_has_32_winners(self):
         assert len(enumerate_winning_strategies(PQG, 8)) == 32
 
@@ -164,6 +174,18 @@ class TestSynthesis:
             assert synthesized == enumerated
 
 
+def product_scan(spec, n):
+    """Independent oracle: Q's winners in the full move-tuple product."""
+    strategies = (Strategy("Q", moves) for moves in itertools.product(
+        q_pool(n), repeat=spec.turn_count("Q")))
+    return [sigma for sigma in strategies if is_winning_strategy(spec, sigma)]
+
+
+def all_specs(turns):
+    return [GameSpec.from_string(turns, initial, target)
+            for initial in BASIS for target in BASIS]
+
+
 def literal_brute_force(spec, n=8):
     """Independent oracle: scan the full strategy cross product."""
     pool = q_pool(n)
@@ -200,11 +222,11 @@ class TestExtendedGames:
 
     def test_brute_force_agrees_with_literal_scan(self):
         for turns in ("QP", "PQ", "QPQ", "PQP", "QPQP"):
-            spec = GameSpec.from_string(turns)
-            brute = brute_force_extended_check(spec)
-            q_wins, p_wins = literal_brute_force(spec)
-            assert brute.q_wins == q_wins
-            assert brute.picard_wins == p_wins
+            for spec in all_specs(turns):
+                brute = brute_force_extended_check(spec)
+                q_wins, p_wins = literal_brute_force(spec)
+                assert brute.q_wins == q_wins
+                assert brute.picard_wins == p_wins
 
     def test_brute_force_matches_decision_up_to_nine_rounds(self):
         for turns in alternating_turn_sequences(2, 9):

@@ -4,7 +4,7 @@ from pathlib import Path
 from pennyflip.angles import Angle
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 PlanarIsometry, contains_isometry)
-from pennyflip.games import (PQG, Strategy, classify_strategies,
+from pennyflip.games import (PQG, GameSpec, Strategy, classify_strategies,
                              decide_extended_game,
                              enumerate_winning_strategies)
 from pennyflip.orbits import stabilizer
@@ -51,12 +51,22 @@ class TestNaming:
 class TestMarkdownTables:
     def test_winning_classes_table_matches_golden(self):
         _, classes = classes_d8()
-        rendered = table_winning_classes(classes)
+        rendered = table_winning_classes(classes, PQG.turns)
         assert rendered == (GOLDEN / "table_winning_classes.md").read_text()
         for required in ("(H, H)", "(R_{2π/8}, R_{14π/8})",
                          "(S_{5π/8}, S_{5π/8})", "(S_{7π/8}, S_{7π/8})",
                          "|+⟩", "|−⟩"):
             assert required in rendered
+
+    def test_winning_classes_table_follows_the_turns(self):
+        spec = GameSpec.from_string("QPQPQ")
+        classes = classify_strategies(
+            enumerate_winning_strategies(spec, 8), spec.initial)
+        lines = table_winning_classes(classes, spec.turns).splitlines()
+        assert classes and len(lines) == 2 + len(classes)
+        for line in lines:
+            # ket names contain "|", so cells split on " | " only
+            assert len(line[2:-2].split(" | ")) == 7
 
     def test_small_groups_table_matches_golden(self):
         results = []
