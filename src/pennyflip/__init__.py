@@ -1,6 +1,6 @@
 """Exact dihedral-group analysis of the quantum penny flip game."""
 
-from .angles import Angle, CanonicalRange
+from .angles import Angle
 from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement, Kind,
                        PlanarIsometry, closure, contains_isometry, elements,
                        isometries, represent, verify_presentation)
@@ -21,7 +21,7 @@ from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO, CoinState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angle", "CanonicalRange",
+    "Angle",
     "FLIP", "HADAMARD", "IDENTITY", "DihedralElement", "Kind",
     "PlanarIsometry", "closure", "contains_isometry", "elements",
     "isometries", "represent", "verify_presentation",

@@ -1,17 +1,20 @@
-"""Exact arithmetic on rational multiples of pi.
+"""Exact rational multiples of pi.
 
-An :class:`Angle` stores a reduced fraction ``p/q`` whose value is
-``(p/q) * pi`` radians.  All group-level computation in this package is done
-on these fractions, so set membership and equality tests are exact; floats
-only appear at the trigonometric evaluation boundary.
+An :class:`Angle` is a :class:`~fractions.Fraction` ``p/q`` whose value is
+``(p/q) * pi`` radians.  It adds only text (``str``/``parse``) and float
+evaluation to the fraction; arithmetic is plain ``Fraction`` arithmetic.
+An angle has no period of its own: the type that holds it owns the period
+and reduces into it once, when built.  Rotors reduce mod 2*pi and
+reflection axes mod pi (:class:`~pennyflip.dihedral.PlanarIsometry`),
+coin states mod pi (:class:`~pennyflip.states.CoinState`).  So set
+membership and equality tests are exact; floats only appear at the
+trigonometric evaluation boundary.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExactArithmeticOverflow
@@ -35,95 +38,24 @@ _EIGHTH_TABLE = {
 }
 
 
-class CanonicalRange(enum.Enum):
-    """Normalization mode for angle values.
+class Angle(Fraction):
+    """A rational multiple of pi, in lowest terms."""
 
-    Rotation angles live mod 2*pi; reflection axes, and projective state
-    angles with them, mod pi.  A single normalizer parametrized by the
-    period avoids a copy of the same code per range.
-    """
+    __slots__ = ()
 
-    FULL_TURN = Fraction(2)
-    AXIS = Fraction(1)
-
-    @property
-    def period(self) -> Fraction:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Angle:
-    """A reduced rational multiple of pi."""
-
-    numerator: int
-    denominator: int = 1
-
-    def __lt__(self, other: "Angle") -> bool:
-        return self.fraction < other.fraction
-
-    def __le__(self, other: "Angle") -> bool:
-        return self.fraction <= other.fraction
-
-    def __post_init__(self) -> None:
-        if self.denominator == 0:
-            raise ZeroDivisionError("angle denominator must be nonzero")
-        f = Fraction(self.numerator, self.denominator)
-        object.__setattr__(self, "numerator", f.numerator)
-        object.__setattr__(self, "denominator", f.denominator)
+    def __new__(cls, numerator=0, denominator=None):
+        self = super().__new__(cls, numerator, denominator)
         if abs(self.numerator) > _INT_MAX or self.denominator > _INT_MAX:
             raise ExactArithmeticOverflow(
                 f"angle {self.numerator}/{self.denominator} exceeds 64-bit width"
             )
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, f: Fraction, mode: CanonicalRange | None = None) -> "Angle":
-        if mode is not None:
-            f %= mode.period
-        return cls(f.numerator, f.denominator)
-
-    @classmethod
-    def of(cls, numerator: int, denominator: int = 1,
-           mode: CanonicalRange = CanonicalRange.FULL_TURN) -> "Angle":
-        """Build ``numerator/denominator * pi`` normalized into *mode*."""
-        return cls.from_fraction(Fraction(numerator, denominator), mode)
-
-    # -- arithmetic --------------------------------------------------------
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def normalized(self, mode: CanonicalRange) -> "Angle":
-        return Angle.from_fraction(self.fraction, mode)
-
-    def add(self, other: "Angle",
-            mode: CanonicalRange = CanonicalRange.FULL_TURN) -> "Angle":
-        return Angle.from_fraction(self.fraction + other.fraction, mode)
-
-    def sub(self, other: "Angle",
-            mode: CanonicalRange = CanonicalRange.FULL_TURN) -> "Angle":
-        return Angle.from_fraction(self.fraction - other.fraction, mode)
-
-    def negate(self, mode: CanonicalRange = CanonicalRange.FULL_TURN) -> "Angle":
-        return Angle.from_fraction(-self.fraction, mode)
-
-    def scale(self, k: int,
-              mode: CanonicalRange = CanonicalRange.FULL_TURN) -> "Angle":
-        return Angle.from_fraction(self.fraction * k, mode)
-
-    def half(self, mode: CanonicalRange = CanonicalRange.FULL_TURN) -> "Angle":
-        return Angle.from_fraction(self.fraction / 2, mode)
-
-    def double(self, mode: CanonicalRange = CanonicalRange.FULL_TURN) -> "Angle":
-        return Angle.from_fraction(self.fraction * 2, mode)
+        return self
 
     # -- evaluation --------------------------------------------------------
 
     @property
     def radians(self) -> float:
-        return float(self.fraction) * math.pi
+        return float(self) * math.pi
 
     def cos_sin(self) -> tuple[float, float]:
         """Cosine and sine of the angle.
@@ -132,10 +64,9 @@ class Angle:
         +-sqrt(2)/2 come back bit-stable; everything else goes through the
         float path.
         """
-        f = self.fraction % 2
+        f = self % 2
         if f.denominator in (1, 2, 4):
-            eighths = int(f * 4) % 8
-            return _EIGHTH_TABLE[eighths]
+            return _EIGHTH_TABLE[int(f * 4)]
         return math.cos(self.radians), math.sin(self.radians)
 
     # -- text --------------------------------------------------------------
@@ -147,6 +78,10 @@ class Angle:
             return "π" if self.numerator == 1 else f"{self.numerator}·π"
         return f"{self.numerator}/{self.denominator}·π"
 
+    def __format__(self, spec: str) -> str:
+        # Fraction's own __format__ (Python 3.13+) would drop the π.
+        return format(str(self), spec)
+
     _PARSE_RE = re.compile(
         r"^\s*(?P<sign>-?)(?P<num>\d*)\s*(?P<pi>[·*]?\s*(?:π|pi))?\s*"
         r"(?:/\s*(?P<den>\d+))?\s*(?P<pi_last>[·*]?\s*(?:π|pi))?\s*$",
@@ -154,25 +89,19 @@ class Angle:
     )
 
     @classmethod
-    def parse(cls, text: str,
-              mode: CanonicalRange = CanonicalRange.FULL_TURN) -> "Angle":
+    def parse(cls, text: str) -> "Angle":
         """Parse the textual form produced by ``str()``, e.g. ``3/4·π``.
 
         ASCII spellings like ``3/4*pi`` and ``pi``, and spellings with π
         before the denominator like ``3π/4`` and ``-pi/4``, are accepted too.
+        The value comes back as written, not reduced into any period.
         """
         m = cls._PARSE_RE.match(text)
         has_pi = m is not None and bool(m["pi"] or m["pi_last"])
         if (m is None or (m["pi"] and m["pi_last"])
-                or not (m["num"] or has_pi)):
+                or not (m["num"] or has_pi) or int(m["den"] or 1) == 0):
             raise ValueError(f"cannot parse angle: {text!r}")
         num = int(m["sign"] + (m["num"] or "1"))
-        den = int(m["den"] or 1)
-        if not has_pi:
-            if num != 0:
-                raise ValueError(f"cannot parse angle: {text!r}")
-            return cls.of(0, 1, mode)
-        return cls.of(num, den, mode)
-
-
-ZERO = Angle(0)
+        if not has_pi and num != 0:
+            raise ValueError(f"cannot parse angle: {text!r}")
+        return cls(num, int(m["den"] or 1))

@@ -13,13 +13,16 @@ import click
 
 from . import games, orbits, reports, unitary, verify
 from .angles import Angle
-from .config import default_config, load_config_file, parse_n_range
+from .config import N_MAX, default_config, load_config_file, parse_n_range
 from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
 from .errors import PennyflipError
 from .games import GameSpec
 from .states import CoinState
 
 _NAMED_ISOMETRIES = {"I": IDENTITY, "F": FLIP, "H": HADAMARD}
+
+#: Group order parameter n: D_n needs n >= 3, and Config caps n the same way.
+_GROUP_ORDER = click.IntRange(3, N_MAX)
 
 
 def parse_isometry(token: str) -> PlanarIsometry:
@@ -68,7 +71,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=_GROUP_ORDER, required=True)
 @click.option("--state", "state_text", default="0", show_default=True)
 @format_option
 @domain_errors_exit_3
@@ -78,7 +81,7 @@ def orbit(n: int, state_text: str, fmt: str) -> None:
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=_GROUP_ORDER, required=True)
 @click.option("--state", "state_text", default="0", show_default=True)
 @format_option
 @domain_errors_exit_3
@@ -92,7 +95,7 @@ def stabilizer(n: int, state_text: str, fmt: str) -> None:
 
 
 @main.command("fixed-set")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=_GROUP_ORDER, required=True)
 @click.option("--elems", "elems_text", default="I,F", show_default=True,
               help="Comma-separated isometries, e.g. I,F or S_0,R_π.")
 @format_option
@@ -110,7 +113,7 @@ def _game_spec(turns: str, initial: str, target_q: str | None) -> GameSpec:
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=_GROUP_ORDER, required=True)
 @click.option("--turns", default="QPQ", show_default=True)
 @click.option("--initial", default="0", show_default=True)
 @click.option("--target-q", default=None)
@@ -130,7 +133,7 @@ def enumerate(n: int, turns: str, initial: str, target_q: str | None,
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=_GROUP_ORDER, required=True)
 @click.option("--turns", default="QPQ", show_default=True)
 @click.option("--initial", default="0", show_default=True)
 @click.option("--target-q", default=None)
@@ -157,7 +160,7 @@ def classify(n: int, turns: str, initial: str, target_q: str | None,
 @click.option("--target-q", default=None)
 @click.option("--check/--no-check", default=False,
               help="Cross-check against the finite brute-force search.")
-@click.option("--pool-n", type=int, default=8, show_default=True)
+@click.option("--pool-n", type=_GROUP_ORDER, default=8, show_default=True)
 @format_option
 @domain_errors_exit_3
 def analyze(turns: str, initial: str, target_q: str | None, check: bool,
@@ -182,8 +185,10 @@ def analyze(turns: str, initial: str, target_q: str | None, check: bool,
 
 
 @main.command("sample-u2")
-@click.option("--samples", type=int, default=10_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=10_000,
+              show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @domain_errors_exit_3
 def sample_u2(samples: int, seed: int) -> None:
     """Sample unitaries and count winning first moves (a measure-zero event)."""

@@ -9,6 +9,9 @@ from pathlib import Path
 
 ENV_CONFIG_PATH = "PENNYFLIP_CONFIG"
 
+#: Largest group order parameter n accepted anywhere.
+N_MAX = 1024
+
 _RANGE_RE = re.compile(r"^\s*(\d+)\s*\.\.\s*(\d+)\s*$")
 
 
@@ -22,12 +25,15 @@ class Config:
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not 3 <= self.n_min <= self.n_max <= 1024:
-            raise ValueError(f"n range [{self.n_min}, {self.n_max}] outside [3, 1024]")
+        if not 3 <= self.n_min <= self.n_max <= N_MAX:
+            raise ValueError(
+                f"n range [{self.n_min}, {self.n_max}] outside [3, {N_MAX}]")
         if not 2 <= self.max_rounds <= 12:
             raise ValueError(f"max_rounds {self.max_rounds} outside [2, 12]")
         if self.samples < 0 or self.seed < 0:
             raise ValueError("samples and seed must be nonnegative")
+        if not self.tolerance > 0:  # also rejects NaN
+            raise ValueError(f"tolerance {self.tolerance} must be > 0")
 
 
 def parse_n_range(text: str) -> tuple[int, int]:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .angles import Angle, CanonicalRange
+from .angles import Angle
 from .errors import MismatchedGroup
 
 
@@ -89,20 +90,25 @@ class Kind(enum.Enum):
 class PlanarIsometry:
     """A rotor R_a or reflector S_b in exact angle form.
 
-    Rotation angles are canonicalized to [0, 2*pi); reflection axis
-    inclinations to [0, pi).
+    The isometry owns the period of its angle and reduces the angle once,
+    when built: a rotation angle into [0, 2*pi), a reflection axis
+    inclination into [0, pi).  Any rational value may be passed in.
     """
 
     kind: Kind
     angle: Angle
 
-    @classmethod
-    def rotor(cls, angle: Angle) -> "PlanarIsometry":
-        return cls(Kind.ROTOR, angle.normalized(CanonicalRange.FULL_TURN))
+    def __post_init__(self) -> None:
+        period = 2 if self.kind is Kind.ROTOR else 1
+        object.__setattr__(self, "angle", Angle(self.angle % period))
 
     @classmethod
-    def reflector(cls, angle: Angle) -> "PlanarIsometry":
-        return cls(Kind.REFLECTOR, angle.normalized(CanonicalRange.AXIS))
+    def rotor(cls, angle: Fraction) -> "PlanarIsometry":
+        return cls(Kind.ROTOR, angle)
+
+    @classmethod
+    def reflector(cls, angle: Fraction) -> "PlanarIsometry":
+        return cls(Kind.REFLECTOR, angle)
 
     @property
     def is_rotor(self) -> bool:
@@ -119,16 +125,16 @@ class PlanarIsometry:
         """
         a, b = self.angle, other.angle
         if self.is_rotor and other.is_rotor:
-            return PlanarIsometry.rotor(a.add(b))
+            return PlanarIsometry.rotor(a + b)
         if not self.is_rotor and not other.is_rotor:
-            return PlanarIsometry.rotor(a.sub(b).double())
+            return PlanarIsometry.rotor(2 * (a - b))
         if self.is_rotor:
-            return PlanarIsometry.reflector(b.add(a.half()))
-        return PlanarIsometry.reflector(a.sub(b.half()))
+            return PlanarIsometry.reflector(b + a / 2)
+        return PlanarIsometry.reflector(a - b / 2)
 
     def inverse(self) -> "PlanarIsometry":
         if self.is_rotor:
-            return PlanarIsometry.rotor(self.angle.negate())
+            return PlanarIsometry.rotor(-self.angle)
         return self
 
     def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -136,7 +142,7 @@ class PlanarIsometry:
         if self.is_rotor:
             c, s = self.angle.cos_sin()
             return ((c, -s), (s, c))
-        c, s = self.angle.double().cos_sin()
+        c, s = Angle(2 * self.angle).cos_sin()
         return ((c, s), (s, -c))
 
     def __str__(self) -> str:
@@ -161,8 +167,8 @@ HADAMARD = PlanarIsometry.reflector(Angle(1, 8))
 def represent(g: DihedralElement) -> PlanarIsometry:
     """Standard representation: r^k -> R_{2*pi*k/n}, r^k s -> S_{pi*k/n}."""
     if g.reflect:
-        return PlanarIsometry.reflector(Angle.of(g.k, g.n, CanonicalRange.AXIS))
-    return PlanarIsometry.rotor(Angle.of(2 * g.k, g.n, CanonicalRange.FULL_TURN))
+        return PlanarIsometry.reflector(Angle(g.k, g.n))
+    return PlanarIsometry.rotor(Angle(2 * g.k, g.n))
 
 
 def isometries(n: int) -> list[PlanarIsometry]:
@@ -172,11 +178,7 @@ def isometries(n: int) -> list[PlanarIsometry]:
 
 def element_for_isometry(n: int, p: PlanarIsometry) -> DihedralElement | None:
     """The unique element of D_n represented by *p*, or None if absent."""
-    f = p.angle.fraction
-    if p.is_rotor:
-        k = f * n / 2
-    else:
-        k = f * n
+    k = p.angle * n / 2 if p.is_rotor else p.angle * n
     if k.denominator != 1:
         return None
     return DihedralElement(n, int(k) % n, not p.is_rotor)

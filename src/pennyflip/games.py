@@ -234,7 +234,7 @@ def classify_strategies(strategies: Iterable[Strategy],
     for sigma in strategies:
         groups.setdefault(state_path(sigma, initial), []).append(sigma)
     classes = []
-    for path in sorted(groups, key=lambda p: tuple(s.phi.fraction for s in p)):
+    for path in sorted(groups, key=lambda p: tuple(s.phi for s in p)):
         members = groups[path]
         classes.append(StrategyClass(members[0], frozenset(members), path))
     return classes

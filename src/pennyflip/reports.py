@@ -29,7 +29,7 @@ def isometry_name(p: PlanarIsometry) -> str:
     special = str(p)
     if special in ("I", "F", "H"):
         return special
-    m = p.angle.fraction * 8
+    m = p.angle * 8
     if m.denominator != 1:
         return special
     m = int(m)

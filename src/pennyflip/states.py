@@ -1,34 +1,33 @@
 """Projective real qubit states and the dihedral action on them.
 
 A coin state cos(phi)|0> + sin(phi)|1> is identified with its antipode, so
-the carrier is a single exact angle phi in [0, pi).  The whole dihedral
-action is real, which makes exactness free: a rotor adds its angle mod pi
-and a reflector sends phi to 2*beta - phi mod pi.  Projective angles thus
-live mod pi like reflection axes, so they normalize with
-``CanonicalRange.AXIS``.
+the carrier is a single exact angle phi that lives mod pi, like a
+reflection axis.  :class:`CoinState` owns that period: it reduces phi into
+[0, pi) once, when built.  The whole dihedral action is real, which makes
+exactness free: a rotor adds its angle and a reflector sends phi to
+2*beta - phi, both as plain fractions that the new state reduces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .angles import Angle, CanonicalRange
+from .angles import Angle
 from .dihedral import PlanarIsometry
 
 
 @dataclass(frozen=True)
 class CoinState:
-    """A projective state, canonicalized to phi in [0, pi)."""
+    """A projective state; any rational phi is reduced into [0, pi)."""
 
     phi: Angle
 
-    @classmethod
-    def from_angle(cls, phi: Angle) -> "CoinState":
-        return cls(phi.normalized(CanonicalRange.AXIS))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phi", Angle(self.phi % 1))
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "CoinState":
-        return cls.from_angle(Angle(numerator, denominator))
+        return cls(Angle(numerator, denominator))
 
     def amplitudes(self) -> tuple[float, float]:
         return self.phi.cos_sin()
@@ -48,7 +47,7 @@ class CoinState:
         for state, name in _NAMES.items():
             if text in (name, name[1:-1]):  # with or without the ket decoration
                 return state
-        return cls.from_angle(Angle.parse(text))
+        return cls(Angle.parse(text))
 
 
 KET_ZERO = CoinState.of(0)
@@ -69,9 +68,8 @@ _NAMES = {
 def act(p: PlanarIsometry, x: CoinState) -> CoinState:
     """Apply an isometry to a projective state."""
     if p.is_rotor:
-        return CoinState.from_angle(x.phi.add(p.angle, CanonicalRange.AXIS))
-    return CoinState.from_angle(
-        p.angle.double().sub(x.phi, CanonicalRange.AXIS))
+        return CoinState(x.phi + p.angle)
+    return CoinState(2 * p.angle - x.phi)
 
 
 def win_probability(final: CoinState, target: CoinState) -> float:
@@ -80,12 +78,12 @@ def win_probability(final: CoinState, target: CoinState) -> float:
     The differences that actually occur in game analysis (multiples of
     pi/4) return literal 1.0, 0.5 or 0.0 rather than approximations.
     """
-    d = final.phi.sub(target.phi, CanonicalRange.AXIS)
+    d = (final.phi - target.phi) % 1
     if d.denominator == 1:          # difference 0 mod pi
         return 1.0
     if d.denominator == 2:          # difference pi/2
         return 0.0
     if d.denominator == 4:          # odd multiple of pi/4
         return 0.5
-    c, _ = d.cos_sin()
+    c, _ = Angle(d).cos_sin()
     return c * c

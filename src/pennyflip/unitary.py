@@ -136,8 +136,8 @@ def antipode(base: PlanarIsometry) -> PlanarIsometry:
     e^{i*theta} * base also carries the tag (antipode(base), theta + pi).
     """
     if base.is_rotor:
-        return PlanarIsometry.rotor(base.angle.add(Angle(1)))
-    return PlanarIsometry.reflector(base.angle.add(Angle(1, 2)))
+        return PlanarIsometry.rotor(base.angle + 1)
+    return PlanarIsometry.reflector(base.angle + Angle(1, 2))
 
 
 def sample_unitary(seed: int) -> np.ndarray:

@@ -4,35 +4,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pennyflip.angles import Angle, CanonicalRange
+from pennyflip.angles import Angle
+from pennyflip.dihedral import IDENTITY, Kind, PlanarIsometry
 from pennyflip.errors import ExactArithmeticOverflow
+from pennyflip.states import CoinState
 
-FULL = CanonicalRange.FULL_TURN
+rotor, reflector = PlanarIsometry.rotor, PlanarIsometry.reflector
 
 
 def test_dyadic_addition():
-    assert Angle(1, 4).add(Angle(1, 4)) == Angle(1, 2)
+    assert rotor(Angle(1, 4)).compose(rotor(Angle(1, 4))) == rotor(Angle(1, 2))
 
 
 def test_wraparound_to_identity():
-    assert Angle(1, 8).add(Angle(15, 8), FULL) == Angle(0)
+    assert rotor(Angle(1, 8)).compose(rotor(Angle(15, 8))) == IDENTITY
 
 
 def test_rational_addition_against_float_oracle():
     # 2/3 + 2/5 = 16/15
-    result = Angle(2, 3).add(Angle(2, 5), FULL)
+    result = rotor(Angle(2, 3)).compose(rotor(Angle(2, 5))).angle
     assert result == Angle(16, 15)
     assert result.radians == pytest.approx(
         (2 / 3 + 2 / 5) * math.pi, abs=1e-12)
 
 
 def test_negate_mod_full_turn():
-    assert Angle(1, 4).negate(FULL) == Angle(7, 4)
+    assert rotor(Angle(1, 4)).inverse().angle == Angle(7, 4)
 
 
 def test_scale_full_turns():
-    assert Angle(2, 8).scale(8, FULL) == Angle(0)
-    assert Angle(2, 7).scale(7, FULL) == Angle(0)
+    assert rotor(Angle(2, 8) * 8) == IDENTITY
+    assert rotor(Angle(2, 7) * 7) == IDENTITY
 
 
 def test_cos_sin_exact_shortcuts():
@@ -41,6 +43,7 @@ def test_cos_sin_exact_shortcuts():
     assert Angle(0).cos_sin() == (1.0, 0.0)
     assert Angle(1, 2).cos_sin() == (0.0, 1.0)
     assert Angle(1).cos_sin() == (-1.0, 0.0)
+    assert Angle(-7, 4).cos_sin() == (s, s)
 
 
 def test_cos_sin_general_value():
@@ -55,24 +58,34 @@ def test_overflow_is_an_error():
 
 
 def test_normalization_modes():
+    # each owning type reduces into its own period
     a = Angle(5, 4)
-    assert a.normalized(CanonicalRange.FULL_TURN) == Angle(5, 4)
-    assert a.normalized(CanonicalRange.AXIS) == Angle(1, 4)
-    assert Angle(-1, 4).normalized(CanonicalRange.AXIS) == Angle(3, 4)
+    assert rotor(a).angle == Angle(5, 4)
+    assert reflector(a).angle == Angle(1, 4)
+    assert CoinState(a).phi == Angle(1, 4)
+    assert reflector(Angle(-1, 4)).angle == Angle(3, 4)
+    assert CoinState(Angle(-1, 4)).phi == Angle(3, 4)
+
+
+def test_direct_construction_is_canonical():
+    assert PlanarIsometry(Kind.ROTOR, Angle(9, 4)) == rotor(Angle(1, 4))
+    assert PlanarIsometry(Kind.REFLECTOR, Angle(5, 4)) == reflector(Angle(1, 4))
+    assert CoinState(Angle(5, 4)) == CoinState.of(1, 4)
 
 
 def test_str_and_parse_roundtrip():
-    for a in (Angle(0), Angle(1, 4), Angle(7, 4), Angle(1)):
-        assert Angle.parse(str(a)) == a
-    # parsing renormalizes into the requested range
-    assert Angle.parse("3·π") == Angle(1)
+    # parsing returns the value as written; the owner reduces it
+    assert Angle.parse("3·π") == Angle(3)
+    assert rotor(Angle.parse("3·π")) == rotor(Angle(1))
     assert Angle.parse("3/4*pi") == Angle(3, 4)
     assert Angle.parse("pi") == Angle(1)
     for text in ("π/4", "pi/4", "1/4π"):
         assert Angle.parse(text) == Angle(1, 4)
     assert Angle.parse("3π/4") == Angle(3, 4)
-    assert Angle.parse("-pi/4") == Angle(7, 4)
-    for text in ("banana", "π/4π"):
+    assert Angle.parse("-pi/4") == Angle(-1, 4)
+    assert rotor(Angle.parse("-pi/4")).angle == Angle(7, 4)
+    assert f"{Angle(3, 4)}" == str(Angle(3, 4)) == "3/4·π"
+    for text in ("banana", "π/4π", "1/0π", "0/0"):
         with pytest.raises(ValueError):
             Angle.parse(text)
 
@@ -82,19 +95,24 @@ angles = st.builds(Angle,
                    st.integers(min_value=1, max_value=64))
 
 
+@given(angles)
+def test_parse_inverts_str(a):
+    assert Angle.parse(str(a)) == a
+
+
 @given(angles, angles)
 def test_addition_commutes(a, b):
-    assert a.add(b, FULL) == b.add(a, FULL)
+    assert rotor(a).compose(rotor(b)) == rotor(b).compose(rotor(a))
 
 
 @given(angles)
 def test_additive_inverse(a):
-    assert a.add(a.negate(), FULL) == Angle(0)
+    assert rotor(a).compose(rotor(a).inverse()) == IDENTITY
 
 
 @given(angles)
 def test_scale_by_twice_denominator_is_zero(a):
-    assert a.scale(2 * a.denominator, FULL) == Angle(0)
+    assert rotor(a * 2 * a.denominator) == IDENTITY
 
 
 @settings(max_examples=200)

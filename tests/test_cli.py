@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pennyflip.angles import Angle
 from pennyflip.cli import main, parse_isometry
@@ -30,6 +32,13 @@ class TestParseIsometry:
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_isometry("Z_9")
+
+    @given(st.sampled_from([PlanarIsometry.rotor, PlanarIsometry.reflector]),
+           st.integers(min_value=-200, max_value=200),
+           st.integers(min_value=1, max_value=64))
+    def test_str_roundtrip(self, build, numerator, denominator):
+        p = build(Angle(numerator, denominator))
+        assert parse_isometry(str(p)) == p
 
 
 class TestOrbitCommands:
@@ -75,10 +84,6 @@ class TestGameCommands:
         assert result.exit_code == 0
         assert json.loads(result.output)["strategyCount"] == 0
 
-    def test_enumerate_odd_n_is_domain_error(self, runner):
-        result = invoke(runner, "enumerate", "--n", "7")
-        assert result.exit_code == 3
-
     def test_classify_markdown(self, runner):
         result = invoke(runner, "classify", "--n", "8",
                         "--format", "markdown")
@@ -103,10 +108,6 @@ class TestGameCommands:
         result = invoke(runner, "analyze", "--turns", "QPQP", "--check")
         assert result.exit_code == 0
         assert json.loads(result.output)["bruteForceAgrees"] is True
-
-    def test_usage_error_exit_2(self, runner):
-        result = invoke(runner, "analyze", "--turns", "QQQ")
-        assert result.exit_code == 2
 
 
 class TestSampleU2:
@@ -191,3 +192,43 @@ class TestVerifyAll:
         assert result.exit_code == 0
         rows = json.loads(result.output)
         assert any(r["elapsedMs"] > 0 for r in rows)
+
+
+NAN_CFG = "<config file with tolerance=nan>"
+
+
+# Every invalid input exits with its contract code and no traceback:
+# 2 for usage errors, 3 for domain errors.
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["enumerate", "--n", "7"], 3, id="enumerate-odd-n"),
+    pytest.param(["analyze", "--turns", "QQQ"], 2, id="analyze-bad-turns"),
+    pytest.param(["orbit", "--n", "8", "--state", "1/0pi"], 2,
+                 id="orbit-zero-denominator"),
+    pytest.param(["fixed-set", "--n", "8", "--elems", "R_{1/0pi}"], 2,
+                 id="fixed-set-zero-denominator"),
+    pytest.param(["enumerate", "--n", "0"], 2, id="enumerate-n-0"),
+    pytest.param(["enumerate", "--n", "-4"], 2, id="enumerate-n-negative"),
+    pytest.param(["enumerate", "--n", "2"], 2, id="enumerate-n-2"),
+    pytest.param(["classify", "--n", "0"], 2, id="classify-n-0"),
+    pytest.param(["stabilizer", "--n", "0"], 2, id="stabilizer-n-0"),
+    pytest.param(["fixed-set", "--n", "0"], 2, id="fixed-set-n-0"),
+    pytest.param(["orbit", "--n", "1025"], 2, id="orbit-n-above-max"),
+    pytest.param(["analyze", "--turns", "QPQ", "--check", "--pool-n", "0"], 2,
+                 id="analyze-pool-n-0"),
+    pytest.param(["sample-u2", "--samples", "-1"], 2,
+                 id="sample-u2-negative-samples"),
+    pytest.param(["sample-u2", "--seed", "-1"], 2, id="sample-u2-negative-seed"),
+    pytest.param(["verify-all", "--tolerance", "nan"], 2,
+                 id="verify-all-nan-tolerance"),
+    pytest.param(["verify-all", "--tolerance", "-1"], 2,
+                 id="verify-all-negative-tolerance"),
+    pytest.param(["verify-all", "--config", NAN_CFG], 2,
+                 id="verify-all-nan-tolerance-in-config"),
+])
+def test_invalid_input_exit_code(runner, tmp_path, argv, code):
+    nan_cfg = tmp_path / "nan.cfg"
+    nan_cfg.write_text("tolerance=nan\n")
+    result = runner.invoke(main, [str(nan_cfg) if a is NAN_CFG else a
+                                  for a in argv])
+    assert result.exit_code == code
+    assert "Traceback" not in result.output

@@ -50,7 +50,7 @@ def test_action_is_compatible_with_composition():
 def test_action_stays_projective():
     for p in isometries(16):
         for x in orbit_of_basis(16):
-            phi = act(p, x).phi.fraction
+            phi = act(p, x).phi
             assert 0 <= phi < 1
 
 
