@@ -4,9 +4,9 @@ from .angles import Angle
 from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement, Kind,
                        PlanarIsometry, closure, contains_isometry, elements,
                        isometries, represent, verify_presentation)
-from .errors import (EmptyFixedSet, ExactArithmeticOverflow, FNotInGroup,
-                     LengthMismatch, MismatchedGroup, NotUnitary,
-                     PennyflipError, SearchBudgetExceeded)
+from .errors import (ExactArithmeticOverflow, FNotInGroup, LengthMismatch,
+                     MismatchedGroup, NotUnitary, PennyflipError,
+                     SearchBudgetExceeded)
 from .games import (PICARD_POOL, PQG, Decision, GameSpec, Strategy,
                     StrategyClass, brute_force_extended_check,
                     classify_strategies, decide_extended_game,
@@ -25,7 +25,7 @@ __all__ = [
     "FLIP", "HADAMARD", "IDENTITY", "DihedralElement", "Kind",
     "PlanarIsometry", "closure", "contains_isometry", "elements",
     "isometries", "represent", "verify_presentation",
-    "EmptyFixedSet", "ExactArithmeticOverflow", "FNotInGroup",
+    "ExactArithmeticOverflow", "FNotInGroup",
     "LengthMismatch", "MismatchedGroup", "NotUnitary",
     "PennyflipError", "SearchBudgetExceeded",
     "PICARD_POOL", "PQG", "Decision", "GameSpec", "Strategy",

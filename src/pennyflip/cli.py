@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import replace
 
 import click
 
@@ -233,7 +234,6 @@ def verify_all(n_range: str | None, max_rounds: int | None,
     if tolerance is not None:
         updates["tolerance"] = tolerance
     if updates:
-        from dataclasses import replace
         cfg = replace(cfg, **updates)
     results = verify.run_all(cfg, timings=timings)
     if fmt == "json":

@@ -68,10 +68,6 @@ class DihedralElement:
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "reflect": self.reflect}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DihedralElement":
-        return cls(int(data["n"]), int(data["k"]), bool(data["reflect"]))
-
 
 def elements(n: int) -> Iterator[DihedralElement]:
     """All 2n elements: rotations by ascending k, then reflections by ascending k."""
@@ -206,16 +202,16 @@ def closure(generators: Iterable[PlanarIsometry]) -> set[PlanarIsometry]:
 
 
 def verify_presentation(n: int) -> bool:
-    """Check that two adjacent-axis reflections present D_n.
+    """Check that two reflections with axes pi/n apart present D_n.
 
-    For 8 | n the reflections are the coin flip and the Hadamard transform;
-    otherwise the abstract pair S_0 and S_{pi/n} is used.  Verifies
-    s^2 = t^2 = (s t)^n = identity and that the closure of {s, t} has
-    exactly 2n elements.
+    For n = 8 the reflections are the coin flip and the Hadamard transform,
+    whose axes at pi/4 and pi/8 generate D_8 only; otherwise the pair S_0
+    and S_{pi/n} is used.  Verifies s^2 = t^2 = (s t)^n = identity and that
+    the closure of {s, t} is the image of D_n.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if n % 8 == 0:
+    if n == 8:
         s, t = FLIP, HADAMARD
     else:
         s, t = (PlanarIsometry.reflector(Angle(0)),

@@ -25,9 +25,5 @@ class SearchBudgetExceeded(PennyflipError):
     """Brute-force game search asked for more rounds than the bound allows."""
 
 
-class EmptyFixedSet(PennyflipError):
-    """No intermediate state survives the opponent's moves; synthesis impossible."""
-
-
 class NotUnitary(PennyflipError):
     """A complex 2x2 matrix failed the unitarity check."""

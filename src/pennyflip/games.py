@@ -16,8 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import dihedral
 from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
-from .errors import (EmptyFixedSet, FNotInGroup, LengthMismatch,
-                     SearchBudgetExceeded)
+from .errors import FNotInGroup, LengthMismatch, SearchBudgetExceeded
 from .orbits import fixed_set
 from .states import BASIS, CoinState, act, win_probability
 
@@ -268,18 +267,14 @@ def is_dominant(spec: GameSpec, sigma: Strategy,
 def synthesize_by_intermediate_states(spec: GameSpec, n: int) -> list[Strategy]:
     """Winning pairs (A1, A2) built from intermediate states the classical
     player cannot move: A1 sends the initial state to such a state, A2 sends
-    it on to Q's target."""
+    it on to Q's target.  Empty when no such state exists (4 | n, 8 ∤ n)."""
     if spec.turns != ("Q", "P", "Q"):
         raise ValueError("synthesis applies to the QPQ game only")
     if n % 4 != 0:
         raise FNotInGroup(f"the classical flip is not in D_{n}")
-    safe = fixed_set(n, [IDENTITY, FLIP])
-    if not safe:
-        raise EmptyFixedSet(
-            f"no state in the basis orbit of D_{n} is fixed by the flip")
     pool = q_pool(n)
     strategies = []
-    for mid in safe:
+    for mid in fixed_set(n, [IDENTITY, FLIP]):
         firsts = [p for p in pool if act(p, spec.initial) == mid]
         seconds = [p for p in pool if act(p, mid) == spec.target_q]
         strategies.extend(Strategy("Q", (a1, a2))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .dihedral import DihedralElement, PlanarIsometry
+from .dihedral import DihedralElement, PlanarIsometry, represent
 from .games import Decision, GameSpec, Strategy, StrategyClass
 from .states import CoinState
 
@@ -51,7 +51,6 @@ def state_set_name(states: Iterable[CoinState]) -> str:
 
 
 def element_set_name(elems: Iterable[DihedralElement]) -> str:
-    from .dihedral import represent
     return "{" + ", ".join(isometry_name(represent(g)) for g in elems) + "}"
 
 
@@ -62,7 +61,6 @@ def state_set_json(states: Iterable[CoinState]) -> list[dict]:
 
 
 def element_set_json(elems: Iterable[DihedralElement]) -> list[dict]:
-    from .dihedral import represent
     return [dict(g.to_json(), name=isometry_name(represent(g))) for g in elems]
 
 
@@ -118,35 +116,4 @@ def table_winning_classes(classes: Sequence[StrategyClass],
             step += turn == cls.representative.owner
             cells.append(str(cls.path[step]))
         rows.append(cells)
-    return _md_table(header, rows)
-
-
-def table_small_groups(results: Sequence[tuple[int, bool, int]]) -> str:
-    """Rows (n, flip in D_n, Q winning strategy count) for the small groups."""
-    header = ["Ambient group", "Is the game playable",
-              "Winning strategy for P", "Winning strategy for Q"]
-    rows = []
-    for n, has_flip, q_count in results:
-        if not has_flip:
-            rows.append([f"D_{n}", f"No (F ∉ D_{n})", "---", "---"])
-        else:
-            playable = "Yes (classical coin tossing)" if q_count == 0 else "Yes"
-            rows.append([f"D_{n}", playable, "No",
-                         "No" if q_count == 0 else "Yes"])
-    return _md_table(header, rows)
-
-
-def table_winning_classes_u2(classes: Sequence[StrategyClass]) -> str:
-    """The phase-family version of the two-class table: every member becomes
-    a one-parameter family carrying its own phase per move."""
-    header = ["Strategy families", "Initial state", "Round 1", "Round 2",
-              "Round 3"]
-    rows = []
-    for idx, cls in enumerate(classes):
-        t1, t2 = (("θ1", "θ2") if idx == 0 else ("θ3", "θ4"))
-        members = sorted(cls.members, key=strategy_name)
-        names = [f"({isometry_name(m.moves[0])}({t1}), "
-                 f"{isometry_name(m.moves[1])}({t2}))" for m in members]
-        rows.append([", ".join(names), str(cls.path[0]), str(cls.path[1]),
-                     str(cls.path[1]), str(cls.path[-1])])
     return _md_table(header, rows)

@@ -10,6 +10,7 @@ exactness free: a rotor adds its angle and a reflector sends phi to
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .angles import Angle
@@ -43,11 +44,23 @@ class CoinState:
 
     @classmethod
     def parse(cls, text: str) -> "CoinState":
+        """Parse a ket name, the ``cos(a)|0⟩+sin(a)|1⟩`` form that ``str``
+        writes, or a bare angle ``a``."""
         text = text.strip()
         for state, name in _NAMES.items():
             if text in (name, name[1:-1]):  # with or without the ket decoration
                 return state
-        return cls(Angle.parse(text))
+        m = _AMPLITUDES_RE.fullmatch(text)
+        if m is None:
+            return cls(Angle.parse(text))
+        phi = Angle.parse(m["cos"])
+        if Angle.parse(m["sin"]) != phi:
+            raise ValueError(f"cosine and sine angles differ in {text!r}")
+        return cls(phi)
+
+
+_AMPLITUDES_RE = re.compile(
+    r"cos\((?P<cos>.+)\)\|0⟩\+sin\((?P<sin>.+)\)\|1⟩")
 
 
 KET_ZERO = CoinState.of(0)

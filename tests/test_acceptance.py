@@ -1,185 +1,91 @@
-"""Acceptance suite: one test per top-level claim, one printed line each.
+"""Acceptance suite: each paper claim is derived once, by its ``verify-all``
+check at the default configuration.
 
-Run with ``pytest tests/test_acceptance.py -s`` to see the pass/fail lines.
+Each test runs its checks, asserts that they pass and pins the paper's
+numbers in their details.  Run with ``pytest tests/test_acceptance.py -s``
+to see one PASS/FAIL line per check.
 """
 
-import contextlib
-import itertools
-import math
+from pennyflip import verify
+from pennyflip.config import Config
 
-import numpy as np
+PATHS = [["|0⟩", "|+⟩", "|0⟩"], ["|0⟩", "|−⟩", "|0⟩"]]
+BASIS_STABILIZER = ["e", "r^4", "r^4 s", "s"]
+DIAGONAL_STABILIZER = ["e", "r^2 s", "r^4", "r^6 s"]
 
-from pennyflip.dihedral import (FLIP, HADAMARD, closure, contains_isometry,
-                                elements, isometries, represent)
-from pennyflip.games import (PQG, GameSpec,
-                             alternating_turn_sequences,
-                             brute_force_extended_check, classify_strategies,
-                             decide_extended_game,
-                             enumerate_winning_strategies,
-                             is_winning_strategy)
-from pennyflip.orbits import fixed_set, orbit, orbit_of_basis, stabilizer
-from pennyflip.states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
-                              win_probability)
-from pennyflip.unitary import (FIRST_MOVE_BASES, MINUS, PLUS,
-                               classify_winning_first_move, antipode,
-                               eigensystem_flip, fixed_by_flip_projective,
-                               matrix, phase_family, proportional,
-                               sample_state, sample_unitary,
-                               unitarity_residual)
+#: The details each check must report at the default configuration.
+PINS = {
+    "winning-classes-d8": {
+        "strategies": 32, "classSizes": [16, 16], "paths": PATHS},
+    "winning-classes-stable": {
+        f"D_{n}": {"strategies": 32, "identical": True} for n in (16, 24, 32)},
+    "small-groups": {
+        f"D_{n}": {"flipPresent": n == 4, "qWinning": 0} for n in range(3, 8)},
+    "fixed-set-dichotomy": {"nRange": [3, 64], "failures": []},
+    "orbit-structure": {"nRange": [3, 64], "failures": []},
+    "stabilizers-d8": {
+        "|0⟩": BASIS_STABILIZER, "|1⟩": BASIS_STABILIZER,
+        "|+⟩": DIAGONAL_STABILIZER, "|−⟩": DIAGONAL_STABILIZER},
+    "extended-games": {"games": 64, "failures": []},
+    "flip-eigensystem": {"eigenvalues": [1.0, -1.0]},
+    "phase-families": {"gridPoints": 100, "failures": 0},
+    "u2-sampling": {"samples": 10_000, "hits": 0, "stateMismatches": 0},
+    "representation-homomorphism": {
+        "pairFailures": [], "closureSize": 16, "closureMatchesD8": True},
+    "probability-identities": {"halfExact": True},
+}
 
 
-@contextlib.contextmanager
-def criterion(label):
-    try:
-        yield
-    except BaseException:
-        print(f"FAIL {label}")
-        raise
-    print(f"PASS {label}")
+def passes(check_id):
+    fn = next(fn for cid, _, fn in verify.CHECKS if cid == check_id)
+    ok, details = fn(Config())
+    pinned = {key: details.get(key) for key in PINS[check_id]}
+    good = ok is True and pinned == PINS[check_id]
+    print(f"{'PASS' if good else 'FAIL'} {check_id}")
+    assert ok is True
+    assert pinned == PINS[check_id]
+
+
+def test_every_check_is_pinned():
+    assert list(PINS) == [check_id for check_id, _, _ in verify.CHECKS]
 
 
 def test_criterion_1_d8_enumeration():
-    with criterion("criterion 1: 32 winning strategies in D_8, 2 classes of 16"):
-        winners = enumerate_winning_strategies(PQG, 8)
-        assert len(winners) == 32
-        classes = classify_strategies(winners, KET_ZERO)
-        assert [c.size for c in classes] == [16, 16]
-        assert classes[0].path == (KET_ZERO, KET_PLUS, KET_ZERO)
-        assert classes[1].path == (KET_ZERO, KET_MINUS, KET_ZERO)
+    passes("winning-classes-d8")
 
 
 def test_criterion_2_stability_under_enlargement():
-    with criterion("criterion 2: D_16/D_24/D_32 reproduce the D_8 result"):
-        base = {s.moves for s in enumerate_winning_strategies(PQG, 8)}
-        base_paths = [c.path for c in classify_strategies(
-            enumerate_winning_strategies(PQG, 8), KET_ZERO)]
-        for n in (16, 24, 32):
-            winners = enumerate_winning_strategies(PQG, n)
-            assert {s.moves for s in winners} == base
-            classes = classify_strategies(winners, KET_ZERO)
-            assert [c.size for c in classes] == [16, 16]
-            assert [c.path for c in classes] == base_paths
+    passes("winning-classes-stable")
 
 
 def test_criterion_3_small_groups():
-    with criterion("criterion 3: F absent below D_4; D_4 has no quantum winner"):
-        for n in (3, 5, 6, 7):
-            assert not contains_isometry(n, FLIP)
-        assert contains_isometry(4, FLIP)
-        assert enumerate_winning_strategies(PQG, 4) == []
+    passes("small-groups")
 
 
 def test_criterion_4_fixed_set_dichotomy():
-    with criterion("criterion 4: Fix({I,F}) is {|+⟩,|−⟩} iff 8 | n"):
-        for n in range(3, 65):
-            if n % 4 != 0:
-                assert not contains_isometry(n, FLIP)
-                continue
-            expected = (KET_PLUS, KET_MINUS) if n % 8 == 0 else ()
-            assert fixed_set(n, [FLIP]) == expected
+    passes("fixed-set-dichotomy")
 
 
 def test_criterion_5_orbit_structure():
-    with criterion("criterion 5: orbit sizes, coincidence split, counting"):
-        for n in range(3, 65):
-            orb0, orb1 = orbit(n, KET_ZERO), orbit(n, KET_ONE)
-            if n % 4 == 0:
-                assert orb0 == orb1 and len(orb0) == n // 2
-            elif n % 2 == 0:
-                assert not set(orb0) & set(orb1)
-                assert len(orb0) == len(orb1) == n // 2
-            else:
-                assert not set(orb0) & set(orb1)
-                assert len(orb0) == len(orb1) == n
-            for x in orbit_of_basis(n):
-                assert len(orbit(n, x)) * len(stabilizer(n, x)) == 2 * n
+    passes("orbit-structure")
 
 
 def test_criterion_6_d8_stabilizers():
-    with criterion("criterion 6: D_8 basis and diagonal stabilizers verbatim"):
-        def images(x):
-            return {represent(g) for g in stabilizer(8, x)}
-        iso = isometries(8)
-        rotor = {k: iso[k] for k in range(8)}
-        refl = {k: iso[8 + k] for k in range(8)}
-        expected_basis = {rotor[0], rotor[4], refl[0], refl[4]}
-        expected_diag = {rotor[0], rotor[4], refl[2], refl[6]}
-        assert images(KET_ZERO) == images(KET_ONE) == expected_basis
-        assert images(KET_PLUS) == images(KET_MINUS) == expected_diag
-        assert FLIP in expected_diag
+    passes("stabilizers-d8")
 
 
 def test_criterion_7_extended_games():
-    with criterion("criterion 7: extended games decided, brute-checked, "
-                   "Picard never wins"):
-        for turns in alternating_turn_sequences(2, 9):
-            for initial, target in itertools.product(BASIS, repeat=2):
-                spec = GameSpec.from_string("".join(turns), initial, target)
-                decision = decide_extended_game(spec)
-                brute = brute_force_extended_check(spec)
-                assert decision.q_wins == brute.q_wins
-                assert not decision.picard_wins and not brute.picard_wins
-                assert decision.q_wins == (turns[0] == "Q" == turns[-1])
-                if decision.q_wins:
-                    sigma = decision.strategy
-                    assert is_winning_strategy(spec, sigma)
-                    assert sigma.moves[0] == HADAMARD
-                    assert sigma.moves[-1] in (
-                        HADAMARD, FLIP.compose(HADAMARD))
+    passes("extended-games")
 
 
 def test_criterion_8_u2_layer():
-    with criterion("criterion 8: flip eigensystem, projective fixing, "
-                   "phase-family classification"):
-        f = matrix(FLIP)
-        (v1, e1), (v2, e2) = eigensystem_flip()
-        assert (v1, v2) == (1.0, -1.0)
-        for value, vector in ((v1, e1), (v2, e2)):
-            assert np.max(np.abs(f @ vector - value * vector)) <= 1e-12
-        assert np.allclose(e1, PLUS) and np.allclose(e2, MINUS)
-
-        for seed in range(10_000):
-            psi = sample_state(seed)
-            near_axis = (proportional(psi, PLUS, 1e-9)
-                         or proportional(psi, MINUS, 1e-9))
-            assert fixed_by_flip_projective(psi, 1e-9) == near_axis
-
-        thetas = [2 * math.pi * t / 13 for t in range(13)]
-        grid = list(itertools.product(FIRST_MOVE_BASES, thetas))[:100]
-        assert len(grid) == 100
-        for base, theta in grid:
-            tag = classify_winning_first_move(phase_family(base, theta))
-            assert tag is not None
-            if tag.base == base:
-                expected = theta % (2 * math.pi)
-            else:
-                assert tag.base == antipode(base)
-                expected = (theta + math.pi) % (2 * math.pi)
-            delta = abs(tag.theta - expected)
-            assert min(delta, 2 * math.pi - delta) <= 1e-9
-
-        for seed in range(1000):
-            assert unitarity_residual(sample_unitary(seed)) <= 1e-9
+    for check_id in ("flip-eigensystem", "phase-families", "u2-sampling"):
+        passes(check_id)
 
 
 def test_criterion_9_representation_homomorphism():
-    with criterion("criterion 9: exact homomorphism and 16-element closure"):
-        for n in (8, 12, 16):
-            for g, h in itertools.product(elements(n), repeat=2):
-                assert represent(g.compose(h)) == \
-                    represent(g).compose(represent(h))
-        generated = closure({FLIP, HADAMARD})
-        assert len(generated) == 16
-        assert generated == {represent(g) for g in elements(8)}
+    passes("representation-homomorphism")
 
 
 def test_criterion_10_probability_identities():
-    with criterion("criterion 10: exact probabilities and complementarity"):
-        assert win_probability(KET_PLUS, KET_ZERO) == 0.5
-        assert win_probability(KET_ZERO, KET_ZERO) == 1.0
-        assert win_probability(KET_ONE, KET_ZERO) == 0.0
-        for n in range(3, 65):
-            for x in orbit_of_basis(n):
-                total = (win_probability(x, KET_ZERO)
-                         + win_probability(x, KET_ONE))
-                assert abs(total - 1.0) <= 1e-12
+    passes("probability-identities")

@@ -206,6 +206,9 @@ NAN_CFG = "<config file with tolerance=nan>"
                  id="orbit-zero-denominator"),
     pytest.param(["fixed-set", "--n", "8", "--elems", "R_{1/0pi}"], 2,
                  id="fixed-set-zero-denominator"),
+    pytest.param(["orbit", "--n", "12", "--state",
+                  "cos(1/6·π)|0⟩+sin(1/3·π)|1⟩"], 2,
+                 id="orbit-state-angles-differ"),
     pytest.param(["enumerate", "--n", "0"], 2, id="enumerate-n-0"),
     pytest.param(["enumerate", "--n", "-4"], 2, id="enumerate-n-negative"),
     pytest.param(["enumerate", "--n", "2"], 2, id="enumerate-n-2"),

@@ -6,7 +6,7 @@ import pytest
 
 from pennyflip.angles import Angle
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
-                                PlanarIsometry, closure, contains_isometry,
+                                PlanarIsometry, contains_isometry,
                                 element_for_isometry, elements, isometries,
                                 represent, verify_presentation)
 from pennyflip.errors import MismatchedGroup
@@ -67,8 +67,8 @@ class TestElements:
                 assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
     def test_json_roundtrip(self):
-        g = ref(8, 5)
-        assert DihedralElement.from_json(g.to_json()) == g
+        assert ref(8, 5).to_json() == {"n": 8, "k": 5, "reflect": True}
+        assert rot(12, 7).to_json() == {"n": 12, "k": 7, "reflect": False}
 
 
 def matmul_oracle(p: PlanarIsometry, q: PlanarIsometry) -> np.ndarray:
@@ -113,11 +113,6 @@ class TestRepresentation:
         assert represent(ref(8, 1)) == HADAMARD
         assert represent(rot(8, 0)) == IDENTITY
 
-    def test_homomorphism_all_pairs(self):
-        for n in (8, 12, 16):
-            for g, h in itertools.product(elements(n), repeat=2):
-                assert represent(g.compose(h)) == represent(g).compose(represent(h))
-
     def test_faithful_up_to_64(self):
         for n in range(3, 65):
             images = {represent(g) for g in elements(n)}
@@ -140,10 +135,5 @@ class TestPresentation:
         assert verify_presentation(8)
 
     def test_adjacent_axes_present_small_n(self):
-        for n in (3, 5, 6, 12):
+        for n in (3, 5, 6, 12, 16, 24, 32):
             assert verify_presentation(n)
-
-    def test_closure_of_flip_and_hadamard_is_d8(self):
-        generated = closure({FLIP, HADAMARD})
-        assert len(generated) == 16
-        assert generated == set(isometries(8))

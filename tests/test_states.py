@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pennyflip.angles import Angle
 from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, isometries
@@ -101,3 +103,10 @@ def test_rendering_and_parsing():
     assert CoinState.parse("+") == KET_PLUS
     assert CoinState.parse("|1⟩") == KET_ONE
     assert CoinState.parse("1/8·π") == CoinState.of(1, 8)
+
+
+@given(st.integers(min_value=-200, max_value=200),
+       st.integers(min_value=1, max_value=64))
+def test_parse_inverts_str(numerator, denominator):
+    x = CoinState.of(numerator, denominator)
+    assert CoinState.parse(str(x)) == x

@@ -1,0 +1,37 @@
+import pytest
+
+from pennyflip import dihedral, games, orbits, verify
+from pennyflip.config import Config
+
+
+# Each row breaks one claim helper; the check that owns it must then fail.
+@pytest.mark.parametrize("module, helper, wrong, check", [
+    (games, "verify_characteristic_properties", False,
+     verify.check_winning_classes_d8),
+    (games, "synthesize_by_intermediate_states", [],
+     verify.check_winning_classes_d8),
+    (games, "synthesize_by_intermediate_states", [],
+     verify.check_winning_classes_stable),
+    (games, "is_dominant", False, verify.check_winning_classes_d8),
+    (dihedral, "verify_presentation", False, verify.check_representation),
+], ids=["characteristic-d8", "synthesis-d8", "synthesis-stable",
+        "dominance-d8", "presentation"])
+def test_check_fails_when_its_helper_is_wrong(monkeypatch, module, helper,
+                                              wrong, check):
+    assert check(Config())[0] is True
+    monkeypatch.setattr(module, helper, lambda *args: wrong)
+    assert check(Config())[0] is False
+
+
+def test_probability_identities_cover_n_above_64(monkeypatch):
+    visited = []
+    real = orbits.orbit_of_basis
+
+    def recording(n):
+        visited.append(n)
+        return real(n)
+
+    monkeypatch.setattr(orbits, "orbit_of_basis", recording)
+    ok, _ = verify.check_probability_identities(Config(n_min=65, n_max=66))
+    assert visited == [65, 66]
+    assert ok is True
