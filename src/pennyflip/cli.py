@@ -20,7 +20,7 @@ from .errors import PennyflipError
 from .games import GameSpec
 from .states import CoinState
 
-_NAMED_ISOMETRIES = {"I": IDENTITY, "F": FLIP, "H": HADAMARD}
+_NAMED_ISOMETRIES = {str(p): p for p in (IDENTITY, FLIP, HADAMARD)}
 
 #: Group order parameter n: D_n needs n >= 3, and Config caps n the same way.
 _GROUP_ORDER = click.IntRange(3, N_MAX)
@@ -152,7 +152,7 @@ def classify(n: int, turns: str, initial: str, target_q: str | None,
     else:
         for c in classes:
             click.echo(f"{reports.path_name(c.path)}: {c.size} strategies, "
-                       f"e.g. {reports.strategy_name(c.representative)}")
+                       f"e.g. {c.representative}")
 
 
 @main.command()
@@ -171,7 +171,7 @@ def analyze(turns: str, initial: str, target_q: str | None, check: bool,
     decision = games.decide_extended_game(spec)
     payload = reports.game_report(spec, decision, [], 0)
     if decision.strategy is not None:
-        payload["strategy"] = reports.strategy_name(decision.strategy)
+        payload["strategy"] = str(decision.strategy)
     if check:
         brute = games.brute_force_extended_check(spec, pool_n)
         payload["bruteForceAgrees"] = (brute.q_wins == decision.q_wins
@@ -181,7 +181,7 @@ def analyze(turns: str, initial: str, target_q: str | None, check: bool,
     else:
         line = f"{''.join(spec.turns)}: {decision.summary}"
         if decision.strategy is not None:
-            line += f" with {reports.strategy_name(decision.strategy)}"
+            line += f" with {decision.strategy}"
         click.echo(line)
 
 

@@ -32,8 +32,9 @@ class Config:
             raise ValueError(f"max_rounds {self.max_rounds} outside [2, 12]")
         if self.samples < 0 or self.seed < 0:
             raise ValueError("samples and seed must be nonnegative")
-        if not self.tolerance > 0:  # also rejects NaN
-            raise ValueError(f"tolerance {self.tolerance} must be > 0")
+        # from 1 up every unitary.proportional test passes; NaN fails too
+        if not 0 < self.tolerance < 1:
+            raise ValueError(f"tolerance {self.tolerance} outside (0, 1)")
 
 
 def parse_n_range(text: str) -> tuple[int, int]:

@@ -3,7 +3,8 @@
 Elements are kept in the normal form ``r^k s^l``; their 2x2 matrix images
 are kept symbolically as rotors/reflectors carrying an exact angle, so all
 products and membership tests are exact.  Floating matrices exist only for
-cross-checking and for the complex layer.
+cross-checking and for the complex layer.  Membership in D_n, the canonical
+element order and the name of each isometry are decided here only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .angles import Angle
-from .errors import MismatchedGroup
+from .errors import FNotInGroup, MismatchedGroup
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,18 @@ class PlanarIsometry:
         return ((c, s), (s, -c))
 
     def __str__(self) -> str:
-        if self == IDENTITY:
-            return "I"
-        if self == FLIP:
-            return "F"
-        if self == HADAMARD:
-            return "H"
-        if self.is_rotor:
-            return f"R_{{{self.angle}}}"
-        return f"S_{{{self.angle}}}"
+        """Octagon-style name: I, F and H by letter, R_π and S_0, then
+        R_{mπ/8} / S_{mπ/8} on the eighth grid and the exact angle off it."""
+        name = _LETTERS.get(self)
+        if name is not None:
+            return name
+        letter = "R" if self.is_rotor else "S"
+        m = self.angle * 8
+        if m.denominator != 1:
+            return f"{letter}_{{{self.angle}}}"
+        if self.angle in (0, 1):
+            return f"{letter}_{self.angle}"
+        return f"{letter}_{{{m}π/8}}"
 
 
 IDENTITY = PlanarIsometry.rotor(Angle(0))
@@ -158,6 +162,7 @@ IDENTITY = PlanarIsometry.rotor(Angle(0))
 FLIP = PlanarIsometry.reflector(Angle(1, 4))
 #: The Hadamard transform, a reflection about the line at pi/8.
 HADAMARD = PlanarIsometry.reflector(Angle(1, 8))
+_LETTERS = {IDENTITY: "I", FLIP: "F", HADAMARD: "H"}
 
 
 def represent(g: DihedralElement) -> PlanarIsometry:
@@ -181,8 +186,18 @@ def element_for_isometry(n: int, p: PlanarIsometry) -> DihedralElement | None:
 
 
 def contains_isometry(n: int, p: PlanarIsometry) -> bool:
-    """Whether *p* lies in the image of the standard representation of D_n."""
+    """Whether *p* lies in the image of the standard representation of D_n.
+
+    The flip F lies in D_n iff 4 | n and the Hadamard move H iff 8 | n.
+    """
     return element_for_isometry(n, p) is not None
+
+
+def require(n: int, ps: Iterable[PlanarIsometry]) -> None:
+    """Raise :class:`FNotInGroup` naming the first of *ps* outside D_n."""
+    for p in ps:
+        if not contains_isometry(n, p):
+            raise FNotInGroup(f"{p} ∉ D_{n}")
 
 
 def closure(generators: Iterable[PlanarIsometry]) -> set[PlanarIsometry]:
@@ -201,13 +216,22 @@ def closure(generators: Iterable[PlanarIsometry]) -> set[PlanarIsometry]:
     return found
 
 
+def satisfies_relations(s: PlanarIsometry, t: PlanarIsometry, n: int) -> bool:
+    """Whether s^2 = t^2 = (s t)^n = identity."""
+    st = s.compose(t)
+    power = IDENTITY
+    for _ in range(n):
+        power = power.compose(st)
+    return s.compose(s) == t.compose(t) == power == IDENTITY
+
+
 def verify_presentation(n: int) -> bool:
     """Check that two reflections with axes pi/n apart present D_n.
 
     For n = 8 the reflections are the coin flip and the Hadamard transform,
     whose axes at pi/4 and pi/8 generate D_8 only; otherwise the pair S_0
-    and S_{pi/n} is used.  Verifies s^2 = t^2 = (s t)^n = identity and that
-    the closure of {s, t} is the image of D_n.
+    and S_{pi/n} is used.  Verifies the relations and that the closure of
+    {s, t} is the image of D_n.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -216,17 +240,5 @@ def verify_presentation(n: int) -> bool:
     else:
         s, t = (PlanarIsometry.reflector(Angle(0)),
                 PlanarIsometry.reflector(Angle(1, n)))
-    if s.compose(s) != IDENTITY or t.compose(t) != IDENTITY:
-        return False
-    st = s.compose(t)
-    power = IDENTITY
-    for _ in range(n):
-        power = power.compose(st)
-    if power != IDENTITY:
-        return False
-    return closure({s, t}) == set(isometries(n))
-
-
-def sort_key(g: DihedralElement) -> tuple[int, int]:
-    """Canonical ordering: rotations first, each block by ascending k."""
-    return (1 if g.reflect else 0, g.k)
+    return (satisfies_relations(s, t, n)
+            and closure({s, t}) == set(isometries(n)))

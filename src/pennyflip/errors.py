@@ -14,7 +14,7 @@ class MismatchedGroup(PennyflipError):
 
 
 class FNotInGroup(PennyflipError):
-    """The coin flip reflection is not an element of the requested D_n."""
+    """A move, such as the coin flip, is not an element of the given D_n."""
 
 
 class LengthMismatch(PennyflipError):

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import dihedral
 from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
-from .errors import FNotInGroup, LengthMismatch, SearchBudgetExceeded
+from .errors import LengthMismatch, SearchBudgetExceeded
 from .orbits import fixed_set
 from .states import BASIS, CoinState, act, win_probability
 
@@ -163,12 +163,6 @@ def state_path(sigma: Strategy, initial: CoinState) -> tuple[CoinState, ...]:
     return tuple(path)
 
 
-def q_pool(n: int) -> list[PlanarIsometry]:
-    """The isometries of D_n in canonical order: rotors by ascending angle,
-    then reflectors.  The representation is faithful, so they are distinct."""
-    return dihedral.isometries(n)
-
-
 def _winning_moves(spec: GameSpec, owner: str,
                    own_pool: Sequence[PlanarIsometry],
                    opp_pool: Sequence[PlanarIsometry]
@@ -215,15 +209,14 @@ def _winning_moves(spec: GameSpec, owner: str,
 
 def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
     """All of Q's winning move tuples drawn from D_n, in the product order
-    of :func:`q_pool`.
+    of :func:`dihedral.isometries`; the flip must lie in D_n.
 
     Strategies are counted as tuples of isometries (matrix values), so
     distinct symbolic elements with the same representation coincide.
     """
-    if n % 4 != 0:
-        raise FNotInGroup(f"the classical flip is not in D_{n}")
-    return [Strategy("Q", moves)
-            for moves in _winning_moves(spec, "Q", q_pool(n), PICARD_POOL)]
+    dihedral.require(n, PICARD_POOL)
+    return [Strategy("Q", moves) for moves in _winning_moves(
+        spec, "Q", dihedral.isometries(n), PICARD_POOL)]
 
 
 def classify_strategies(strategies: Iterable[Strategy],
@@ -267,14 +260,13 @@ def is_dominant(spec: GameSpec, sigma: Strategy,
 def synthesize_by_intermediate_states(spec: GameSpec, n: int) -> list[Strategy]:
     """Winning pairs (A1, A2) built from intermediate states the classical
     player cannot move: A1 sends the initial state to such a state, A2 sends
-    it on to Q's target.  Empty when no such state exists (4 | n, 8 ∤ n)."""
+    it on to Q's target.  Empty when no such state exists (4 | n, 8 ∤ n);
+    :func:`fixed_set` raises when the flip is not in D_n."""
     if spec.turns != ("Q", "P", "Q"):
         raise ValueError("synthesis applies to the QPQ game only")
-    if n % 4 != 0:
-        raise FNotInGroup(f"the classical flip is not in D_{n}")
-    pool = q_pool(n)
+    pool = dihedral.isometries(n)
     strategies = []
-    for mid in fixed_set(n, [IDENTITY, FLIP]):
+    for mid in fixed_set(n, PICARD_POOL):
         firsts = [p for p in pool if act(p, spec.initial) == mid]
         seconds = [p for p in pool if act(p, mid) == spec.target_q]
         strategies.extend(Strategy("Q", (a1, a2))
@@ -305,9 +297,8 @@ def brute_force_extended_check(spec: GameSpec, n: int = 8,
     if len(spec.turns) > max_rounds:
         raise SearchBudgetExceeded(
             f"{len(spec.turns)} rounds exceeds the bound of {max_rounds}")
-    if n % 8 != 0:
-        raise FNotInGroup(f"brute force needs both flip and Hadamard, 8 | n; got {n}")
-    pool = q_pool(n)
+    dihedral.require(n, (FLIP, HADAMARD))
+    pool = dihedral.isometries(n)
     q_moves = next(_winning_moves(spec, "Q", pool, PICARD_POOL), None)
     p_moves = next(_winning_moves(spec, "P", PICARD_POOL, pool), None)
     strategy = Strategy("Q", q_moves) if q_moves is not None else None

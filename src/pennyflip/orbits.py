@@ -7,11 +7,10 @@ computational basis, which keeps the operation decidable by enumeration.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import dihedral
 from .dihedral import DihedralElement, PlanarIsometry, represent
-from .errors import FNotInGroup
 from .states import BASIS, CoinState, act
 
 
@@ -30,30 +29,15 @@ def orbit_of_basis(n: int) -> tuple[CoinState, ...]:
 
 def stabilizer(n: int, x: CoinState) -> tuple[DihedralElement, ...]:
     """Elements whose action fixes *x* projectively, in canonical order."""
-    fixing = [g for g in dihedral.elements(n) if act(represent(g), x) == x]
-    return tuple(sorted(fixing, key=dihedral.sort_key))
+    return tuple(g for g in dihedral.elements(n) if act(represent(g), x) == x)
 
 
-def _as_isometry(n: int, elem: DihedralElement | PlanarIsometry) -> PlanarIsometry:
-    if isinstance(elem, DihedralElement):
-        if elem.n != n:
-            raise FNotInGroup(f"{elem} is an element of D_{elem.n}, not D_{n}")
-        return represent(elem)
-    if not dihedral.contains_isometry(n, elem):
-        raise FNotInGroup(f"{elem} ∉ D_{n}")
-    return elem
+def fixed_set(n: int, ps: Sequence[PlanarIsometry]) -> tuple[CoinState, ...]:
+    """States in the basis orbit fixed by every isometry in *ps*.
 
-
-def fixed_set(n: int,
-              elems: Iterable[DihedralElement | PlanarIsometry],
-              domain: Sequence[CoinState] | None = None) -> tuple[CoinState, ...]:
-    """States in *domain* fixed by every member of *elems*.
-
-    *elems* may mix symbolic elements and isometries; each must belong to
-    D_n (in particular the coin flip requires 4 | n, otherwise
-    :class:`FNotInGroup` is raised).  The default domain is the basis orbit.
+    Each isometry must belong to D_n (in particular the coin flip requires
+    4 | n), otherwise :class:`FNotInGroup` is raised.
     """
-    ps = [_as_isometry(n, e) for e in elems]
-    if domain is None:
-        domain = orbit_of_basis(n)
-    return tuple(x for x in domain if all(act(p, x) == x for p in ps))
+    dihedral.require(n, ps)
+    return tuple(x for x in orbit_of_basis(n)
+                 if all(act(p, x) == x for p in ps))

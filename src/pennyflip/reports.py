@@ -10,37 +10,14 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .dihedral import DihedralElement, PlanarIsometry, represent
-from .games import Decision, GameSpec, Strategy, StrategyClass
+from .dihedral import DihedralElement, represent
+from .games import Decision, GameSpec, StrategyClass
 from .states import CoinState
 
 SCHEMA_VERSION = "1"
 
 
 # -- naming ----------------------------------------------------------------
-
-def isometry_name(p: PlanarIsometry) -> str:
-    """Octagon-style name when the angle is a multiple of pi/8.
-
-    I, F and H keep their letters; R_pi and S_0 match the usual shorthand;
-    everything else renders as R_{m pi/8} / S_{m pi/8}, falling back to the
-    exact-fraction form for angles outside the eighth grid.
-    """
-    special = str(p)
-    if special in ("I", "F", "H"):
-        return special
-    m = p.angle * 8
-    if m.denominator != 1:
-        return special
-    m = int(m)
-    if p.is_rotor:
-        return "R_π" if m == 8 else f"R_{{{m}π/8}}"
-    return "S_0" if m == 0 else f"S_{{{m}π/8}}"
-
-
-def strategy_name(sigma: Strategy) -> str:
-    return "(" + ", ".join(isometry_name(m) for m in sigma.moves) + ")"
-
 
 def path_name(path: Sequence[CoinState]) -> str:
     return "(" + ", ".join(str(s) for s in path) + ")"
@@ -51,7 +28,7 @@ def state_set_name(states: Iterable[CoinState]) -> str:
 
 
 def element_set_name(elems: Iterable[DihedralElement]) -> str:
-    return "{" + ", ".join(isometry_name(represent(g)) for g in elems) + "}"
+    return "{" + ", ".join(str(represent(g)) for g in elems) + "}"
 
 
 # -- JSON payloads ---------------------------------------------------------
@@ -61,14 +38,14 @@ def state_set_json(states: Iterable[CoinState]) -> list[dict]:
 
 
 def element_set_json(elems: Iterable[DihedralElement]) -> list[dict]:
-    return [dict(g.to_json(), name=isometry_name(represent(g))) for g in elems]
+    return [dict(g.to_json(), name=str(represent(g))) for g in elems]
 
 
 def class_json(cls: StrategyClass) -> dict:
     return {
         "path": [str(s) for s in cls.path],
         "size": cls.size,
-        "representative": strategy_name(cls.representative),
+        "representative": str(cls.representative),
     }
 
 
@@ -108,8 +85,8 @@ def table_winning_classes(classes: Sequence[StrategyClass],
         f"Round {i}" for i in range(1, len(turns) + 1)]
     rows = []
     for cls in classes:
-        members = sorted(cls.members, key=strategy_name)
-        cells = [", ".join(strategy_name(m) for m in members),
+        members = sorted(cls.members, key=str)
+        cells = [", ".join(str(m) for m in members),
                  str(cls.path[0])]
         step = 0
         for turn in turns:

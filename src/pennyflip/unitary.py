@@ -52,9 +52,6 @@ class PhaseFamilyTag:
     base: PlanarIsometry
     theta: float
 
-    def __str__(self) -> str:
-        return f"{self.base}(θ={self.theta:.6g})"
-
 
 def matrix(p: PlanarIsometry) -> np.ndarray:
     """Complex evaluation of an exact isometry."""

@@ -79,6 +79,12 @@ class TestGameCommands:
         assert payload["strategyCount"] == 32
         assert [c["size"] for c in payload["classes"]] == [16, 16]
 
+    def test_enumerate_without_flip_names_it(self, runner):
+        result = invoke(runner, "enumerate", "--n", "6")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: F ∉ D_6\n"
+
     def test_enumerate_d4_is_empty(self, runner):
         result = invoke(runner, "enumerate", "--n", "4")
         assert result.exit_code == 0
@@ -195,6 +201,8 @@ class TestVerifyAll:
 
 
 NAN_CFG = "<config file with tolerance=nan>"
+INF_CFG = "<config file with tolerance=inf>"
+CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n"}
 
 
 # Every invalid input exits with its contract code and no traceback:
@@ -227,11 +235,22 @@ NAN_CFG = "<config file with tolerance=nan>"
                  id="verify-all-negative-tolerance"),
     pytest.param(["verify-all", "--config", NAN_CFG], 2,
                  id="verify-all-nan-tolerance-in-config"),
+    # from 1 up every proportionality test passes and u2-sampling sees nothing
+    pytest.param(["verify-all", "--tolerance", "1"], 2,
+                 id="verify-all-tolerance-1"),
+    pytest.param(["verify-all", "--tolerance", "inf"], 2,
+                 id="verify-all-inf-tolerance"),
+    pytest.param(["verify-all", "--config", INF_CFG], 2,
+                 id="verify-all-inf-tolerance-in-config"),
 ])
 def test_invalid_input_exit_code(runner, tmp_path, argv, code):
-    nan_cfg = tmp_path / "nan.cfg"
-    nan_cfg.write_text("tolerance=nan\n")
-    result = runner.invoke(main, [str(nan_cfg) if a is NAN_CFG else a
-                                  for a in argv])
+    def arg(a):
+        if a not in CONFIG_FILES:
+            return a
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_FILES[a])
+        return str(path)
+
+    result = runner.invoke(main, [arg(a) for a in argv])
     assert result.exit_code == code
     assert "Traceback" not in result.output

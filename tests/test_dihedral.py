@@ -9,7 +9,11 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 PlanarIsometry, contains_isometry,
                                 element_for_isometry, elements, isometries,
                                 represent, verify_presentation)
-from pennyflip.errors import MismatchedGroup
+from pennyflip.errors import FNotInGroup, MismatchedGroup
+from pennyflip.games import (PQG, GameSpec, brute_force_extended_check,
+                             enumerate_winning_strategies,
+                             synthesize_by_intermediate_states)
+from pennyflip.orbits import fixed_set
 
 
 def rot(n, k):
@@ -104,7 +108,8 @@ class TestIsometries:
         assert str(IDENTITY) == "I"
         assert str(FLIP) == "F"
         assert str(HADAMARD) == "H"
-        assert str(PlanarIsometry.rotor(Angle(1, 4))) == "R_{1/4·π}"
+        assert str(PlanarIsometry.rotor(Angle(1, 4))) == "R_{2π/8}"
+        assert str(PlanarIsometry.rotor(Angle(1, 6))) == "R_{1/6·π}"
 
 
 class TestRepresentation:
@@ -128,6 +133,21 @@ class TestRepresentation:
     def test_element_for_isometry_inverts_represent(self):
         for g in elements(12):
             assert element_for_isometry(12, represent(g)) == g
+
+
+# Every entry point that needs a move in D_n asks the one membership guard,
+# which names the first missing move.
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_winning_strategies(PQG, 6), "F ∉ D_6"),
+    (lambda: synthesize_by_intermediate_states(PQG, 6), "F ∉ D_6"),
+    (lambda: brute_force_extended_check(GameSpec.from_string("QPQP"), 12),
+     "H ∉ D_12"),
+    (lambda: fixed_set(7, [FLIP]), "F ∉ D_7"),
+], ids=["enumerate", "synthesize", "brute-force", "fixed-set"])
+def test_entry_points_name_the_missing_move(call, message):
+    with pytest.raises(FNotInGroup) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 class TestPresentation:

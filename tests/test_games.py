@@ -3,14 +3,15 @@ import itertools
 import pytest
 
 from pennyflip.angles import Angle
-from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
+from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
+                                isometries)
 from pennyflip.errors import FNotInGroup, LengthMismatch, SearchBudgetExceeded
 from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy,
                              alternating_turn_sequences,
                              brute_force_extended_check, classify_strategies,
                              decide_extended_game,
                              enumerate_winning_strategies, is_dominant,
-                             is_winning_strategy, play_out, q_pool,
+                             is_winning_strategy, play_out,
                              state_path, synthesize_by_intermediate_states,
                              verify_characteristic_properties)
 from pennyflip.states import BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO
@@ -135,16 +136,16 @@ class TestClassification:
 
 class TestDominance:
     def test_hadamard_pair_is_dominant(self):
-        assert is_dominant(PQG, q_strategy(HADAMARD, HADAMARD), q_pool(8))
+        assert is_dominant(PQG, q_strategy(HADAMARD, HADAMARD), isometries(8))
 
     def test_identity_pair_is_not(self):
-        assert not is_dominant(PQG, q_strategy(IDENTITY, IDENTITY), q_pool(8))
+        assert not is_dominant(PQG, q_strategy(IDENTITY, IDENTITY), isometries(8))
 
     def test_no_dominant_picard_strategy_in_d4(self):
         for moves in itertools.product(PICARD_POOL, repeat=1):
             sigma = Strategy("P", moves)
             assert not is_dominant(PQG, sigma, PICARD_POOL,
-                                   opp_pool=q_pool(4))
+                                   opp_pool=isometries(4))
 
 
 class TestSynthesis:
@@ -176,7 +177,7 @@ class TestSynthesis:
 def product_scan(spec, n):
     """Independent oracle: Q's winners in the full move-tuple product."""
     strategies = (Strategy("Q", moves) for moves in itertools.product(
-        q_pool(n), repeat=spec.turn_count("Q")))
+        isometries(n), repeat=spec.turn_count("Q")))
     return [sigma for sigma in strategies if is_winning_strategy(spec, sigma)]
 
 
@@ -187,7 +188,7 @@ def all_specs(turns):
 
 def literal_brute_force(spec, n=8):
     """Independent oracle: scan the full strategy cross product."""
-    pool = q_pool(n)
+    pool = isometries(n)
     qc, pc = spec.turn_count("Q"), spec.turn_count("P")
     q_wins = any(
         all(play_out(spec, Strategy("Q", qm), Strategy("P", pm)) == spec.target_q

@@ -96,6 +96,3 @@ class TestFixedSet:
     def test_flip_absent_raises(self):
         with pytest.raises(FNotInGroup):
             fixed_set(7, [IDENTITY, FLIP])
-
-    def test_accepts_symbolic_elements(self):
-        assert fixed_set(8, [rot(8, 0), ref(8, 2)]) == (KET_PLUS, KET_MINUS)

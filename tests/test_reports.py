@@ -2,15 +2,16 @@ import json
 from pathlib import Path
 
 from pennyflip.angles import Angle
-from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
+from pennyflip.cli import parse_isometry
+from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
+                                isometries)
 from pennyflip.games import (PQG, GameSpec, Strategy, classify_strategies,
                              decide_extended_game,
                              enumerate_winning_strategies)
 from pennyflip.orbits import stabilizer
 from pennyflip.reports import (dump_json, element_set_json,
-                               element_set_name, game_report, isometry_name,
-                               path_name, state_set_name, strategy_name,
-                               table_winning_classes)
+                               element_set_name, game_report, path_name,
+                               state_set_name, table_winning_classes)
 from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -21,23 +22,50 @@ def classes_d8():
     return winners, classify_strategies(winners, KET_ZERO)
 
 
+R, S = PlanarIsometry.rotor, PlanarIsometry.reflector
+#: The off-grid section of the names golden, in file order.
+OFF_GRID = (R(Angle(2, 7)), R(Angle(1, 3)), R(Angle(5, 12)), R(Angle(1, 16)),
+            R(Angle(31, 16)), S(Angle(1, 5)), S(Angle(2, 3)),
+            S(Angle(1, 16)), S(Angle(7, 24)))
+
+
+def golden_sections(path):
+    """``{"# D_8": [names...], ...}`` from a file of ``#``-headed sections."""
+    sections = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            names = sections[line] = []
+        else:
+            names.append(line)
+    return sections
+
+
 class TestNaming:
     def test_named_letters(self):
-        assert isometry_name(IDENTITY) == "I"
-        assert isometry_name(FLIP) == "F"
-        assert isometry_name(HADAMARD) == "H"
+        assert str(IDENTITY) == "I"
+        assert str(FLIP) == "F"
+        assert str(HADAMARD) == "H"
 
     def test_eighth_grid_names(self):
-        assert isometry_name(PlanarIsometry.rotor(Angle(1, 4))) == "R_{2π/8}"
-        assert isometry_name(PlanarIsometry.reflector(Angle(5, 8))) == "S_{5π/8}"
-        assert isometry_name(PlanarIsometry.rotor(Angle(1))) == "R_π"
-        assert isometry_name(PlanarIsometry.reflector(Angle(0))) == "S_0"
+        assert str(R(Angle(1, 4))) == "R_{2π/8}"
+        assert str(S(Angle(5, 8))) == "S_{5π/8}"
+        assert str(R(Angle(1))) == "R_π"
+        assert str(S(Angle(0))) == "S_0"
 
     def test_off_grid_fallback(self):
-        assert isometry_name(PlanarIsometry.rotor(Angle(2, 7))) == "R_{2/7·π}"
+        assert str(R(Angle(2, 7))) == "R_{2/7·π}"
+
+    def test_names_match_golden(self):
+        sections = golden_sections(GOLDEN / "isometry_names.txt")
+        expected = {f"# D_{n}": isometries(n) for n in [*range(3, 17), 24]}
+        expected["# off the π/8 grid"] = OFF_GRID
+        assert list(sections) == list(expected)
+        for header, ps in expected.items():
+            assert [str(p) for p in ps] == sections[header], header
+            assert [parse_isometry(str(p)) for p in ps] == list(ps), header
 
     def test_strategy_and_path_names(self):
-        assert strategy_name(Strategy("Q", (HADAMARD, HADAMARD))) == "(H, H)"
+        assert str(Strategy("Q", (HADAMARD, HADAMARD))) == "(H, H)"
         assert path_name((KET_ZERO, KET_PLUS, KET_ZERO)) == "(|0⟩, |+⟩, |0⟩)"
         assert state_set_name((KET_PLUS, KET_MINUS)) == "{|+⟩, |−⟩}"
 

@@ -1,6 +1,6 @@
 import pytest
 
-from pennyflip import dihedral, games, orbits, verify
+from pennyflip import dihedral, games, orbits, unitary, verify
 from pennyflip.config import Config
 
 
@@ -35,3 +35,20 @@ def test_probability_identities_cover_n_above_64(monkeypatch):
     ok, _ = verify.check_probability_identities(Config(n_min=65, n_max=66))
     assert visited == [65, 66]
     assert ok is True
+
+
+def test_representation_checks_the_d8_relations(monkeypatch):
+    real = dihedral.satisfies_relations
+    monkeypatch.setattr(dihedral, "satisfies_relations",
+                        lambda s, t, n: n != 8 and real(s, t, n))
+    assert verify.check_representation(Config())[0] is False
+
+
+def test_u2_sampling_fails_on_a_winning_first_move(monkeypatch):
+    cfg = Config(samples=50)
+    assert verify.check_u2_sampling(cfg)[0] is True
+    hadamard = unitary.matrix(dihedral.HADAMARD)
+    monkeypatch.setattr(unitary, "sample_unitary", lambda seed: hadamard)
+    ok, details = verify.check_u2_sampling(cfg)
+    assert details["hits"] == 50
+    assert ok is False
