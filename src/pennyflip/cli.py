@@ -222,17 +222,11 @@ def verify_all(n_range: str | None, max_rounds: int | None,
                timings: bool, fmt: str) -> None:
     """Run the whole verification suite; exit 1 on any failure."""
     cfg = load_config_file(config_path) if config_path else default_config()
-    updates: dict = {}
+    flags = {"max_rounds": max_rounds, "samples": samples, "seed": seed,
+             "tolerance": tolerance}
+    updates = {k: v for k, v in flags.items() if v is not None}
     if n_range is not None:
         updates["n_min"], updates["n_max"] = parse_n_range(n_range)
-    if max_rounds is not None:
-        updates["max_rounds"] = max_rounds
-    if samples is not None:
-        updates["samples"] = samples
-    if seed is not None:
-        updates["seed"] = seed
-    if tolerance is not None:
-        updates["tolerance"] = tolerance
     if updates:
         cfg = replace(cfg, **updates)
     results = verify.run_all(cfg, timings=timings)

@@ -2,7 +2,8 @@
 
 Elements are kept in the normal form ``r^k s^l``; their 2x2 matrix images
 are kept symbolically as rotors/reflectors carrying an exact angle, so all
-products and membership tests are exact.  Floating matrices exist only for
+products and membership tests are exact; elements act on integer state
+indices for orbits and game search.  Floating matrices exist only for
 cross-checking and for the complex layer.  Membership in D_n, the canonical
 element order and the name of each isometry are decided here only.
 """
@@ -10,9 +11,10 @@ element order and the name of each isometry are decided here only.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .angles import Angle
 from .errors import FNotInGroup, MismatchedGroup
@@ -59,6 +61,12 @@ class DihedralElement:
             return self
         return DihedralElement(self.n, (-self.k) % self.n, False)
 
+    def act(self, j: int, size: int) -> int:
+        """Act on the index j of the state j*pi/size, with step = 2*size/n an
+        integer: r^k sends j to j + k*step and r^k s to k*step - j, mod size."""
+        shift = self.k * 2 * size // self.n
+        return (shift - j if self.reflect else j + shift) % size
+
     def __str__(self) -> str:
         if self.reflect:
             return "s" if self.k == 0 else f"r^{self.k} s" if self.k > 1 else "r s"
@@ -70,12 +78,11 @@ class DihedralElement:
         return {"n": self.n, "k": self.k, "reflect": self.reflect}
 
 
-def elements(n: int) -> Iterator[DihedralElement]:
+@functools.lru_cache(maxsize=8)
+def elements(n: int) -> tuple[DihedralElement, ...]:
     """All 2n elements: rotations by ascending k, then reflections by ascending k."""
-    for k in range(n):
-        yield DihedralElement(n, k, False)
-    for k in range(n):
-        yield DihedralElement(n, k, True)
+    return tuple(DihedralElement(n, k, reflect)
+                 for reflect in (False, True) for k in range(n))
 
 
 class Kind(enum.Enum):

@@ -5,7 +5,7 @@ synthesis for the three-round game, and the closed-form decision procedure
 for arbitrary alternating games.  Winning-strategy enumeration and the
 finite brute-force check of that decision share one search over the sets of
 states reachable under the opponent's choices (the subset construction of
-Andronikos et al., Mathematics 6(2), 2018).
+Andronikos et al., Mathematics 6(2), 2018), run on integer state indices.
 """
 
 from __future__ import annotations
@@ -130,8 +130,7 @@ def play_out(spec: GameSpec, sigma_q: Strategy, sigma_p: Strategy) -> CoinState:
 
 
 def picard_strategies(spec: GameSpec) -> Iterable[Strategy]:
-    m = spec.turn_count("P")
-    for moves in itertools.product(PICARD_POOL, repeat=m):
+    for moves in itertools.product(PICARD_POOL, repeat=spec.turn_count("P")):
         yield Strategy("P", moves)
 
 
@@ -149,10 +148,8 @@ def verify_characteristic_properties(spec: GameSpec, sigma_q: Strategy) -> bool:
         raise ValueError("characteristic properties apply to the QPQ game only")
     a1, a2 = sigma_q.moves
     mid = act(a1, spec.initial)
-    for reply in PICARD_POOL:
-        if act(a2, act(reply, mid)) != spec.target_q:
-            return False
-    return act(FLIP, mid) == mid
+    return (all(act(a2, act(reply, mid)) == spec.target_q
+                for reply in PICARD_POOL) and act(FLIP, mid) == mid)
 
 
 def state_path(sigma: Strategy, initial: CoinState) -> tuple[CoinState, ...]:
@@ -163,7 +160,7 @@ def state_path(sigma: Strategy, initial: CoinState) -> tuple[CoinState, ...]:
     return tuple(path)
 
 
-def _winning_moves(spec: GameSpec, owner: str,
+def _winning_moves(spec: GameSpec, n: int, owner: str,
                    own_pool: Sequence[PlanarIsometry],
                    opp_pool: Sequence[PlanarIsometry]
                    ) -> Iterator[tuple[PlanarIsometry, ...]]:
@@ -175,16 +172,25 @@ def _winning_moves(spec: GameSpec, owner: str,
     the owner's turns branch over *own_pool*, the opponent's turns take the
     image under all of *opp_pool*, and a move tuple wins iff the final set
     is the target alone.  Pairs with no winning continuation are memoised.
+    A set is an int bitmask over the indices Z_2n, which each move, an
+    element of D_n, permutes by :meth:`DihedralElement.act`.
     """
-    target = frozenset({spec.target_q if owner == "Q" else spec.target_p})
-    dead: set[tuple[int, frozenset[CoinState]]] = set()
+    size = 2 * n
+    own = [(p, dihedral.element_for_isometry(n, p)) for p in own_pool]
+    opp = [dihedral.element_for_isometry(n, p) for p in opp_pool]
+    target = 1 << (spec.target_q if owner == "Q" else spec.target_p).index(size)
+    dead: set[tuple[int, int]] = set()
 
-    def image(moves: Iterable[PlanarIsometry],
-              states: frozenset[CoinState]) -> frozenset[CoinState]:
-        return frozenset(act(m, s) for m in moves for s in states)
+    def image(moves: Iterable[dihedral.DihedralElement], states: int) -> int:
+        out = 0
+        while states:
+            j = (states & -states).bit_length() - 1
+            states &= states - 1
+            for g in moves:
+                out |= 1 << g.act(j, size)
+        return out
 
-    def walk(i: int, states: frozenset[CoinState]
-             ) -> Iterator[tuple[PlanarIsometry, ...]]:
+    def walk(i: int, states: int) -> Iterator[tuple[PlanarIsometry, ...]]:
         if i == len(spec.turns):
             if states == target:
                 yield ()
@@ -193,18 +199,18 @@ def _winning_moves(spec: GameSpec, owner: str,
             return
         won = False
         if spec.turns[i] == owner:
-            for m in own_pool:
-                for rest in walk(i + 1, image((m,), states)):
+            for m, g in own:
+                for rest in walk(i + 1, image((g,), states)):
                     won = True
                     yield (m, *rest)
         else:
-            for rest in walk(i + 1, image(opp_pool, states)):
+            for rest in walk(i + 1, image(opp, states)):
                 won = True
                 yield rest
         if not won:
             dead.add((i, states))
 
-    return walk(0, frozenset({spec.initial}))
+    return walk(0, 1 << spec.initial.index(size))
 
 
 def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
@@ -216,7 +222,7 @@ def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
     """
     dihedral.require(n, PICARD_POOL)
     return [Strategy("Q", moves) for moves in _winning_moves(
-        spec, "Q", dihedral.isometries(n), PICARD_POOL)]
+        spec, n, "Q", dihedral.isometries(n), PICARD_POOL)]
 
 
 def classify_strategies(strategies: Iterable[Strategy],
@@ -225,11 +231,8 @@ def classify_strategies(strategies: Iterable[Strategy],
     groups: dict[tuple[CoinState, ...], list[Strategy]] = {}
     for sigma in strategies:
         groups.setdefault(state_path(sigma, initial), []).append(sigma)
-    classes = []
-    for path in sorted(groups, key=lambda p: tuple(s.phi for s in p)):
-        members = groups[path]
-        classes.append(StrategyClass(members[0], frozenset(members), path))
-    return classes
+    return [StrategyClass(groups[path][0], frozenset(groups[path]), path)
+            for path in sorted(groups, key=lambda p: tuple(s.phi for s in p))]
 
 
 def is_dominant(spec: GameSpec, sigma: Strategy,
@@ -265,13 +268,9 @@ def synthesize_by_intermediate_states(spec: GameSpec, n: int) -> list[Strategy]:
     if spec.turns != ("Q", "P", "Q"):
         raise ValueError("synthesis applies to the QPQ game only")
     pool = dihedral.isometries(n)
-    strategies = []
-    for mid in fixed_set(n, PICARD_POOL):
-        firsts = [p for p in pool if act(p, spec.initial) == mid]
-        seconds = [p for p in pool if act(p, mid) == spec.target_q]
-        strategies.extend(Strategy("Q", (a1, a2))
-                          for a1 in firsts for a2 in seconds)
-    return strategies
+    return [Strategy("Q", (a1, a2)) for mid in fixed_set(n, PICARD_POOL)
+            for a1 in pool if act(a1, spec.initial) == mid
+            for a2 in pool if act(a2, mid) == spec.target_q]
 
 
 def decide_extended_game(spec: GameSpec) -> Decision:
@@ -299,8 +298,8 @@ def brute_force_extended_check(spec: GameSpec, n: int = 8,
             f"{len(spec.turns)} rounds exceeds the bound of {max_rounds}")
     dihedral.require(n, (FLIP, HADAMARD))
     pool = dihedral.isometries(n)
-    q_moves = next(_winning_moves(spec, "Q", pool, PICARD_POOL), None)
-    p_moves = next(_winning_moves(spec, "P", PICARD_POOL, pool), None)
+    q_moves = next(_winning_moves(spec, n, "Q", pool, PICARD_POOL), None)
+    p_moves = next(_winning_moves(spec, n, "P", PICARD_POOL, pool), None)
     strategy = Strategy("Q", q_moves) if q_moves is not None else None
     return Decision(q_moves is not None, strategy, p_moves is not None)
 
@@ -309,9 +308,5 @@ def alternating_turn_sequences(min_rounds: int = 2,
                                max_rounds: int = DEFAULT_MAX_ROUNDS
                                ) -> list[tuple[str, ...]]:
     """Both alternating sequences for every length in the range."""
-    out = []
-    for length in range(min_rounds, max_rounds + 1):
-        for first in ("P", "Q"):
-            second = "Q" if first == "P" else "P"
-            out.append(tuple((first, second)[i % 2] for i in range(length)))
-    return out
+    return [tuple("PQ"[(first + i) % 2] for i in range(length))
+            for length in range(min_rounds, max_rounds + 1) for first in (0, 1)]

@@ -1,43 +1,58 @@
 """Orbits, stabilizers and fixed sets for D_n acting on coin states.
 
-All computations enumerate the 2n group elements and compare states
-exactly.  Fixed sets are taken over the finite domain reachable from the
-computational basis, which keeps the operation decidable by enumeration.
+A state phi = a/b (in units of pi) is the index j = phi*N on Z_N with
+N = lcm(2n, b), where D_n acts by integer arithmetic; the basis orbit lies
+on N = 2n, with |0> at 0 and |1> at n.  Fixed sets are taken over the
+basis orbit, which keeps the operation decidable by enumeration.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from . import dihedral
-from .dihedral import DihedralElement, PlanarIsometry, represent
-from .states import BASIS, CoinState, act
+from .dihedral import DihedralElement, PlanarIsometry
+from .states import CoinState
+
+
+def index_orbit(n: int, j: int, size: int) -> set[int]:
+    """Indices reachable from *j* on Z_size under all 2n elements."""
+    return {g.act(j, size) for g in dihedral.elements(n)}
+
+
+def index_stabilizer(n: int, j: int, size: int) -> tuple[DihedralElement, ...]:
+    """Elements fixing the index *j* on Z_size, in canonical order."""
+    return tuple(g for g in dihedral.elements(n) if g.act(j, size) == j)
+
+
+def _on_grid(n: int, x: CoinState) -> tuple[int, int]:
+    size = math.lcm(2 * n, x.phi.denominator)
+    return x.index(size), size
 
 
 def orbit(n: int, x: CoinState) -> tuple[CoinState, ...]:
     """States reachable from *x* under all 2n elements, in ascending angle order."""
-    return tuple(sorted({act(represent(g), x) for g in dihedral.elements(n)}))
+    j, size = _on_grid(n, x)
+    return tuple(CoinState.of(i, size) for i in sorted(index_orbit(n, j, size)))
 
 
 def orbit_of_basis(n: int) -> tuple[CoinState, ...]:
     """Union of the |0> and |1> orbits."""
-    reached = set()
-    for b in BASIS:
-        reached.update(orbit(n, b))
-    return tuple(sorted(reached))
+    reached = index_orbit(n, 0, 2 * n) | index_orbit(n, n, 2 * n)
+    return tuple(CoinState.of(j, 2 * n) for j in sorted(reached))
 
 
 def stabilizer(n: int, x: CoinState) -> tuple[DihedralElement, ...]:
     """Elements whose action fixes *x* projectively, in canonical order."""
-    return tuple(g for g in dihedral.elements(n) if act(represent(g), x) == x)
+    return index_stabilizer(n, *_on_grid(n, x))
 
 
 def fixed_set(n: int, ps: Sequence[PlanarIsometry]) -> tuple[CoinState, ...]:
-    """States in the basis orbit fixed by every isometry in *ps*.
-
-    Each isometry must belong to D_n (in particular the coin flip requires
-    4 | n), otherwise :class:`FNotInGroup` is raised.
-    """
+    """States in the basis orbit fixed by every isometry in *ps*; each must
+    lie in D_n (the flip needs 4 | n), else :class:`FNotInGroup` is raised."""
     dihedral.require(n, ps)
+    gs = [dihedral.element_for_isometry(n, p) for p in ps]
     return tuple(x for x in orbit_of_basis(n)
-                 if all(act(p, x) == x for p in ps))
+                 if all(g.act(x.index(2 * n), 2 * n) == x.index(2 * n)
+                        for g in gs))

@@ -5,7 +5,9 @@ the carrier is a single exact angle phi that lives mod pi, like a
 reflection axis.  :class:`CoinState` owns that period: it reduces phi into
 [0, pi) once, when built.  The whole dihedral action is real, which makes
 exactness free: a rotor adds its angle and a reflector sends phi to
-2*beta - phi, both as plain fractions that the new state reduces.
+2*beta - phi, both as plain fractions that the new state reduces.  Orbits
+and game search act on grid indices instead (:meth:`CoinState.index`);
+:func:`act` serves play-out and is the oracle of that integer kernel.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ class CoinState:
     def of(cls, numerator: int, denominator: int = 1) -> "CoinState":
         return cls(Angle(numerator, denominator))
 
+    def index(self, size: int) -> int:
+        """The j with ``CoinState.of(j, size) == self``; size must be a
+        multiple of phi's denominator."""
+        return self.phi.numerator * (size // self.phi.denominator)
+
     def amplitudes(self) -> tuple[float, float]:
         return self.phi.cos_sin()
-
-    def __lt__(self, other: "CoinState") -> bool:
-        return self.phi < other.phi
 
     def __str__(self) -> str:
         named = _NAMES.get(self)

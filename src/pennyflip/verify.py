@@ -9,6 +9,7 @@ configuration and seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from typing import Callable
@@ -80,16 +81,13 @@ def check_small_groups(cfg: Config):
 def check_fixed_set_dichotomy(cfg: Config):
     failures = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        if n % 4 != 0:
-            try:
-                orbits.fixed_set(n, [IDENTITY, FLIP])
-            except FNotInGroup:
-                continue
-            failures.append(n)
-            continue
-        fix = orbits.fixed_set(n, [IDENTITY, FLIP])
-        expected = (KET_PLUS, KET_MINUS) if n % 8 == 0 else ()
-        if tuple(sorted(fix)) != tuple(sorted(expected)):
+        try:
+            fix = orbits.fixed_set(n, [IDENTITY, FLIP])
+        except FNotInGroup:
+            fix = None      # expected exactly when F is not in D_n
+        expected = (None if n % 4 else (KET_PLUS, KET_MINUS) if n % 8 == 0
+                    else ())
+        if fix != expected:
             failures.append(n)
     return not failures, {"nRange": [cfg.n_min, cfg.n_max],
                           "failures": failures}
@@ -98,20 +96,16 @@ def check_fixed_set_dichotomy(cfg: Config):
 def check_orbit_structure(cfg: Config):
     failures = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        orb0 = orbits.orbit(n, KET_ZERO)
-        orb1 = orbits.orbit(n, KET_ONE)
-        basis_orbit = orbits.orbit_of_basis(n)
-        if n % 4 == 0:
-            shape_ok = (set(orb0) == set(orb1) and len(orb0) == n // 2)
-        elif n % 2 == 0:
-            shape_ok = (len(orb0) == n // 2 and len(orb1) == n // 2
-                        and not set(orb0) & set(orb1))
-        else:
-            shape_ok = (len(orb0) == n and len(orb1) == n
-                        and not set(orb0) & set(orb1))
+        size = 2 * n
+        orb0 = orbits.index_orbit(n, 0, size)
+        orb1 = orbits.index_orbit(n, n, size)
+        # n/2 states each for even n, n for odd; one orbit iff 4 | n
+        shape_ok = (len(orb0) == len(orb1) == (n if n % 2 else n // 2)
+                    and (orb0 == orb1 if n % 4 == 0 else not orb0 & orb1))
         counting_ok = all(
-            len(orbits.orbit(n, x)) * len(orbits.stabilizer(n, x)) == 2 * n
-            for x in basis_orbit)
+            len(orbits.index_orbit(n, j, size))
+            * len(orbits.index_stabilizer(n, j, size)) == 2 * n
+            for j in orb0 | orb1)
         if not (shape_ok and counting_ok):
             failures.append(n)
     return not failures, {"nRange": [cfg.n_min, cfg.n_max],
@@ -135,27 +129,24 @@ def check_stabilizers_d8(cfg: Config):
 def check_extended_games(cfg: Config):
     failures = []
     n_games = 0
-    for turns in games.alternating_turn_sequences(2, cfg.max_rounds):
-        for initial in BASIS:
-            for target_q in BASIS:
-                spec = GameSpec.from_string("".join(turns), initial, target_q)
-                n_games += 1
-                decided = decide_extended_game(spec)
-                brute = games.brute_force_extended_check(
-                    spec, 8, cfg.max_rounds)
-                label = f"{''.join(turns)}/{initial}->{target_q}"
-                if (decided.q_wins != brute.q_wins
-                        or decided.q_wins != (turns[0] == "Q" == turns[-1])
-                        or decided.picard_wins or brute.picard_wins):
-                    failures.append(label)
-                    continue
-                sigma = decided.strategy
-                if decided.q_wins and not (
-                        games.is_winning_strategy(spec, sigma)
-                        and sigma.moves[0] == HADAMARD
-                        and sigma.moves[-1] in (HADAMARD,
-                                                FLIP.compose(HADAMARD))):
-                    failures.append(label + " (witness)")
+    for turns, initial, target_q in itertools.product(
+            games.alternating_turn_sequences(2, cfg.max_rounds), BASIS, BASIS):
+        spec = GameSpec.from_string("".join(turns), initial, target_q)
+        n_games += 1
+        decided = decide_extended_game(spec)
+        brute = games.brute_force_extended_check(spec, 8, cfg.max_rounds)
+        label = f"{''.join(turns)}/{initial}->{target_q}"
+        if (decided.q_wins != brute.q_wins
+                or decided.q_wins != (turns[0] == "Q" == turns[-1])
+                or decided.picard_wins or brute.picard_wins):
+            failures.append(label)
+            continue
+        sigma = decided.strategy
+        if decided.q_wins and not (
+                games.is_winning_strategy(spec, sigma)
+                and sigma.moves[0] == HADAMARD
+                and sigma.moves[-1] in (HADAMARD, FLIP.compose(HADAMARD))):
+            failures.append(label + " (witness)")
     return not failures, {"games": n_games, "failures": failures}
 
 
@@ -228,15 +219,9 @@ def check_u2_sampling(cfg: Config):
 
 
 def check_representation(cfg: Config):
-    failures = []
-    for n in (8, 12, 16):
-        elems = list(dihedral.elements(n))
-        for g in elems:
-            for h in elems:
-                lhs = represent(g.compose(h))
-                rhs = represent(g).compose(represent(h))
-                if lhs != rhs:
-                    failures.append(f"D_{n}: {g} * {h}")
+    failures = [f"D_{n}: {g} * {h}" for n in (8, 12, 16)
+                for g in dihedral.elements(n) for h in dihedral.elements(n)
+                if represent(g.compose(h)) != represent(g).compose(represent(h))]
     # the presentation of D_8 by F and H: the relations and this closure
     generated = closure({FLIP, HADAMARD})
     closure_ok = (len(generated) == 16 and generated == set(isometries(8)))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -153,6 +154,14 @@ class TestVerifyAll:
         by_id = {r["checkId"]: r for r in json.loads(result.output)}
         assert by_id["u2-sampling"]["status"] == "skipped"
 
+    def test_default_run_matches_golden(self, runner, monkeypatch):
+        # the default stdout, pinned byte for byte
+        monkeypatch.delenv("PENNYFLIP_CONFIG", raising=False)
+        result = invoke(runner, "verify-all")
+        assert result.exit_code == 0
+        golden = Path(__file__).parent / "golden" / "verify_all.json"
+        assert result.stdout_bytes == golden.read_bytes()
+
     def test_byte_identical_reruns(self, runner):
         a = invoke(runner, *self.ARGS).output
         b = invoke(runner, *self.ARGS).output
@@ -252,5 +261,22 @@ def test_invalid_input_exit_code(runner, tmp_path, argv, code):
         return str(path)
 
     result = runner.invoke(main, [arg(a) for a in argv])
+    assert result.exit_code == code
+    assert "Traceback" not in result.output
+
+
+# States whose grid Z_N, N = lcm(2n, b), passes 2**63 before reduction: the
+# exit code follows the reduced states that reach the output.
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["orbit", "--n", "1024", "--state",
+                  "1/9007199254740991pi"], 0, id="orbit-reduced-fits"),
+    pytest.param(["orbit", "--n", "8", "--state",
+                  "1/9223372036854775807pi"], 3, id="orbit-reduced-overflows"),
+    pytest.param(["stabilizer", "--n", "8", "--state",
+                  "1/9223372036854775807pi"], 0,
+                 id="stabilizer-prints-no-state"),
+])
+def test_64_bit_edge_exit_code(runner, argv, code):
+    result = runner.invoke(main, argv)
     assert result.exit_code == code
     assert "Traceback" not in result.output

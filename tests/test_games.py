@@ -89,8 +89,10 @@ class TestWinningStrategies:
 
 
 class TestEnumeration:
+    # at n = 40 a set of states is an 80-bit mask, wider than a machine word
     @pytest.mark.parametrize("turns, sizes", [
-        ("QPQ", (4, 8, 12, 16)), ("PQP", (4, 8, 12, 16)),
+        ("QPQ", (4, 8, 12, 16, 24, 32, 40)),
+        ("PQP", (4, 8, 12, 16, 24, 32, 40)),
         ("QPQP", (4, 8, 12, 16)), ("PQPQ", (4, 8, 12, 16)), ("QPQPQ", (8,)),
     ])
     def test_matches_product_scan_in_order(self, turns, sizes):
@@ -227,6 +229,15 @@ class TestExtendedGames:
                 q_wins, p_wins = literal_brute_force(spec)
                 assert brute.q_wins == q_wins
                 assert brute.picard_wins == p_wins
+
+    def test_brute_force_agrees_with_literal_scan_at_pool_16(self):
+        for turns in ("QP", "PQ", "QPQ", "PQP", "QPQP"):
+            for spec in all_specs(turns):
+                brute = brute_force_extended_check(spec, 16)
+                assert ((brute.q_wins, brute.picard_wins)
+                        == literal_brute_force(spec, 16))
+                if brute.q_wins:    # the witness is the first winner in order
+                    assert brute.strategy == product_scan(spec, 16)[0]
 
     def test_brute_force_matches_decision_up_to_nine_rounds(self):
         for turns in alternating_turn_sequences(2, 9):

@@ -1,5 +1,11 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pennyflip.angles import Angle
+from pennyflip.config import N_MAX
 from pennyflip.dihedral import FLIP, IDENTITY, DihedralElement, represent
 from pennyflip.errors import FNotInGroup
 from pennyflip.orbits import fixed_set, orbit, orbit_of_basis, stabilizer
@@ -54,9 +60,24 @@ class TestOrbit:
         assert set(orbit_of_basis(6)) == orb0 | orb1
 
     def test_matches_bfs_closure(self):
+        off_grid = (CoinState.of(1, 5), CoinState.of(1, 3), CoinState.of(2, 7))
         for n in range(3, 25):
-            for x in (KET_ZERO, KET_ONE):
+            for x in (KET_ZERO, KET_ONE, *off_grid):
                 assert set(orbit(n, x)) == bfs_orbit(n, x)
+
+
+@given(st.integers(3, N_MAX), st.data())
+def test_integer_action_matches_fraction_oracle(n, data):
+    """DihedralElement.act on grid indices agrees with states.act."""
+    g = DihedralElement(n, data.draw(st.integers(0, n - 1)),
+                        data.draw(st.booleans()))
+    on_grid = CoinState.of(data.draw(st.integers(0, 2 * n - 1)), 2 * n)
+    off_grid = CoinState(Angle(data.draw(
+        st.fractions(min_value=-4, max_value=4, max_denominator=10**6))))
+    for x in (on_grid, off_grid):
+        size = math.lcm(2 * n, x.phi.denominator)
+        assert (CoinState.of(g.act(x.index(size), size), size)
+                == act(represent(g), x))
 
 
 class TestStabilizer:
