@@ -193,13 +193,7 @@ def analyze(turns: str, initial: str, target_q: str | None, check: bool,
 @domain_errors_exit_3
 def sample_u2(samples: int, seed: int) -> None:
     """Sample unitaries and count winning first moves (a measure-zero event)."""
-    hits = 0
-    max_residual = 0.0
-    for i in range(samples):
-        u = unitary.sample_unitary(seed + i)
-        max_residual = max(max_residual, unitary.unitarity_residual(u))
-        if unitary.classify_winning_first_move(u) is not None:
-            hits += 1
+    hits, max_residual, _ = unitary.screen(seed, samples)
     click.echo(reports.dump_json(
         {"samples": samples, "hits": hits, "maxResidual": max_residual}))
 

@@ -5,6 +5,15 @@ eigen-structure of the coin flip, phase families e^{i*theta} * A, the
 classification of winning first moves inside U(2), and a seeded sampling
 harness used to falsify the existence of winning first moves outside the
 known families.
+
+Sampling takes one generator per seed: its first eight normals are the
+real and the imaginary parts of the unitary's 2x2 draw, its ninth value the
+global phase, and the state of the same seed is its first four normals.
+``screen`` draws a window of seeds in blocks of ``BLOCK`` and does the rest
+in whole-array numpy, so a window's result is the merge of any split of it
+(hits and mismatches add, residuals take the max). ``sample_unitary``,
+``sample_state`` and ``classify_winning_first_move`` stay as the
+per-sample oracle it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from .states import CoinState
 TOL_MEMBERSHIP = 1e-9
 #: Algebraic residual tolerance.
 TOL_RESIDUAL = 1e-12
+#: Seeds drawn and screened at a time, so memory stays flat for any window.
+BLOCK = 1024
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
@@ -162,3 +173,87 @@ def sample_state(seed: int) -> np.ndarray:
 
 def unitarity_residual(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise sum of a * b as stacked (1, 2) @ (2, 1) products.
+
+    matmul hands each pair to the BLAS dot that ``np.dot``, ``np.vdot`` and
+    ``np.linalg.norm`` call on single vectors, so each result equals the
+    oracle's bit for bit; an elementwise sum differs in the last bits.
+    """
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _norm(z: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.linalg.norm``: real and imaginary dots, then sqrt."""
+    return np.sqrt(_dot(z.real, z.real) + _dot(z.imag, z.imag))
+
+
+def _proportional(u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
+    """Row-wise ``proportional``: |abs(vdot(u, v)) - 1| within *tol*."""
+    w = _dot(u.conj(), v)
+    return np.abs(np.hypot(w.real, w.imag) - 1.0) <= tol
+
+
+def draw(seeds: range) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_unitary`` and ``sample_state`` of each seed, stacked."""
+    draws = np.empty((len(seeds), 9))
+    for seed, row in zip(seeds, draws):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=row[:8])
+        row[8] = rng.uniform(0.0, 2.0 * math.pi)
+    normals, phases = draws[:, :8], draws[:, 8]
+    z = (normals[:, :4] + 1j * normals[:, 4:]).reshape(-1, 2, 2)
+    c0 = z[:, :, 0] / _norm(z[:, :, 0])[:, None]
+    c1 = z[:, :, 1] - _dot(c0.conj(), z[:, :, 1])[:, None] * c0
+    c1 = c1 / _norm(c1)[:, None]
+    unitaries = np.exp(1j * phases)[:, None, None] * np.stack([c0, c1], axis=2)
+    psi = normals[:, 0:2] + 1j * normals[:, 2:4]
+    return unitaries, psi / _norm(psi)[:, None]
+
+
+def unitarity_residuals(unitaries: np.ndarray) -> np.ndarray:
+    """Row-wise ``unitarity_residual`` of stacked 2x2 matrices."""
+    return np.abs(unitaries.conj().transpose(0, 2, 1) @ unitaries
+                  - np.eye(2)).max(axis=(1, 2))
+
+
+def screen_block(unitaries: np.ndarray, states: np.ndarray,
+                 tol: float = TOL_MEMBERSHIP) -> tuple[int, float, int]:
+    """(hits, max residual, state mismatches) of stacked samples.
+
+    A hit is a unitary ``classify_winning_first_move`` places in a family;
+    it runs only on those whose first column passes the same test as
+    ``first_column_winning``. A state mismatches when
+    ``fixed_by_flip_projective`` disagrees with its nearness to |+> or |->.
+    Raises NotUnitary as the classifier does.
+    """
+    residuals = unitarity_residuals(unitaries)
+    if not np.all(residuals <= tol):
+        raise NotUnitary("matrix fails the unitarity check")
+    col = unitaries[:, :, 0]
+    passing = _proportional(col, PLUS, tol) | _proportional(col, MINUS, tol)
+    hits = sum(classify_winning_first_move(u, tol) is not None
+               for u in unitaries[passing])
+    near_eigen = (_proportional(states, PLUS, tol)
+                  | _proportional(states, MINUS, tol))
+    # the flip swaps the two amplitudes, exactly as matrix(FLIP) @ psi does
+    fixed = _proportional(states[:, ::-1], states, tol)
+    return (hits, float(residuals.max(initial=0.0)),
+            int(np.count_nonzero(fixed != near_eigen)))
+
+
+def screen(seed: int, samples: int,
+           tol: float = TOL_MEMBERSHIP) -> tuple[int, float, int]:
+    """``screen_block`` over seeds [seed, seed + samples), block by block."""
+    hits = mismatches = 0
+    max_residual = 0.0
+    end = seed + samples
+    for start in range(seed, end, BLOCK):
+        h, r, m = screen_block(*draw(range(start, min(start + BLOCK, end))),
+                               tol)
+        hits += h
+        max_residual = max(max_residual, r)
+        mismatches += m
+    return hits, max_residual, mismatches

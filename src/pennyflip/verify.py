@@ -197,19 +197,8 @@ def check_phase_families(cfg: Config):
 def check_u2_sampling(cfg: Config):
     if cfg.samples == 0:
         return None, {"skipped": "samples = 0"}
-    state_mismatches = 0
-    unitary_hits = 0
-    max_residual = 0.0
-    for i in range(cfg.samples):
-        psi = unitary.sample_state(cfg.seed + i)
-        near_eigen = (unitary.proportional(psi, unitary.PLUS, cfg.tolerance)
-                      or unitary.proportional(psi, unitary.MINUS, cfg.tolerance))
-        if unitary.fixed_by_flip_projective(psi, cfg.tolerance) != near_eigen:
-            state_mismatches += 1
-        u = unitary.sample_unitary(cfg.seed + i)
-        max_residual = max(max_residual, unitary.unitarity_residual(u))
-        if unitary.classify_winning_first_move(u, cfg.tolerance) is not None:
-            unitary_hits += 1
+    unitary_hits, max_residual, state_mismatches = unitary.screen(
+        cfg.seed, cfg.samples, cfg.tolerance)
     # a winning first move is a measure-zero event: no sample may hit one
     ok = (unitary_hits == 0 and state_mismatches == 0
           and max_residual <= unitary.TOL_RESIDUAL)

@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pennyflip import unitary
 from pennyflip.angles import Angle
 from pennyflip.cli import main, parse_isometry
 from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
@@ -130,6 +132,15 @@ class TestSampleU2:
         a = invoke(runner, "sample-u2", "--samples", "20").output
         b = invoke(runner, "sample-u2", "--samples", "20").output
         assert a == b
+
+    def test_counts_a_winning_first_move(self, runner, monkeypatch):
+        hadamard = unitary.matrix(HADAMARD)
+        real = unitary.draw
+        monkeypatch.setattr(unitary, "draw", lambda seeds: (
+            np.broadcast_to(hadamard, (len(seeds), 2, 2)), real(seeds)[1]))
+        result = invoke(runner, "sample-u2", "--samples", "50")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["hits"] == 50
 
 
 class TestVerifyAll:

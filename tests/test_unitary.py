@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pennyflip.angles import Angle
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
@@ -10,13 +12,14 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
 from pennyflip.errors import NotUnitary
 from pennyflip.orbits import orbit_of_basis
 from pennyflip.states import act
-from pennyflip.unitary import (FIRST_MOVE_BASES, KET0, MINUS, PLUS,
-                               PhaseFamilyTag, antipode,
-                               classify_winning_first_move, eigensystem_flip,
-                               embed, first_column_winning,
+from pennyflip.unitary import (BLOCK, FIRST_MOVE_BASES, KET0, MINUS, PLUS,
+                               TOL_MEMBERSHIP, PhaseFamilyTag, antipode,
+                               classify_winning_first_move, draw,
+                               eigensystem_flip, embed, first_column_winning,
                                fixed_by_flip_projective, is_unitary, matrix,
                                phase_family, proportional, sample_state,
-                               sample_unitary, unitarity_residual)
+                               sample_unitary, screen, screen_block,
+                               unitarity_residual, unitarity_residuals)
 
 R2 = PlanarIsometry.rotor(Angle(1, 4))
 
@@ -134,6 +137,97 @@ class TestSampling:
             tag = classify_winning_first_move(u)
             if tag is not None:
                 assert first_column_winning(u)
+
+
+WINDOWS = st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+SEED_BASES = st.integers(0, 10**12)
+# from 0.5 up random samples hit families and mismatch the flip test
+TOLERANCES = st.sampled_from([TOL_MEMBERSHIP, 0.5, 0.9])
+#: Wins QPQ with H as its last move, but carries a second-column phase, so
+#: it passes the first-column test while the classifier returns None.
+A1 = np.column_stack([PLUS, 1j * MINUS])
+
+
+def per_sample_screen(unitaries: list[np.ndarray], states: list[np.ndarray],
+                      tol: float) -> tuple[int, float, int]:
+    """The loop ``screen`` replaces: one sample at a time, by the oracle."""
+    hits = mismatches = 0
+    max_residual = 0.0
+    for u, psi in zip(unitaries, states):
+        near_eigen = proportional(psi, PLUS, tol) or proportional(psi, MINUS,
+                                                                  tol)
+        mismatches += fixed_by_flip_projective(psi, tol) != near_eigen
+        max_residual = max(max_residual, unitarity_residual(u))
+        hits += classify_winning_first_move(u, tol) is not None
+    return hits, max_residual, mismatches
+
+
+def rotated_hadamard(eps: float) -> np.ndarray:
+    """H after a real rotation by *eps*: its first column leaves |+>."""
+    c, s = math.cos(eps), math.sin(eps)
+    return matrix(HADAMARD) @ np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def rephased_hadamard(eps: float) -> np.ndarray:
+    """H with a phase *eps* on its second column: its first column stays."""
+    u = matrix(HADAMARD)
+    u[:, 1] *= cmath.exp(1j * eps)
+    return u
+
+
+class TestBatchedScreen:
+    @settings(max_examples=6, deadline=None)
+    @given(SEED_BASES, WINDOWS, TOLERANCES)
+    def test_matches_the_per_sample_oracle_bit_for_bit(self, seed, k, tol):
+        seeds = range(seed, seed + k)
+        unitaries, states = draw(seeds)
+        assert unitaries.shape == (k, 2, 2) and states.shape == (k, 2)
+        oracle_u = [sample_unitary(s) for s in seeds]
+        oracle_psi = [sample_state(s) for s in seeds]
+        assert unitaries.tobytes() == b"".join(u.tobytes() for u in oracle_u)
+        assert states.tobytes() == b"".join(p.tobytes() for p in oracle_psi)
+        residuals = np.array([unitarity_residual(u) for u in oracle_u])
+        assert unitarity_residuals(unitaries).tobytes() == residuals.tobytes()
+        assert screen(seed, k, tol) == per_sample_screen(oracle_u, oracle_psi,
+                                                         tol)
+
+    @settings(max_examples=8, deadline=None)
+    @given(SEED_BASES, WINDOWS, st.integers(0, BLOCK + 1),
+           st.sampled_from([TOL_MEMBERSHIP, 0.5]))
+    def test_windows_compose(self, seed, a, b, tol):
+        hits_a, residual_a, mismatches_a = screen(seed, a, tol)
+        hits_b, residual_b, mismatches_b = screen(seed + a, b, tol)
+        assert screen(seed, a + b, tol) == (hits_a + hits_b,
+                                            max(residual_a, residual_b),
+                                            mismatches_a + mismatches_b)
+
+    def test_probe_passes_the_first_column_test_only(self):
+        assert is_unitary(A1) and first_column_winning(A1)
+        assert classify_winning_first_move(A1) is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8),
+           st.floats(0.0, 1e-5), st.sampled_from([TOL_MEMBERSHIP, 1e-6]),
+           SEED_BASES)
+    def test_never_drops_a_hit(self, thetas, eps, tol, seed):
+        planted = [phase_family(base, theta)
+                   for base, theta in zip(FIRST_MOVE_BASES, thetas)]
+        planted += [A1, rotated_hadamard(eps), rephased_hadamard(eps)]
+        unitaries, states = draw(range(seed, seed + 3 * len(planted)))
+        unitaries[::3] = planted
+        want = sum(classify_winning_first_move(u, tol) is not None
+                   for u in unitaries)
+        assert want >= len(FIRST_MOVE_BASES)
+        assert screen_block(unitaries, states, tol)[0] == want
+
+    @pytest.mark.parametrize("bad", [np.diag([1.0, 2.0]),
+                                     np.full((2, 2), np.nan)],
+                             ids=["scaled", "nan"])
+    def test_raises_on_a_planted_non_unitary(self, bad):
+        unitaries, states = draw(range(7))
+        unitaries[4] = bad
+        with pytest.raises(NotUnitary):
+            screen_block(unitaries, states)
 
 
 class TestExactComplexBridge:

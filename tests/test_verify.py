@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pennyflip import dihedral, games, orbits, unitary, verify
@@ -48,7 +49,9 @@ def test_u2_sampling_fails_on_a_winning_first_move(monkeypatch):
     cfg = Config(samples=50)
     assert verify.check_u2_sampling(cfg)[0] is True
     hadamard = unitary.matrix(dihedral.HADAMARD)
-    monkeypatch.setattr(unitary, "sample_unitary", lambda seed: hadamard)
+    real = unitary.draw
+    monkeypatch.setattr(unitary, "draw", lambda seeds: (
+        np.broadcast_to(hadamard, (len(seeds), 2, 2)), real(seeds)[1]))
     ok, details = verify.check_u2_sampling(cfg)
     assert details["hits"] == 50
     assert ok is False
