@@ -6,14 +6,17 @@ classification of winning first moves inside U(2), and a seeded sampling
 harness used to falsify the existence of winning first moves outside the
 known families.
 
-Sampling takes one generator per seed: its first eight normals are the
-real and the imaginary parts of the unitary's 2x2 draw, its ninth value the
-global phase, and the state of the same seed is its first four normals.
-``screen`` draws a window of seeds in blocks of ``BLOCK`` and does the rest
-in whole-array numpy, so a window's result is the merge of any split of it
-(hits and mismatches add, residuals take the max). ``sample_unitary``,
-``sample_state`` and ``classify_winning_first_move`` stay as the
-per-sample oracle it matches bit for bit.
+Sampling draws a window from one generator, ``np.random.default_rng(seed)``:
+sample ``k`` is row ``k`` of a ``(samples, ROW)`` array of standard normals.
+The row's first eight values are the real and the imaginary parts of the
+unitary's 2x2 complex Ginibre draw, its last two a complex normal ``w``
+whose direction ``w/|w|`` is the global phase, and the state of sample ``k``
+is the same row's first four values. ``screen`` draws the window in blocks
+of ``BLOCK`` rows and does the rest in whole-array numpy; the rows of one
+stream are the same however many are drawn at a time, so a window's result
+does not depend on ``BLOCK``. ``sample_unitary`` and ``sample_state``,
+which read one row at a time, and ``classify_winning_first_move`` stay as
+the per-sample oracle it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ from .states import CoinState
 TOL_MEMBERSHIP = 1e-9
 #: Algebraic residual tolerance.
 TOL_RESIDUAL = 1e-12
-#: Seeds drawn and screened at a time, so memory stays flat for any window.
+#: Rows drawn and screened at a time, so memory stays flat for any window.
 BLOCK = 1024
+#: Standard normals per sample: eight for the 2x2 complex draw, two for the
+#: global phase.
+ROW = 10
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
@@ -69,6 +75,14 @@ def matrix(p: PlanarIsometry) -> np.ndarray:
     return np.array(p.matrix(), dtype=complex)
 
 
+#: The complex matrix of each of ``FIRST_MOVE_BASES``, in that order, built
+#: once and read-only.
+BASE_MATRICES: dict[PlanarIsometry, np.ndarray] = {
+    base: matrix(base) for base in FIRST_MOVE_BASES}
+for _m in BASE_MATRICES.values():
+    _m.flags.writeable = False
+
+
 def embed(x: CoinState) -> np.ndarray:
     """Complex embedding of a projective real state."""
     c, s = x.amplitudes()
@@ -80,8 +94,8 @@ def is_unitary(u: np.ndarray, tol: float = TOL_MEMBERSHIP) -> bool:
 
 
 def phase_family(base: PlanarIsometry, theta: float) -> np.ndarray:
-    """The family member e^{i*theta} * base."""
-    return cmath.exp(1j * theta) * matrix(base)
+    """The family member e^{i*theta} * base, *base* one of FIRST_MOVE_BASES."""
+    return cmath.exp(1j * theta) * BASE_MATRICES[base]
 
 
 def proportional(u: np.ndarray, v: np.ndarray,
@@ -129,8 +143,7 @@ def classify_winning_first_move(u: np.ndarray,
         raise NotUnitary("matrix fails the unitarity check")
     if not first_column_winning(u, tol):
         return None
-    for base in FIRST_MOVE_BASES:
-        b = matrix(base)
+    for base, b in BASE_MATRICES.items():
         theta = cmath.phase(u[0, 0] / b[0, 0]) % (2 * math.pi)
         if np.max(np.abs(u - cmath.exp(1j * theta) * b)) <= tol:
             return PhaseFamilyTag(base, theta)
@@ -148,26 +161,27 @@ def antipode(base: PlanarIsometry) -> PlanarIsometry:
     return PlanarIsometry.reflector(base.angle + Angle(1, 2))
 
 
-def sample_unitary(seed: int) -> np.ndarray:
-    """A deterministic approximately Haar-distributed unitary.
+def sample_unitary(rng: np.random.Generator) -> np.ndarray:
+    """A Haar-distributed unitary from the next row of *rng*.
 
     Four complex standard normals, first column normalized, second column
-    orthogonalized against the first and normalized, then a random global
-    phase.
+    orthogonalized against the first and normalized (Gram-Schmidt of a
+    Ginibre draw), then the global phase w/|w| of a fifth complex normal.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    row = rng.standard_normal(ROW)
+    z = (row[:4] + 1j * row[4:8]).reshape(2, 2)
     c0 = z[:, 0] / np.linalg.norm(z[:, 0])
     c1 = z[:, 1] - np.vdot(c0, z[:, 1]) * c0
     c1 = c1 / np.linalg.norm(c1)
-    u = np.column_stack([c0, c1])
-    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * u
+    w = row[8:] / np.linalg.norm(row[8:])
+    return complex(w[0], w[1]) * np.column_stack([c0, c1])
 
 
-def sample_state(seed: int) -> np.ndarray:
-    """A deterministic normalized complex state."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+def sample_state(rng: np.random.Generator) -> np.ndarray:
+    """A normalized complex state from the first four normals of the next
+    row of *rng*."""
+    row = rng.standard_normal(ROW)
+    z = row[0:2] + 1j * row[2:4]
     return z / np.linalg.norm(z)
 
 
@@ -196,20 +210,19 @@ def _proportional(u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(np.hypot(w.real, w.imag) - 1.0) <= tol
 
 
-def draw(seeds: range) -> tuple[np.ndarray, np.ndarray]:
-    """``sample_unitary`` and ``sample_state`` of each seed, stacked."""
-    draws = np.empty((len(seeds), 9))
-    for seed, row in zip(seeds, draws):
-        rng = np.random.default_rng(seed)
-        rng.standard_normal(out=row[:8])
-        row[8] = rng.uniform(0.0, 2.0 * math.pi)
-    normals, phases = draws[:, :8], draws[:, 8]
-    z = (normals[:, :4] + 1j * normals[:, 4:]).reshape(-1, 2, 2)
+def draw(rng: np.random.Generator,
+         count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next *count* rows of *rng* as ``sample_unitary`` and
+    ``sample_state`` read them, stacked: unitary and state of each row."""
+    rows = rng.standard_normal((count, ROW))
+    z = (rows[:, :4] + 1j * rows[:, 4:8]).reshape(-1, 2, 2)
     c0 = z[:, :, 0] / _norm(z[:, :, 0])[:, None]
     c1 = z[:, :, 1] - _dot(c0.conj(), z[:, :, 1])[:, None] * c0
     c1 = c1 / _norm(c1)[:, None]
-    unitaries = np.exp(1j * phases)[:, None, None] * np.stack([c0, c1], axis=2)
-    psi = normals[:, 0:2] + 1j * normals[:, 2:4]
+    w = rows[:, 8:] / _norm(rows[:, 8:])[:, None]
+    phases = w[:, 0] + 1j * w[:, 1]
+    unitaries = phases[:, None, None] * np.stack([c0, c1], axis=2)
+    psi = rows[:, 0:2] + 1j * rows[:, 2:4]
     return unitaries, psi / _norm(psi)[:, None]
 
 
@@ -246,13 +259,13 @@ def screen_block(unitaries: np.ndarray, states: np.ndarray,
 
 def screen(seed: int, samples: int,
            tol: float = TOL_MEMBERSHIP) -> tuple[int, float, int]:
-    """``screen_block`` over seeds [seed, seed + samples), block by block."""
+    """``screen_block`` over the first *samples* rows of
+    ``np.random.default_rng(seed)``, ``BLOCK`` rows at a time."""
+    rng = np.random.default_rng(seed)
     hits = mismatches = 0
     max_residual = 0.0
-    end = seed + samples
-    for start in range(seed, end, BLOCK):
-        h, r, m = screen_block(*draw(range(start, min(start + BLOCK, end))),
-                               tol)
+    for start in range(0, samples, BLOCK):
+        h, r, m = screen_block(*draw(rng, min(BLOCK, samples - start)), tol)
         hits += h
         max_residual = max(max_residual, r)
         mismatches += m

@@ -136,8 +136,8 @@ class TestSampleU2:
     def test_counts_a_winning_first_move(self, runner, monkeypatch):
         hadamard = unitary.matrix(HADAMARD)
         real = unitary.draw
-        monkeypatch.setattr(unitary, "draw", lambda seeds: (
-            np.broadcast_to(hadamard, (len(seeds), 2, 2)), real(seeds)[1]))
+        monkeypatch.setattr(unitary, "draw", lambda rng, count: (
+            np.broadcast_to(hadamard, (count, 2, 2)), real(rng, count)[1]))
         result = invoke(runner, "sample-u2", "--samples", "50")
         assert result.exit_code == 0
         assert json.loads(result.output)["hits"] == 50

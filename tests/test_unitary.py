@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pennyflip import unitary
 from pennyflip.angles import Angle
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
                                 isometries)
 from pennyflip.errors import NotUnitary
 from pennyflip.orbits import orbit_of_basis
 from pennyflip.states import act
-from pennyflip.unitary import (BLOCK, FIRST_MOVE_BASES, KET0, MINUS, PLUS,
-                               TOL_MEMBERSHIP, PhaseFamilyTag, antipode,
+from pennyflip.unitary import (BASE_MATRICES, BLOCK, FIRST_MOVE_BASES, KET0,
+                               MINUS, PLUS, TOL_MEMBERSHIP, PhaseFamilyTag,
+                               antipode,
                                classify_winning_first_move, draw,
                                eigensystem_flip, embed, first_column_winning,
                                fixed_by_flip_projective, is_unitary, matrix,
@@ -114,6 +116,13 @@ class TestClassifier:
         assert a.base == b.base
         assert a.theta == pytest.approx(b.theta, abs=1e-9)
 
+    def test_base_matrices_are_the_bases_read_only(self):
+        assert list(BASE_MATRICES) == list(FIRST_MOVE_BASES)
+        for base, b in BASE_MATRICES.items():
+            assert b.tobytes() == matrix(base).tobytes()
+            with pytest.raises(ValueError):
+                b[0, 0] = 0.0
+
     def test_antipodal_pairs_negate(self):
         for base in FIRST_MOVE_BASES:
             other = antipode(base)
@@ -121,22 +130,57 @@ class TestClassifier:
             assert np.max(np.abs(matrix(other) + matrix(base))) <= 1e-12
 
 
+def rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(seed)
+
+
 class TestSampling:
     def test_deterministic(self):
-        assert np.array_equal(sample_unitary(17), sample_unitary(17))
-        assert np.array_equal(sample_state(17), sample_state(17))
+        assert np.array_equal(sample_unitary(rng(17)), sample_unitary(rng(17)))
+        assert np.array_equal(sample_state(rng(17)), sample_state(rng(17)))
 
     def test_samples_are_unitary(self):
-        for seed in range(200):
-            assert unitarity_residual(sample_unitary(seed)) <= 1e-9
-            assert abs(np.linalg.norm(sample_state(seed)) - 1.0) <= 1e-9
+        gen_u, gen_psi = rng(0), rng(0)
+        for _ in range(200):
+            assert unitarity_residual(sample_unitary(gen_u)) <= 1e-9
+            assert abs(np.linalg.norm(sample_state(gen_psi)) - 1.0) <= 1e-9
 
     def test_random_unitaries_classify_consistently(self):
-        for seed in range(500):
-            u = sample_unitary(seed)
+        gen = rng(0)
+        for _ in range(500):
+            u = sample_unitary(gen)
             tag = classify_winning_first_move(u)
             if tag is not None:
                 assert first_column_winning(u)
+
+    def test_haar_moments(self):
+        # for Haar U(2), |U00|^2 is uniform on [0, 1] and det U / |det U|
+        # uniform on the circle; each bound is at least five standard errors
+        assert haar_moments_hold(draw(rng(2007), 20_000)[0])
+
+    def test_haar_moments_reject_a_real_orthogonal_draw(self):
+        # dropping the imaginary normals leaves O(2) times a phase, whose
+        # |U00|^2 = cos^2 has variance 1/8
+        assert not haar_moments_hold(draw(RealGinibre(2007), 20_000)[0])
+
+
+def haar_moments_hold(unitaries: np.ndarray) -> bool:
+    p = np.abs(unitaries[:, 0, 0]) ** 2
+    det = np.linalg.det(unitaries)
+    return bool(abs(p.mean() - 1 / 2) <= 0.01 and abs(p.var() - 1 / 12) <= 0.01
+                and abs(np.mean(det / np.abs(det))) < 0.03)
+
+
+class RealGinibre:
+    """A generator whose rows carry no imaginary normals."""
+
+    def __init__(self, seed: int):
+        self.gen = rng(seed)
+
+    def standard_normal(self, shape):
+        rows = self.gen.standard_normal(shape)
+        rows[..., 4:8] = 0.0
+        return rows
 
 
 WINDOWS = st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
@@ -179,11 +223,11 @@ class TestBatchedScreen:
     @settings(max_examples=6, deadline=None)
     @given(SEED_BASES, WINDOWS, TOLERANCES)
     def test_matches_the_per_sample_oracle_bit_for_bit(self, seed, k, tol):
-        seeds = range(seed, seed + k)
-        unitaries, states = draw(seeds)
+        unitaries, states = draw(rng(seed), k)
         assert unitaries.shape == (k, 2, 2) and states.shape == (k, 2)
-        oracle_u = [sample_unitary(s) for s in seeds]
-        oracle_psi = [sample_state(s) for s in seeds]
+        gen_u, gen_psi = rng(seed), rng(seed)
+        oracle_u = [sample_unitary(gen_u) for _ in range(k)]
+        oracle_psi = [sample_state(gen_psi) for _ in range(k)]
         assert unitaries.tobytes() == b"".join(u.tobytes() for u in oracle_u)
         assert states.tobytes() == b"".join(p.tobytes() for p in oracle_psi)
         residuals = np.array([unitarity_residual(u) for u in oracle_u])
@@ -192,14 +236,15 @@ class TestBatchedScreen:
                                                          tol)
 
     @settings(max_examples=8, deadline=None)
-    @given(SEED_BASES, WINDOWS, st.integers(0, BLOCK + 1),
+    @given(SEED_BASES, st.integers(0, 2 * BLOCK + 1),
            st.sampled_from([TOL_MEMBERSHIP, 0.5]))
-    def test_windows_compose(self, seed, a, b, tol):
-        hits_a, residual_a, mismatches_a = screen(seed, a, tol)
-        hits_b, residual_b, mismatches_b = screen(seed + a, b, tol)
-        assert screen(seed, a + b, tol) == (hits_a + hits_b,
-                                            max(residual_a, residual_b),
-                                            mismatches_a + mismatches_b)
+    def test_block_split_invariance(self, seed, k, tol):
+        results = set()
+        for block in (1, 7, 1024):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(unitary, "BLOCK", block)
+                results.add(screen(seed, k, tol))
+        assert len(results) == 1
 
     def test_probe_passes_the_first_column_test_only(self):
         assert is_unitary(A1) and first_column_winning(A1)
@@ -213,7 +258,7 @@ class TestBatchedScreen:
         planted = [phase_family(base, theta)
                    for base, theta in zip(FIRST_MOVE_BASES, thetas)]
         planted += [A1, rotated_hadamard(eps), rephased_hadamard(eps)]
-        unitaries, states = draw(range(seed, seed + 3 * len(planted)))
+        unitaries, states = draw(rng(seed), 3 * len(planted))
         unitaries[::3] = planted
         want = sum(classify_winning_first_move(u, tol) is not None
                    for u in unitaries)
@@ -224,7 +269,7 @@ class TestBatchedScreen:
                                      np.full((2, 2), np.nan)],
                              ids=["scaled", "nan"])
     def test_raises_on_a_planted_non_unitary(self, bad):
-        unitaries, states = draw(range(7))
+        unitaries, states = draw(rng(0), 7)
         unitaries[4] = bad
         with pytest.raises(NotUnitary):
             screen_block(unitaries, states)

@@ -50,8 +50,8 @@ def test_u2_sampling_fails_on_a_winning_first_move(monkeypatch):
     assert verify.check_u2_sampling(cfg)[0] is True
     hadamard = unitary.matrix(dihedral.HADAMARD)
     real = unitary.draw
-    monkeypatch.setattr(unitary, "draw", lambda seeds: (
-        np.broadcast_to(hadamard, (len(seeds), 2, 2)), real(seeds)[1]))
+    monkeypatch.setattr(unitary, "draw", lambda rng, count: (
+        np.broadcast_to(hadamard, (count, 2, 2)), real(rng, count)[1]))
     ok, details = verify.check_u2_sampling(cfg)
     assert details["hits"] == 50
     assert ok is False
