@@ -5,11 +5,14 @@ synthesis for the three-round game, and the closed-form decision procedure
 for arbitrary alternating games.  Winning-strategy enumeration and the
 finite brute-force check of that decision share one search over the sets of
 states reachable under the opponent's choices (the subset construction of
-Andronikos et al., Mathematics 6(2), 2018), run on integer state indices.
+Andronikos et al., Mathematics 6(2), 2018).  A set is an int bitmask over
+the state indices Z_2n, and each element of D_n moves it whole, by one
+cyclic rotation of the mask or of its reversal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -160,57 +163,101 @@ def state_path(sigma: Strategy, initial: CoinState) -> tuple[CoinState, ...]:
     return tuple(path)
 
 
-def _winning_moves(spec: GameSpec, n: int, owner: str,
-                   own_pool: Sequence[PlanarIsometry],
-                   opp_pool: Sequence[PlanarIsometry]
-                   ) -> Iterator[tuple[PlanarIsometry, ...]]:
+#: A move of a whole state mask over Z_size: left and right shift amounts
+#: of a cyclic rotation, and whether the mask is reversed (j -> -j) first.
+_MaskMove = tuple[int, int, bool]
+
+
+def _mask_move(g: dihedral.DihedralElement, size: int) -> _MaskMove:
+    """r^k rotates a mask by ``r^k.act(0, size)``; r^k s rotates its
+    reversal by ``r^k s.act(0, size)``."""
+    s = g.act(0, size)
+    return s, size - s, g.reflect
+
+
+@functools.lru_cache(maxsize=8)
+def _pool(n: int, player: str) -> tuple[tuple[dihedral.DihedralElement, ...],
+                                         tuple[_MaskMove, ...]]:
+    """The elements of D_n *player* may play, in product order, with the
+    mask move of each."""
+    gs = (dihedral.elements(n) if player == "Q" else
+          tuple(dihedral.element_for_isometry(n, p) for p in PICARD_POOL))
+    return gs, tuple(_mask_move(g, 2 * n) for g in gs)
+
+
+def _images(moves: Iterable[_MaskMove], m: int, size: int) -> list[int]:
+    """The image of the state mask *m* over Z_size under each move: the
+    same set as ``g.act`` sends bit by bit, in one rotation per move."""
+    full = (1 << size) - 1
+    # the reversal j -> -j: reverse the bit string, then rotate by one
+    r = int(format(m, f"0{size}b")[::-1], 2)
+    r = ((r << 1) | (r >> (size - 1))) & full
+    return [((r << s) | (r >> t) if f else (m << s) | (m >> t)) & full
+            for s, t, f in moves]
+
+
+def _winning_moves(spec: GameSpec, n: int, owner: str
+                   ) -> Iterator[tuple[dihedral.DihedralElement, ...]]:
     """Lazily yield every move tuple of *owner* that forces the coin to its
-    target whatever the opponent plays, in the product order of *own_pool*.
+    target whatever the opponent plays, in the product order of its pool:
+    Q plays all of :func:`dihedral.elements`, the classical player the
+    elements of :data:`PICARD_POOL`.
 
     The search walks (turn index, set of states reachable under the
     opponent's choices), a set that depends only on the owner's own prefix:
-    the owner's turns branch over *own_pool*, the opponent's turns take the
-    image under all of *opp_pool*, and a move tuple wins iff the final set
-    is the target alone.  Pairs with no winning continuation are memoised.
-    A set is an int bitmask over the indices Z_2n, which each move, an
-    element of D_n, permutes by :meth:`DihedralElement.act`.
+    the owner's turns branch over its pool, the opponent's turns take the
+    union of the images under all of its pool, and a move tuple wins iff the
+    final set is the target alone.  A set is an int bitmask over the indices
+    Z_2n, which each move carries whole with one rotation (:func:`_images`).
+    Moves permute a set and the opponent's turns only add to it, so a set of
+    two or more states never shrinks back to the single target and loses at
+    once.  Whether the owner can still force the target from a pair is
+    memoised for both outcomes, and the walk descends only into pairs where
+    it can.
     """
     size = 2 * n
-    own = [(p, dihedral.element_for_isometry(n, p)) for p in own_pool]
-    opp = [dihedral.element_for_isometry(n, p) for p in opp_pool]
+    own, own_moves = _pool(n, owner)
+    opp_all = _pool(n, "P" if owner == "Q" else "Q")[1]
+    opp_moves = tuple(dict.fromkeys(opp_all))
+    owned = [t == owner for t in spec.turns]
+    last = len(spec.turns)
     target = 1 << (spec.target_q if owner == "Q" else spec.target_p).index(size)
-    dead: set[tuple[int, int]] = set()
+    memo: list[dict[int, bool]] = [{} for _ in spec.turns]
 
-    def image(moves: Iterable[dihedral.DihedralElement], states: int) -> int:
+    def union(m: int) -> int:
         out = 0
-        while states:
-            j = (states & -states).bit_length() - 1
-            states &= states - 1
-            for g in moves:
-                out |= 1 << g.act(j, size)
+        for x in _images(opp_moves, m, size):
+            out |= x
         return out
 
-    def walk(i: int, states: int) -> Iterator[tuple[PlanarIsometry, ...]]:
-        if i == len(spec.turns):
-            if states == target:
-                yield ()
-            return
-        if (i, states) in dead:
-            return
-        won = False
-        if spec.turns[i] == owner:
-            for m, g in own:
-                for rest in walk(i + 1, image((g,), states)):
-                    won = True
-                    yield (m, *rest)
-        else:
-            for rest in walk(i + 1, image(opp, states)):
-                won = True
-                yield rest
-        if not won:
-            dead.add((i, states))
+    def wins(i: int, m: int) -> bool:
+        if i == last or m & (m - 1):
+            return m == target
+        seen = memo[i]
+        won = seen.get(m)
+        if won is None:
+            if owned[i]:
+                won = any(wins(i + 1, c) for c in
+                          dict.fromkeys(_images(own_moves, m, size)))
+            else:
+                won = wins(i + 1, union(m))
+            seen[m] = won
+        return won
 
-    return walk(0, 1 << spec.initial.index(size))
+    def walk(i: int, m: int) -> Iterator[tuple[dihedral.DihedralElement, ...]]:
+        # entered only where wins(i, m) holds
+        if i == last:
+            yield ()
+        elif owned[i]:
+            for g, c in zip(own, _images(own_moves, m, size)):
+                if wins(i + 1, c):
+                    for rest in walk(i + 1, c):
+                        yield (g, *rest)
+        else:
+            yield from walk(i + 1, union(m))
+
+    start = 1 << spec.initial.index(size)
+    return walk(0, start) if wins(0, start) else iter(())
 
 
 def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
@@ -221,8 +268,9 @@ def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
     distinct symbolic elements with the same representation coincide.
     """
     dihedral.require(n, PICARD_POOL)
-    return [Strategy("Q", moves) for moves in _winning_moves(
-        spec, n, "Q", dihedral.isometries(n), PICARD_POOL)]
+    named = dict(zip(dihedral.elements(n), dihedral.isometries(n)))
+    return [Strategy("Q", tuple(named[g] for g in moves))
+            for moves in _winning_moves(spec, n, "Q")]
 
 
 def classify_strategies(strategies: Iterable[Strategy],
@@ -297,10 +345,10 @@ def brute_force_extended_check(spec: GameSpec, n: int = 8,
         raise SearchBudgetExceeded(
             f"{len(spec.turns)} rounds exceeds the bound of {max_rounds}")
     dihedral.require(n, (FLIP, HADAMARD))
-    pool = dihedral.isometries(n)
-    q_moves = next(_winning_moves(spec, n, "Q", pool, PICARD_POOL), None)
-    p_moves = next(_winning_moves(spec, n, "P", PICARD_POOL, pool), None)
-    strategy = Strategy("Q", q_moves) if q_moves is not None else None
+    q_moves = next(_winning_moves(spec, n, "Q"), None)
+    p_moves = next(_winning_moves(spec, n, "P"), None)
+    strategy = (Strategy("Q", tuple(map(dihedral.represent, q_moves)))
+                if q_moves is not None else None)
     return Decision(q_moves is not None, strategy, p_moves is not None)
 
 

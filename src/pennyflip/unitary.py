@@ -236,9 +236,11 @@ def screen_block(unitaries: np.ndarray, states: np.ndarray,
                  tol: float = TOL_MEMBERSHIP) -> tuple[int, float, int]:
     """(hits, max residual, state mismatches) of stacked samples.
 
-    A hit is a unitary ``classify_winning_first_move`` places in a family;
-    it runs only on those whose first column passes the same test as
-    ``first_column_winning``. A state mismatches when
+    A hit is a unitary ``classify_winning_first_move`` places in a family:
+    its first column passes the same test as ``first_column_winning``, and
+    for some base b, with the phase theta of ``u[0, 0] / b[0, 0]``, every
+    entry of ``u - e^{i theta} b`` is within *tol*; each base is tried on
+    all candidates at once. A state mismatches when
     ``fixed_by_flip_projective`` disagrees with its nearness to |+> or |->.
     Raises NotUnitary as the classifier does.
     """
@@ -247,8 +249,15 @@ def screen_block(unitaries: np.ndarray, states: np.ndarray,
         raise NotUnitary("matrix fails the unitarity check")
     col = unitaries[:, :, 0]
     passing = _proportional(col, PLUS, tol) | _proportional(col, MINUS, tol)
-    hits = sum(classify_winning_first_move(u, tol) is not None
-               for u in unitaries[passing])
+    hits = 0
+    if passing.any():
+        candidates = unitaries[passing]
+        member = np.zeros(len(candidates), dtype=bool)
+        for b in BASE_MATRICES.values():
+            theta = np.angle(candidates[:, 0, 0] / b[0, 0]) % (2 * math.pi)
+            phased = np.exp(1j * theta)[:, None, None] * b
+            member |= np.abs(candidates - phased).max(axis=(1, 2)) <= tol
+        hits = int(np.count_nonzero(member))
     near_eigen = (_proportional(states, PLUS, tol)
                   | _proportional(states, MINUS, tol))
     # the flip swaps the two amplitudes, exactly as matrix(FLIP) @ psi does

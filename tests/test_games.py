@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pennyflip.angles import Angle
-from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
-                                isometries)
+from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
+                                PlanarIsometry, isometries)
 from pennyflip.errors import FNotInGroup, LengthMismatch, SearchBudgetExceeded
 from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy,
                              alternating_turn_sequences,
@@ -14,6 +16,7 @@ from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy,
                              is_winning_strategy, play_out,
                              state_path, synthesize_by_intermediate_states,
                              verify_characteristic_properties)
+from pennyflip.games import _images, _mask_move
 from pennyflip.states import BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO
 
 S7 = PlanarIsometry.reflector(Angle(7, 8))
@@ -99,7 +102,7 @@ class TestEnumeration:
         for spec in all_specs(turns):
             for n in sizes:
                 assert (enumerate_winning_strategies(spec, n)
-                        == product_scan(spec, n))
+                        == list(product_scan(spec, n)))
 
     def test_d8_has_32_winners(self):
         assert len(enumerate_winning_strategies(PQG, 8)) == 32
@@ -177,10 +180,11 @@ class TestSynthesis:
 
 
 def product_scan(spec, n):
-    """Independent oracle: Q's winners in the full move-tuple product."""
+    """Independent oracle: Q's winners in the full move-tuple product,
+    lazily, in product order."""
     strategies = (Strategy("Q", moves) for moves in itertools.product(
         isometries(n), repeat=spec.turn_count("Q")))
-    return [sigma for sigma in strategies if is_winning_strategy(spec, sigma)]
+    return (sigma for sigma in strategies if is_winning_strategy(spec, sigma))
 
 
 def all_specs(turns):
@@ -237,14 +241,20 @@ class TestExtendedGames:
                 assert ((brute.q_wins, brute.picard_wins)
                         == literal_brute_force(spec, 16))
                 if brute.q_wins:    # the witness is the first winner in order
-                    assert brute.strategy == product_scan(spec, 16)[0]
+                    assert brute.strategy == next(product_scan(spec, 16))
+
+    @pytest.mark.parametrize("n", [24, 32])
+    @pytest.mark.parametrize("turns", ["QPQ", "QPQP"])
+    def test_witness_is_the_first_winner_at_larger_pools(self, turns, n):
+        for spec in all_specs(turns):
+            assert (brute_force_extended_check(spec, n).strategy
+                    == next(product_scan(spec, n), None))
 
     def test_brute_force_matches_decision_up_to_nine_rounds(self):
         for turns in alternating_turn_sequences(2, 9):
-            for initial in BASIS:
-                for target in BASIS:
-                    spec = GameSpec.from_string("".join(turns), initial, target)
-                    brute = brute_force_extended_check(spec)
+            for spec in all_specs("".join(turns)):
+                for n in (8, 32):
+                    brute = brute_force_extended_check(spec, n)
                     assert brute.q_wins == decide_extended_game(spec).q_wins
                     assert not brute.picard_wins
 
@@ -268,3 +278,29 @@ class TestExtendedGames:
     def test_pool_requires_eighth_roots(self):
         with pytest.raises(FNotInGroup):
             brute_force_extended_check(PQG, n=4)
+
+
+@st.composite
+def elements_and_masks(draw):
+    n = draw(st.integers(3, 1024))
+    g = DihedralElement(n, draw(st.integers(0, n - 1)), draw(st.booleans()))
+    return g, draw(st.integers(0, (1 << 2 * n) - 1))
+
+
+class TestMaskMoves:
+    @settings(max_examples=200, deadline=None)
+    @given(elements_and_masks())
+    @example((DihedralElement(8, 1, False), 1 << 15 | 1))  # the top bit wraps
+    @example((DihedralElement(8, 1, True), 1 << 15 | 1))
+    @example((DihedralElement(8, 6, False), 0b1011))     # 4k >= 2n
+    @example((DihedralElement(8, 7, True), 1 << 15 | 0b110))
+    @example((DihedralElement(7, 5, True), 1 << 13 | 0b101))  # 4 ∤ n
+    @example((DihedralElement(1022, 1000, False), (1 << 2044) - 2))
+    def test_whole_mask_image_matches_act(self, case):
+        g, mask = case
+        size = 2 * g.n
+        want = 0
+        for j in range(size):
+            if mask >> j & 1:
+                want |= 1 << g.act(j, size)
+        assert _images([_mask_move(g, size)], mask, size) == [want]

@@ -246,6 +246,17 @@ class TestBatchedScreen:
                 results.add(screen(seed, k, tol))
         assert len(results) == 1
 
+    @pytest.mark.parametrize("tol, hits", [(0.5, 501), (0.9, 2382)])
+    def test_wide_tolerance_hits_match_the_classifier(self, tol, hits):
+        # most samples pass the first-column test here, so every one of
+        # them reaches the whole-array family test
+        gen = rng(10**11)
+        unitaries = [sample_unitary(gen) for _ in range(4000)]
+        want = sum(classify_winning_first_move(u, tol) is not None
+                   for u in unitaries)
+        assert want == hits
+        assert screen(10**11, 4000, tol)[0] == hits
+
     def test_probe_passes_the_first_column_test_only(self):
         assert is_unitary(A1) and first_column_winning(A1)
         assert classify_winning_first_move(A1) is None
