@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import click
 
-from . import games, orbits, reports, unitary, verify
+from . import games, orbits, reports
 from .angles import Angle
 from .config import N_MAX, default_config, load_config_file, parse_n_range
 from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
@@ -193,6 +193,7 @@ def analyze(turns: str, initial: str, target_q: str | None, check: bool,
 @domain_errors_exit_3
 def sample_u2(samples: int, seed: int) -> None:
     """Sample unitaries and count winning first moves (a measure-zero event)."""
+    from . import unitary
     hits, max_residual, _ = unitary.screen(seed, samples)
     click.echo(reports.dump_json(
         {"samples": samples, "hits": hits, "maxResidual": max_residual}))
@@ -215,6 +216,7 @@ def verify_all(n_range: str | None, max_rounds: int | None,
                tolerance: float | None, config_path: str | None,
                timings: bool, fmt: str) -> None:
     """Run the whole verification suite; exit 1 on any failure."""
+    from . import verify
     cfg = load_config_file(config_path) if config_path else default_config()
     flags = {"max_rounds": max_rounds, "samples": samples, "seed": seed,
              "tolerance": tolerance}

@@ -35,10 +35,6 @@ class DihedralElement:
             raise ValueError(f"rotation exponent {self.k} out of range [0, {self.n})")
 
     @classmethod
-    def identity(cls, n: int) -> "DihedralElement":
-        return cls(n, 0, False)
-
-    @classmethod
     def rotation(cls, n: int, k: int) -> "DihedralElement":
         return cls(n, k % n, False)
 
@@ -55,11 +51,6 @@ class DihedralElement:
             return DihedralElement(self.n, (self.k - other.k) % self.n,
                                    not other.reflect)
         return DihedralElement(self.n, (self.k + other.k) % self.n, other.reflect)
-
-    def inverse(self) -> "DihedralElement":
-        if self.reflect:
-            return self
-        return DihedralElement(self.n, (-self.k) % self.n, False)
 
     def act(self, j: int, size: int) -> int:
         """Act on the index j of the state j*pi/size, with step = 2*size/n an
@@ -135,11 +126,6 @@ class PlanarIsometry:
         if self.is_rotor:
             return PlanarIsometry.reflector(b + a / 2)
         return PlanarIsometry.reflector(a - b / 2)
-
-    def inverse(self) -> "PlanarIsometry":
-        if self.is_rotor:
-            return PlanarIsometry.rotor(-self.angle)
-        return self
 
     def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Floating 2x2 matrix; evaluation boundary only."""

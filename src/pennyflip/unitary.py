@@ -1,10 +1,14 @@
 """Complex 2x2 unitary layer.
 
 Everything the exact dihedral machinery cannot express lives here: the
-eigen-structure of the coin flip, phase families e^{i*theta} * A, the
-classification of winning first moves inside U(2), and a seeded sampling
-harness used to falsify the existence of winning first moves outside the
-known families.
+eigen-structure of the coin flip, phase families e^{i*theta} * A, the test
+that decides a winning first move inside U(2) by play, and a seeded
+sampling harness that finds no such move among Haar-random unitaries.
+
+A first move U wins when U|0> is a phase multiple of |+> or |->: the flip
+fixes both up to phase, so Q's second move then reaches any target.  That
+state is the move's class, the middle of its state path, whatever phases
+U carries; ``winning_state`` decides it.
 
 Sampling draws a window from one generator, ``np.random.default_rng(seed)``:
 sample ``k`` is row ``k`` of a ``(samples, ROW)`` array of standard normals.
@@ -15,22 +19,21 @@ is the same row's first four values. ``screen`` draws the window in blocks
 of ``BLOCK`` rows and does the rest in whole-array numpy; the rows of one
 stream are the same however many are drawn at a time, so a window's result
 does not depend on ``BLOCK``. ``sample_unitary`` and ``sample_state``,
-which read one row at a time, and ``classify_winning_first_move`` stay as
-the per-sample oracle it matches bit for bit.
+which read one row at a time, and ``winning_state`` stay as the per-sample
+oracle it matches bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import Angle
 from .dihedral import FLIP, HADAMARD, PlanarIsometry
 from .errors import NotUnitary
-from .states import CoinState
+from .states import KET_MINUS, KET_PLUS, CoinState
 
 #: Membership / unitarity tolerance.
 TOL_MEMBERSHIP = 1e-9
@@ -46,7 +49,6 @@ SQRT2_HALF = math.sqrt(2.0) / 2.0
 
 PLUS = np.array([SQRT2_HALF, SQRT2_HALF], dtype=complex)
 MINUS = np.array([SQRT2_HALF, -SQRT2_HALF], dtype=complex)
-KET0 = np.array([1.0, 0.0], dtype=complex)
 
 #: The eight first moves occurring in winning strategies: four send |0> to
 #: |+> and four send |0> to |->.
@@ -62,14 +64,6 @@ FIRST_MOVE_BASES: tuple[PlanarIsometry, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class PhaseFamilyTag:
-    """Identifies a unitary as e^{i*theta} times one of the named bases."""
-
-    base: PlanarIsometry
-    theta: float
-
-
 def matrix(p: PlanarIsometry) -> np.ndarray:
     """Complex evaluation of an exact isometry."""
     return np.array(p.matrix(), dtype=complex)
@@ -81,12 +75,6 @@ BASE_MATRICES: dict[PlanarIsometry, np.ndarray] = {
     base: matrix(base) for base in FIRST_MOVE_BASES}
 for _m in BASE_MATRICES.values():
     _m.flags.writeable = False
-
-
-def embed(x: CoinState) -> np.ndarray:
-    """Complex embedding of a projective real state."""
-    c, s = x.amplitudes()
-    return np.array([c, s], dtype=complex)
 
 
 def is_unitary(u: np.ndarray, tol: float = TOL_MEMBERSHIP) -> bool:
@@ -119,46 +107,19 @@ def fixed_by_flip_projective(psi: np.ndarray,
     return proportional(matrix(FLIP) @ psi, psi, tol)
 
 
-def first_column_winning(u: np.ndarray, tol: float = TOL_MEMBERSHIP) -> bool:
-    """The weaker condition: U|0> is a phase multiple of |+> or |->.
+def winning_state(u: np.ndarray,
+                  tol: float = TOL_MEMBERSHIP) -> CoinState | None:
+    """The state a winning first move *u* sends |0> to, or None.
 
-    A unitary can satisfy this while carrying an independent phase on its
-    second column, which puts it outside the named one-phase families; the
-    full classifier below reports None for such matrices.
-    """
-    col = u @ KET0
-    return proportional(col, PLUS, tol) or proportional(col, MINUS, tol)
-
-
-def classify_winning_first_move(u: np.ndarray,
-                                tol: float = TOL_MEMBERSHIP
-                                ) -> PhaseFamilyTag | None:
-    """Match *u* against the eight named families, recovering the phase.
-
-    The phase is taken from the (0, 0) entry (nonzero for every base) and
-    canonicalized to [0, 2*pi); full-matrix membership within *tol* is
-    required, not just the first-column condition.
+    *u* wins when its first column is within *tol* of a phase multiple of
+    |+> or |->, tried in that order; the second column plays no part.
     """
     if not is_unitary(u, tol):
         raise NotUnitary("matrix fails the unitarity check")
-    if not first_column_winning(u, tol):
-        return None
-    for base, b in BASE_MATRICES.items():
-        theta = cmath.phase(u[0, 0] / b[0, 0]) % (2 * math.pi)
-        if np.max(np.abs(u - cmath.exp(1j * theta) * b)) <= tol:
-            return PhaseFamilyTag(base, theta)
+    for state, ket in ((KET_PLUS, PLUS), (KET_MINUS, MINUS)):
+        if proportional(u[:, 0], ket, tol):
+            return state
     return None
-
-
-def antipode(base: PlanarIsometry) -> PlanarIsometry:
-    """The isometry whose matrix is the negation of *base*.
-
-    The named families overlap in antipodal pairs (e.g. S_{5pi/8} = -H), so
-    e^{i*theta} * base also carries the tag (antipode(base), theta + pi).
-    """
-    if base.is_rotor:
-        return PlanarIsometry.rotor(base.angle + 1)
-    return PlanarIsometry.reflector(base.angle + Angle(1, 2))
 
 
 def sample_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -236,33 +197,21 @@ def screen_block(unitaries: np.ndarray, states: np.ndarray,
                  tol: float = TOL_MEMBERSHIP) -> tuple[int, float, int]:
     """(hits, max residual, state mismatches) of stacked samples.
 
-    A hit is a unitary ``classify_winning_first_move`` places in a family:
-    its first column passes the same test as ``first_column_winning``, and
-    for some base b, with the phase theta of ``u[0, 0] / b[0, 0]``, every
-    entry of ``u - e^{i theta} b`` is within *tol*; each base is tried on
-    all candidates at once. A state mismatches when
+    A hit is a unitary ``winning_state`` classes: its first column is within
+    *tol* of a phase multiple of |+> or |->. A state mismatches when
     ``fixed_by_flip_projective`` disagrees with its nearness to |+> or |->.
-    Raises NotUnitary as the classifier does.
+    Raises NotUnitary as ``winning_state`` does.
     """
     residuals = unitarity_residuals(unitaries)
     if not np.all(residuals <= tol):
         raise NotUnitary("matrix fails the unitarity check")
     col = unitaries[:, :, 0]
-    passing = _proportional(col, PLUS, tol) | _proportional(col, MINUS, tol)
-    hits = 0
-    if passing.any():
-        candidates = unitaries[passing]
-        member = np.zeros(len(candidates), dtype=bool)
-        for b in BASE_MATRICES.values():
-            theta = np.angle(candidates[:, 0, 0] / b[0, 0]) % (2 * math.pi)
-            phased = np.exp(1j * theta)[:, None, None] * b
-            member |= np.abs(candidates - phased).max(axis=(1, 2)) <= tol
-        hits = int(np.count_nonzero(member))
+    hits = _proportional(col, PLUS, tol) | _proportional(col, MINUS, tol)
     near_eigen = (_proportional(states, PLUS, tol)
                   | _proportional(states, MINUS, tol))
     # the flip swaps the two amplitudes, exactly as matrix(FLIP) @ psi does
     fixed = _proportional(states[:, ::-1], states, tol)
-    return (hits, float(residuals.max(initial=0.0)),
+    return (int(np.count_nonzero(hits)), float(residuals.max(initial=0.0)),
             int(np.count_nonzero(fixed != near_eigen)))
 
 

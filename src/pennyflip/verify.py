@@ -9,10 +9,13 @@ configuration and seed.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import time
 from typing import Callable
+
+import numpy as np
 
 from . import dihedral, games, orbits, unitary
 from .config import Config
@@ -20,7 +23,7 @@ from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                        closure, isometries, represent)
 from .errors import FNotInGroup
 from .games import GameSpec, decide_extended_game
-from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
+from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO, act,
                      win_probability)
 
 EXPECTED_PATHS = (
@@ -172,21 +175,13 @@ def check_phase_families(cfg: Config):
     for i in range(100):
         base = unitary.FIRST_MOVE_BASES[i % 8]
         theta = (i * 2.0 * math.pi / 100.0 + 0.05) % (2.0 * math.pi)
-        tag = unitary.classify_winning_first_move(
-            unitary.phase_family(base, theta), cfg.tolerance)
-        if tag is None:
+        u = unitary.phase_family(base, theta)
+        # play classes each member by the state its base sends |0> to
+        if unitary.winning_state(u, cfg.tolerance) != act(base, KET_ZERO):
             failures += 1
             continue
-        if tag.base == base:
-            expected_theta = theta
-        elif tag.base == unitary.antipode(base):
-            # antipodal base carries the same family, phase shifted by pi
-            expected_theta = (theta + math.pi) % (2.0 * math.pi)
-        else:
-            failures += 1
-            continue
-        err = abs((tag.theta - expected_theta + math.pi)
-                  % (2.0 * math.pi) - math.pi)
+        found = cmath.phase(u[0, 0] / unitary.BASE_MATRICES[base][0, 0])
+        err = abs((found - theta + math.pi) % (2.0 * math.pi) - math.pi)
         worst = max(worst, err)
         if err > cfg.tolerance:
             failures += 1
@@ -199,9 +194,15 @@ def check_u2_sampling(cfg: Config):
         return None, {"skipped": "samples = 0"}
     unitary_hits, max_residual, state_mismatches = unitary.screen(
         cfg.seed, cfg.samples, cfg.tolerance)
-    # a winning first move is a measure-zero event: no sample may hit one
+    # a winning first move is a measure-zero event: no sample may hit one.
+    # So that zero hits means something, play must still class the winner
+    # [|+>, i|->], which no named base times a phase gives, and reject F
+    probe = np.column_stack([unitary.PLUS, 1j * unitary.MINUS])
     ok = (unitary_hits == 0 and state_mismatches == 0
-          and max_residual <= unitary.TOL_RESIDUAL)
+          and max_residual <= unitary.TOL_RESIDUAL
+          and unitary.winning_state(probe, cfg.tolerance) == KET_PLUS
+          and unitary.winning_state(unitary.matrix(FLIP),
+                                    cfg.tolerance) is None)
     return ok, {"samples": cfg.samples, "hits": unitary_hits,
                 "stateMismatches": state_mismatches,
                 "maxResidual": max_residual}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -291,3 +294,25 @@ def test_64_bit_edge_exit_code(runner, argv, code):
     result = runner.invoke(main, argv)
     assert result.exit_code == code
     assert "Traceback" not in result.output
+
+
+#: Runs each argument as one command line in a single process, then fails
+#: if anything it ran imported numpy.
+NUMPY_PROBE = """
+import sys
+from pennyflip.cli import main
+for line in sys.argv[1:]:
+    main(line.split(), standalone_mode=False)
+sys.exit("numpy" in sys.modules)
+"""
+
+
+def test_exact_commands_do_not_import_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    commands = ["orbit --n 8", "stabilizer --n 8 --state +",
+                "fixed-set --n 8", "enumerate --n 8", "classify --n 8",
+                "analyze --turns QPQ --check"]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *commands],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -99,7 +99,8 @@ class TestStabilizer:
             for x in orbit_of_basis(n):
                 stab = set(stabilizer(n, x))
                 for g in stab:
-                    assert g.inverse() in stab
+                    # r^k inverts to r^-k; every reflection to itself
+                    assert (g if g.reflect else rot(n, -g.k)) in stab
                     for h in stab:
                         assert g.compose(h) in stab
 

@@ -12,18 +12,29 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
                                 isometries)
 from pennyflip.errors import NotUnitary
 from pennyflip.orbits import orbit_of_basis
-from pennyflip.states import act
-from pennyflip.unitary import (BASE_MATRICES, BLOCK, FIRST_MOVE_BASES, KET0,
-                               MINUS, PLUS, TOL_MEMBERSHIP, PhaseFamilyTag,
-                               antipode,
-                               classify_winning_first_move, draw,
-                               eigensystem_flip, embed, first_column_winning,
+from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, act
+from pennyflip.unitary import (BASE_MATRICES, BLOCK, FIRST_MOVE_BASES, MINUS,
+                               PLUS, TOL_MEMBERSHIP, draw, eigensystem_flip,
                                fixed_by_flip_projective, is_unitary, matrix,
                                phase_family, proportional, sample_state,
                                sample_unitary, screen, screen_block,
-                               unitarity_residual, unitarity_residuals)
+                               unitarity_residual, unitarity_residuals,
+                               winning_state)
 
 R2 = PlanarIsometry.rotor(Angle(1, 4))
+KET0 = np.array([1.0, 0.0], dtype=complex)
+
+
+def wins_qpq(a1: np.ndarray, a2: np.ndarray) -> bool:
+    """Float play of QPQ from |0> to |0>: Q plays *a1*, then *a2*, and wins
+    with certainty against both of the classical player's moves."""
+    return all(abs(abs((a2 @ p @ a1 @ KET0)[0]) ** 2 - 1.0) <= 1e-12
+               for p in (matrix(IDENTITY), matrix(FLIP)))
+
+
+def embed(x) -> np.ndarray:
+    """Complex embedding of a projective real state."""
+    return np.array(x.amplitudes(), dtype=complex)
 
 
 class TestPhaseFamilies:
@@ -78,43 +89,38 @@ class TestFixedByFlip:
 
 class TestClassifier:
     def test_hadamard_itself(self):
-        tag = classify_winning_first_move(matrix(HADAMARD))
-        assert tag == PhaseFamilyTag(HADAMARD, 0.0)
+        assert winning_state(matrix(HADAMARD)) == KET_PLUS
+        assert wins_qpq(matrix(HADAMARD), matrix(HADAMARD))
 
     def test_phase_multiple_of_reflector(self):
         base = PlanarIsometry.reflector(Angle(5, 8))
-        tag = classify_winning_first_move(phase_family(base, math.pi / 5))
-        assert tag is not None
-        # the antipodal tag -H with theta shifted by pi is equally valid
-        if tag.base == base:
-            assert tag.theta == pytest.approx(math.pi / 5, abs=1e-9)
-        else:
-            assert tag.base == antipode(base)
-            assert tag.theta == pytest.approx(math.pi / 5 + math.pi, abs=1e-9)
+        assert winning_state(phase_family(base, math.pi / 5)) == act(
+            base, KET_ZERO)
 
     def test_flip_is_not_a_winning_first_move(self):
-        assert classify_winning_first_move(matrix(FLIP)) is None
-        assert classify_winning_first_move(matrix(IDENTITY)) is None
+        assert winning_state(matrix(FLIP)) is None
+        assert winning_state(matrix(IDENTITY)) is None
 
-    def test_first_column_condition_alone_is_weaker(self):
-        # same first column as H, extra phase on the second column
+    def test_second_column_phase_keeps_the_class(self):
+        # same first column as H, extra phase on the second column: the
+        # coin passes through the same states, so it wins the same way
         u = matrix(HADAMARD).copy()
         u[:, 1] *= cmath.exp(0.7j)
         assert is_unitary(u)
-        assert first_column_winning(u)
-        assert classify_winning_first_move(u) is None
+        assert winning_state(u) == KET_PLUS
+        assert wins_qpq(u, matrix(HADAMARD))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
-            classify_winning_first_move(np.array([[1.0, 0.0], [0.0, 2.0]],
-                                                 dtype=complex))
+            winning_state(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
 
     def test_theta_is_two_pi_periodic(self):
-        a = classify_winning_first_move(phase_family(HADAMARD, 0.4))
-        b = classify_winning_first_move(phase_family(HADAMARD,
-                                                     0.4 + 2 * math.pi))
-        assert a.base == b.base
-        assert a.theta == pytest.approx(b.theta, abs=1e-9)
+        for base in FIRST_MOVE_BASES:
+            for theta in (0.0, 0.4, math.pi, 5.1):
+                assert (winning_state(phase_family(base, theta))
+                        == winning_state(phase_family(base,
+                                                      theta + 2 * math.pi))
+                        == act(base, KET_ZERO))
 
     def test_base_matrices_are_the_bases_read_only(self):
         assert list(BASE_MATRICES) == list(FIRST_MOVE_BASES)
@@ -124,10 +130,28 @@ class TestClassifier:
                 b[0, 0] = 0.0
 
     def test_antipodal_pairs_negate(self):
+        # the eight bases are four pairs b, -b, and play classes a pair alike
         for base in FIRST_MOVE_BASES:
-            other = antipode(base)
-            assert other in FIRST_MOVE_BASES
-            assert np.max(np.abs(matrix(other) + matrix(base))) <= 1e-12
+            others = [o for o in FIRST_MOVE_BASES
+                      if np.max(np.abs(matrix(o) + matrix(base))) <= 1e-12]
+            assert len(others) == 1
+            assert act(others[0], KET_ZERO) == act(base, KET_ZERO)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi),
+           st.sampled_from([(KET_PLUS, PLUS, MINUS), (KET_MINUS, MINUS, PLUS)]),
+           st.floats(1e-3, math.pi / 2 - 1e-3))
+    def test_two_sided_on_the_winning_manifold(self, alpha, beta, side, eps):
+        state, ket, other = side
+        u = np.column_stack([cmath.exp(1j * alpha) * ket,
+                             cmath.exp(1j * beta) * other])
+        assert winning_state(u) == state
+        # F fixes u|0> up to phase, so Q's second move u^dagger undoes the
+        # first against both replies
+        assert wins_qpq(u, u.conj().T)
+        c, s = math.cos(eps), math.sin(eps)
+        tilted = np.array([[c, -s], [s, c]], dtype=complex) @ u
+        assert winning_state(tilted) is None
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -146,12 +170,10 @@ class TestSampling:
             assert abs(np.linalg.norm(sample_state(gen_psi)) - 1.0) <= 1e-9
 
     def test_random_unitaries_classify_consistently(self):
+        # winning first moves have Haar measure zero: play classes no sample
         gen = rng(0)
         for _ in range(500):
-            u = sample_unitary(gen)
-            tag = classify_winning_first_move(u)
-            if tag is not None:
-                assert first_column_winning(u)
+            assert winning_state(sample_unitary(gen)) is None
 
     def test_haar_moments(self):
         # for Haar U(2), |U00|^2 is uniform on [0, 1] and det U / |det U|
@@ -185,10 +207,11 @@ class RealGinibre:
 
 WINDOWS = st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
 SEED_BASES = st.integers(0, 10**12)
-# from 0.5 up random samples hit families and mismatch the flip test
+# from 1 - sqrt(2)/2 up every sample is a hit, and from 0.5 up states
+# mismatch the flip test
 TOLERANCES = st.sampled_from([TOL_MEMBERSHIP, 0.5, 0.9])
-#: Wins QPQ with H as its last move, but carries a second-column phase, so
-#: it passes the first-column test while the classifier returns None.
+#: Wins QPQ with H as its last move, though its second-column phase puts it
+#: off every e^{i theta} times one of the eight bases.
 A1 = np.column_stack([PLUS, 1j * MINUS])
 
 
@@ -202,7 +225,7 @@ def per_sample_screen(unitaries: list[np.ndarray], states: list[np.ndarray],
                                                                   tol)
         mismatches += fixed_by_flip_projective(psi, tol) != near_eigen
         max_residual = max(max_residual, unitarity_residual(u))
-        hits += classify_winning_first_move(u, tol) is not None
+        hits += winning_state(u, tol) is not None
     return hits, max_residual, mismatches
 
 
@@ -246,20 +269,19 @@ class TestBatchedScreen:
                 results.add(screen(seed, k, tol))
         assert len(results) == 1
 
-    @pytest.mark.parametrize("tol, hits", [(0.5, 501), (0.9, 2382)])
-    def test_wide_tolerance_hits_match_the_classifier(self, tol, hits):
-        # most samples pass the first-column test here, so every one of
-        # them reaches the whole-array family test
+    @pytest.mark.parametrize("tol, hits", [(TOL_MEMBERSHIP, 0), (0.5, 4000),
+                                           (0.9, 4000)])
+    def test_hits_match_play_per_sample(self, tol, hits):
+        # from tol = 1 - sqrt(2)/2 every first column is near |+> or |->
         gen = rng(10**11)
         unitaries = [sample_unitary(gen) for _ in range(4000)]
-        want = sum(classify_winning_first_move(u, tol) is not None
-                   for u in unitaries)
+        want = sum(winning_state(u, tol) is not None for u in unitaries)
         assert want == hits
         assert screen(10**11, 4000, tol)[0] == hits
 
-    def test_probe_passes_the_first_column_test_only(self):
-        assert is_unitary(A1) and first_column_winning(A1)
-        assert classify_winning_first_move(A1) is None
+    def test_probe_wins_by_play(self):
+        assert winning_state(A1) == KET_PLUS
+        assert wins_qpq(A1, matrix(HADAMARD))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8),
@@ -271,9 +293,8 @@ class TestBatchedScreen:
         planted += [A1, rotated_hadamard(eps), rephased_hadamard(eps)]
         unitaries, states = draw(rng(seed), 3 * len(planted))
         unitaries[::3] = planted
-        want = sum(classify_winning_first_move(u, tol) is not None
-                   for u in unitaries)
-        assert want >= len(FIRST_MOVE_BASES)
+        want = sum(winning_state(u, tol) is not None for u in unitaries)
+        assert want >= len(planted)
         assert screen_block(unitaries, states, tol)[0] == want
 
     @pytest.mark.parametrize("bad", [np.diag([1.0, 2.0]),

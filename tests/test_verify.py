@@ -3,6 +3,7 @@ import pytest
 
 from pennyflip import dihedral, games, orbits, unitary, verify
 from pennyflip.config import Config
+from pennyflip.states import KET_MINUS, KET_PLUS
 
 
 # Each row breaks one claim helper; the check that owns it must then fail.
@@ -15,13 +16,23 @@ from pennyflip.config import Config
      verify.check_winning_classes_stable),
     (games, "is_dominant", False, verify.check_winning_classes_d8),
     (dihedral, "verify_presentation", False, verify.check_representation),
+    (unitary, "winning_state", None, verify.check_phase_families),
+    (unitary, "winning_state", KET_PLUS, verify.check_u2_sampling),
 ], ids=["characteristic-d8", "synthesis-d8", "synthesis-stable",
-        "dominance-d8", "presentation"])
+        "dominance-d8", "presentation", "no-winner-families",
+        "all-winners-sampling"])
 def test_check_fails_when_its_helper_is_wrong(monkeypatch, module, helper,
                                               wrong, check):
     assert check(Config())[0] is True
     monkeypatch.setattr(module, helper, lambda *args: wrong)
     assert check(Config())[0] is False
+
+
+def test_phase_families_fail_without_the_minus_class(monkeypatch):
+    real = unitary.winning_state
+    monkeypatch.setattr(unitary, "winning_state", lambda u, tol: (
+        None if real(u, tol) == KET_MINUS else real(u, tol)))
+    assert verify.check_phase_families(Config())[0] is False
 
 
 def test_probability_identities_cover_n_above_64(monkeypatch):
