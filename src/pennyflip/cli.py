@@ -124,11 +124,10 @@ def enumerate(n: int, turns: str, initial: str, target_q: str | None,
               fmt: str) -> None:
     """Exhaustively enumerate and classify Q's winning strategies in D_n."""
     spec = _game_spec(turns, initial, target_q)
-    winners = games.enumerate_winning_strategies(spec, n)
-    classes = games.classify_strategies(winners, spec.initial)
+    classes = games.winning_classes(spec, n)
     if fmt == "json":
-        click.echo(reports.dump_json(
-            reports.game_report(spec, None, classes, len(winners))))
+        click.echo(reports.dump_json(reports.game_report(
+            spec, None, classes, sum(c.size for c in classes))))
     else:
         click.echo(reports.table_winning_classes(classes, spec.turns))
 
@@ -144,8 +143,7 @@ def classify(n: int, turns: str, initial: str, target_q: str | None,
              fmt: str) -> None:
     """Equivalence classes of the winning strategies, with state paths."""
     spec = _game_spec(turns, initial, target_q)
-    winners = games.enumerate_winning_strategies(spec, n)
-    classes = games.classify_strategies(winners, spec.initial)
+    classes = games.winning_classes(spec, n)
     if fmt == "json":
         click.echo(reports.dump_json(
             [reports.class_json(c) for c in classes]))

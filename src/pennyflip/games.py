@@ -7,7 +7,10 @@ finite brute-force check of that decision share one search over the sets of
 states reachable under the opponent's choices (the subset construction of
 Andronikos et al., Mathematics 6(2), 2018).  A set is an int bitmask over
 the state indices Z_2n, and each element of D_n moves it whole, by one
-cyclic rotation of the mask or of its reversal.
+cyclic rotation of the mask or of its reversal.  The CLI classifies the
+winners on their integer state paths (:func:`winning_classes`);
+:func:`classify_strategies` replays the paths with the ``Fraction``
+:func:`~pennyflip.states.act` and stays as its oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import dihedral
 from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
@@ -260,6 +264,14 @@ def _winning_moves(spec: GameSpec, n: int, owner: str
     return walk(0, start) if wins(0, start) else iter(())
 
 
+@functools.lru_cache(maxsize=8)
+def _represented(n: int) -> Mapping[dihedral.DihedralElement, PlanarIsometry]:
+    """Each element of D_n with the isometry that represents it, read-only
+    because every caller shares it."""
+    return MappingProxyType(dict(zip(dihedral.elements(n),
+                                     dihedral.isometries(n))))
+
+
 def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
     """All of Q's winning move tuples drawn from D_n, in the product order
     of :func:`dihedral.isometries`; the flip must lie in D_n.
@@ -268,9 +280,34 @@ def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
     distinct symbolic elements with the same representation coincide.
     """
     dihedral.require(n, PICARD_POOL)
-    named = dict(zip(dihedral.elements(n), dihedral.isometries(n)))
+    named = _represented(n)
     return [Strategy("Q", tuple(named[g] for g in moves))
             for moves in _winning_moves(spec, n, "Q")]
+
+
+def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
+    """Q's winning strategies in D_n partitioned by state path: the classes
+    of :func:`classify_strategies` over :func:`enumerate_winning_strategies`,
+    in the same order, without replaying a move on a ``CoinState``.
+
+    Each winner's path is followed on the indices Z_2n with
+    :meth:`~pennyflip.dihedral.DihedralElement.act`.  On one grid
+    ``phi = j / 2n``, so the index paths sort as the ``phi`` paths do, and
+    the representative is the first member in product order."""
+    dihedral.require(n, PICARD_POOL)
+    named = _represented(n)
+    size = 2 * n
+    start = spec.initial.index(size)
+    groups: dict[tuple[int, ...], list[Strategy]] = {}
+    for moves in _winning_moves(spec, n, "Q"):
+        path = [start]
+        for g in moves:
+            path.append(g.act(path[-1], size))
+        groups.setdefault(tuple(path), []).append(
+            Strategy("Q", tuple(named[g] for g in moves)))
+    return [StrategyClass(groups[path][0], frozenset(groups[path]),
+                          tuple(CoinState.of(j, size) for j in path))
+            for path in sorted(groups)]
 
 
 def classify_strategies(strategies: Iterable[Strategy],

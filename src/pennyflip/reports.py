@@ -85,8 +85,7 @@ def table_winning_classes(classes: Sequence[StrategyClass],
         f"Round {i}" for i in range(1, len(turns) + 1)]
     rows = []
     for cls in classes:
-        members = sorted(cls.members, key=str)
-        cells = [", ".join(str(m) for m in members),
+        cells = [", ".join(sorted(map(str, cls.members))),
                  str(cls.path[0])]
         step = 0
         for turn in turns:

@@ -41,6 +41,7 @@ def check_winning_classes_d8(cfg: Config):
     ok = (len(winners) == 32 and len(classes) == 2
           and all(c.size == 16 for c in classes)
           and paths == EXPECTED_PATHS
+          and games.winning_classes(spec, 8) == classes
           and {s.moves for s in synthesized} == {s.moves for s in winners}
           and all(games.verify_characteristic_properties(spec, s)
                   for s in winners)
@@ -62,7 +63,8 @@ def check_winning_classes_stable(cfg: Config):
         same = ({s.moves for s in winners} == base
                 and {s.moves for s in synthesized} == base
                 and tuple(c.path for c in classes) == EXPECTED_PATHS
-                and all(c.size == 16 for c in classes))
+                and all(c.size == 16 for c in classes)
+                and games.winning_classes(games.PQG, n) == classes)
         details[f"D_{n}"] = {"strategies": len(winners), "identical": same}
         ok = ok and same
     return ok, details

@@ -77,6 +77,19 @@ class TestOrbitCommands:
         assert "D_7" in result.output
 
 
+def game_listing(command, fmt, target):
+    return (command, "--n", "8", "--turns", "QPQPQ", "--initial", "0",
+            "--target-q", target, "--format", fmt)
+
+
+def listing_golden(command, fmt, target):
+    """The pinned stdout of :func:`game_listing`, as the ``Fraction``
+    replay of :func:`pennyflip.games.classify_strategies` renders it."""
+    ext = "json" if fmt == "json" else "md"
+    name = f"{command}_n8_QPQPQ_0to{target}.{ext}"
+    return (Path(__file__).parent / "golden" / name).read_bytes()
+
+
 class TestGameCommands:
     def test_enumerate_json(self, runner):
         result = invoke(runner, "enumerate", "--n", "8")
@@ -103,6 +116,26 @@ class TestGameCommands:
         lines = result.output.strip().splitlines()
         assert lines[0].startswith("(|0⟩, |+⟩, |0⟩): 16 strategies")
         assert lines[1].startswith("(|0⟩, |−⟩, |0⟩): 16 strategies")
+
+    @pytest.mark.parametrize("command", ["enumerate", "classify"])
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    @pytest.mark.parametrize("target", ["0", "1"])
+    def test_listing_matches_golden(self, runner, command, fmt, target):
+        result = invoke(runner, *game_listing(command, fmt, target))
+        assert result.exit_code == 0
+        assert result.stdout_bytes == listing_golden(command, fmt, target)
+
+    def test_listing_makes_no_fraction_replay(self, runner, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("states.act called")
+        monkeypatch.setattr("pennyflip.states.act", refuse)
+        monkeypatch.setattr("pennyflip.games.act", refuse)
+        for command in ("enumerate", "classify"):
+            for fmt in ("json", "markdown"):
+                result = invoke(runner, *game_listing(command, fmt, "0"))
+                assert result.exit_code == 0
+                assert result.stdout_bytes == listing_golden(command, fmt,
+                                                             "0")
 
     def test_analyze_markdown(self, runner):
         result = invoke(runner, "analyze", "--turns", "QPQ",

@@ -9,13 +9,14 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 PlanarIsometry, isometries)
 from pennyflip.errors import FNotInGroup, LengthMismatch, SearchBudgetExceeded
 from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy,
-                             alternating_turn_sequences,
+                             StrategyClass, alternating_turn_sequences,
                              brute_force_extended_check, classify_strategies,
                              decide_extended_game,
                              enumerate_winning_strategies, is_dominant,
                              is_winning_strategy, play_out,
                              state_path, synthesize_by_intermediate_states,
-                             verify_characteristic_properties)
+                             verify_characteristic_properties,
+                             winning_classes)
 from pennyflip.games import _images, _mask_move
 from pennyflip.states import BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO
 
@@ -137,6 +138,42 @@ class TestClassification:
         classes = classify_strategies(
             [q_strategy(HADAMARD, HADAMARD), q_strategy(R2, R14)], KET_ZERO)
         assert len(classes) == 1 and classes[0].size == 2
+
+
+def class_mismatches(classes_of):
+    """The (spec, n) cases of every alternating game of 2-7 rounds, every
+    4 | n <= 32 and all four initial/target pairs where *classes_of* differs
+    from the Fraction replay, lazily.  Class equality compares the path, the
+    representative and the member set, and list equality the class order."""
+    for turns in alternating_turn_sequences(2, 7):
+        for spec in all_specs("".join(turns)):
+            for n in range(4, 33, 4):
+                if classes_of(spec, n) != classify_strategies(
+                        enumerate_winning_strategies(spec, n), spec.initial):
+                    yield spec, n
+
+
+def final_state_classes(spec, n):
+    """A mutant of :func:`winning_classes` that groups by the final state
+    alone."""
+    groups = {}
+    for c in winning_classes(spec, n):
+        groups.setdefault(c.path[-1], []).append(c)
+    return [StrategyClass(cs[0].representative,
+                          frozenset().union(*(c.members for c in cs)),
+                          cs[0].path) for cs in groups.values()]
+
+
+class TestWinningClasses:
+    def test_matches_the_fraction_replay(self):
+        assert list(class_mismatches(winning_classes)) == []
+
+    def test_grouping_by_final_state_alone_is_caught(self):
+        assert next(class_mismatches(final_state_classes), None) is not None
+
+    def test_flip_must_lie_in_the_group(self):
+        with pytest.raises(FNotInGroup):
+            winning_classes(PQG, 6)
 
 
 class TestDominance:

@@ -15,11 +15,14 @@ from pennyflip.states import KET_MINUS, KET_PLUS
     (games, "synthesize_by_intermediate_states", [],
      verify.check_winning_classes_stable),
     (games, "is_dominant", False, verify.check_winning_classes_d8),
+    (games, "winning_classes", [], verify.check_winning_classes_d8),
+    (games, "winning_classes", [], verify.check_winning_classes_stable),
     (dihedral, "verify_presentation", False, verify.check_representation),
     (unitary, "winning_state", None, verify.check_phase_families),
     (unitary, "winning_state", KET_PLUS, verify.check_u2_sampling),
 ], ids=["characteristic-d8", "synthesis-d8", "synthesis-stable",
-        "dominance-d8", "presentation", "no-winner-families",
+        "dominance-d8", "fast-classes-d8", "fast-classes-stable",
+        "presentation", "no-winner-families",
         "all-winners-sampling"])
 def test_check_fails_when_its_helper_is_wrong(monkeypatch, module, helper,
                                               wrong, check):
