@@ -12,6 +12,10 @@ ENV_CONFIG_PATH = "PENNYFLIP_CONFIG"
 #: Largest group order parameter n accepted anywhere.
 N_MAX = 1024
 
+#: Most rounds of a game any search accepts: the ceiling of ``max_rounds``
+#: and the bound on listing winning strategies.
+ROUNDS_MAX = 12
+
 _RANGE_RE = re.compile(r"^\s*(\d+)\s*\.\.\s*(\d+)\s*$")
 
 
@@ -28,8 +32,9 @@ class Config:
         if not 3 <= self.n_min <= self.n_max <= N_MAX:
             raise ValueError(
                 f"n range [{self.n_min}, {self.n_max}] outside [3, {N_MAX}]")
-        if not 2 <= self.max_rounds <= 12:
-            raise ValueError(f"max_rounds {self.max_rounds} outside [2, 12]")
+        if not 2 <= self.max_rounds <= ROUNDS_MAX:
+            raise ValueError(
+                f"max_rounds {self.max_rounds} outside [2, {ROUNDS_MAX}]")
         if self.samples < 0 or self.seed < 0:
             raise ValueError("samples and seed must be nonnegative")
         # from 1 up every unitary.proportional test passes; NaN fails too

@@ -3,12 +3,12 @@
 Covers game specifications, play-out, classification, intermediate-state
 synthesis for the three-round game, and the closed-form decision procedure
 for arbitrary alternating games.  Winning-strategy enumeration and the
-finite brute-force check of that decision share one search over the sets of
-states reachable under the opponent's choices (the subset construction of
-Andronikos et al., Mathematics 6(2), 2018).  A set is an int bitmask over
-the state indices Z_2n, and each element of D_n moves it whole, by one
-cyclic rotation of the mask or of its reversal.  The CLI classifies the
-winners on their integer state paths (:func:`winning_classes`);
+finite brute-force check of that decision share one search over (turn,
+state index on Z_2n).  Where the subset construction of Andronikos et al.,
+Mathematics 6(2), 2018 follows the set of states reachable under the
+opponent's choices, the search follows single states, because a winning
+set never holds more than one.  The CLI classifies the winners on the
+integer state paths the search yields (:func:`winning_classes`);
 :func:`classify_strategies` replays the paths with the ``Fraction``
 :func:`~pennyflip.states.act` and stays as its oracle.
 """
@@ -22,6 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import dihedral
+from .config import ROUNDS_MAX
 from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
 from .errors import LengthMismatch, SearchBudgetExceeded
 from .orbits import fixed_set
@@ -167,100 +168,68 @@ def state_path(sigma: Strategy, initial: CoinState) -> tuple[CoinState, ...]:
     return tuple(path)
 
 
-#: A move of a whole state mask over Z_size: left and right shift amounts
-#: of a cyclic rotation, and whether the mask is reversed (j -> -j) first.
-_MaskMove = tuple[int, int, bool]
-
-
-def _mask_move(g: dihedral.DihedralElement, size: int) -> _MaskMove:
-    """r^k rotates a mask by ``r^k.act(0, size)``; r^k s rotates its
-    reversal by ``r^k s.act(0, size)``."""
-    s = g.act(0, size)
-    return s, size - s, g.reflect
-
-
 @functools.lru_cache(maxsize=8)
-def _pool(n: int, player: str) -> tuple[tuple[dihedral.DihedralElement, ...],
-                                         tuple[_MaskMove, ...]]:
-    """The elements of D_n *player* may play, in product order, with the
-    mask move of each."""
-    gs = (dihedral.elements(n) if player == "Q" else
-          tuple(dihedral.element_for_isometry(n, p) for p in PICARD_POOL))
-    return gs, tuple(_mask_move(g, 2 * n) for g in gs)
+def _pool(n: int, player: str) -> tuple[dihedral.DihedralElement, ...]:
+    """The elements of D_n *player* may play, in product order."""
+    return (dihedral.elements(n) if player == "Q" else
+            tuple(dihedral.element_for_isometry(n, p) for p in PICARD_POOL))
 
 
-def _images(moves: Iterable[_MaskMove], m: int, size: int) -> list[int]:
-    """The image of the state mask *m* over Z_size under each move: the
-    same set as ``g.act`` sends bit by bit, in one rotation per move."""
-    full = (1 << size) - 1
-    # the reversal j -> -j: reverse the bit string, then rotate by one
-    r = int(format(m, f"0{size}b")[::-1], 2)
-    r = ((r << 1) | (r >> (size - 1))) & full
-    return [((r << s) | (r >> t) if f else (m << s) | (m >> t)) & full
-            for s, t, f in moves]
+#: A winning line: the owner's move tuple and its state path, the indices on
+#: Z_2n of the initial state and of the state after each of the owner's moves.
+_Line = tuple[tuple[dihedral.DihedralElement, ...], tuple[int, ...]]
 
 
-def _winning_moves(spec: GameSpec, n: int, owner: str
-                   ) -> Iterator[tuple[dihedral.DihedralElement, ...]]:
+def _winning_moves(spec: GameSpec, n: int, owner: str) -> Iterator[_Line]:
     """Lazily yield every move tuple of *owner* that forces the coin to its
-    target whatever the opponent plays, in the product order of its pool:
-    Q plays all of :func:`dihedral.elements`, the classical player the
-    elements of :data:`PICARD_POOL`.
+    target whatever the opponent plays, with its state path, in the product
+    order of its pool: Q plays all of :func:`dihedral.elements`, the
+    classical player the elements of :data:`PICARD_POOL`.
 
-    The search walks (turn index, set of states reachable under the
-    opponent's choices), a set that depends only on the owner's own prefix:
-    the owner's turns branch over its pool, the opponent's turns take the
-    union of the images under all of its pool, and a move tuple wins iff the
-    final set is the target alone.  A set is an int bitmask over the indices
-    Z_2n, which each move carries whole with one rotation (:func:`_images`).
-    Moves permute a set and the opponent's turns only add to it, so a set of
-    two or more states never shrinks back to the single target and loses at
-    once.  Whether the owner can still force the target from a pair is
-    memoised for both outcomes, and the walk descends only into pairs where
-    it can.
+    The search walks (turn index, state index j), moving j with
+    :meth:`~pennyflip.dihedral.DihedralElement.act`.  Single states are
+    enough.  Against a fixed move tuple, the states reachable under the
+    opponent's choices form a set that each move permutes, and both pools
+    hold the identity, so the set never shrinks: it must stay the one state
+    that ends as the target.  So an owner's turn branches over its pool, and
+    an opponent's turn goes on only where all of its moves send j to one
+    state, which the identity makes j itself.  Whether the owner can still
+    force the target from (turn, j) is memoised for both outcomes, and the
+    walk descends only where it can.  Games longer than
+    :data:`~pennyflip.config.ROUNDS_MAX` rounds are refused.
     """
+    if len(spec.turns) > ROUNDS_MAX:
+        raise SearchBudgetExceeded(
+            f"{len(spec.turns)} rounds exceeds the bound of {ROUNDS_MAX}")
     size = 2 * n
-    own, own_moves = _pool(n, owner)
-    opp_all = _pool(n, "P" if owner == "Q" else "Q")[1]
-    opp_moves = tuple(dict.fromkeys(opp_all))
+    own = _pool(n, owner)
+    opp = _pool(n, "P" if owner == "Q" else "Q")
     owned = [t == owner for t in spec.turns]
     last = len(spec.turns)
-    target = 1 << (spec.target_q if owner == "Q" else spec.target_p).index(size)
-    memo: list[dict[int, bool]] = [{} for _ in spec.turns]
+    target = (spec.target_q if owner == "Q" else spec.target_p).index(size)
 
-    def union(m: int) -> int:
-        out = 0
-        for x in _images(opp_moves, m, size):
-            out |= x
-        return out
-
-    def wins(i: int, m: int) -> bool:
-        if i == last or m & (m - 1):
-            return m == target
-        seen = memo[i]
-        won = seen.get(m)
-        if won is None:
-            if owned[i]:
-                won = any(wins(i + 1, c) for c in
-                          dict.fromkeys(_images(own_moves, m, size)))
-            else:
-                won = wins(i + 1, union(m))
-            seen[m] = won
-        return won
-
-    def walk(i: int, m: int) -> Iterator[tuple[dihedral.DihedralElement, ...]]:
-        # entered only where wins(i, m) holds
+    @functools.cache
+    def wins(i: int, j: int) -> bool:
         if i == last:
-            yield ()
-        elif owned[i]:
-            for g, c in zip(own, _images(own_moves, m, size)):
-                if wins(i + 1, c):
-                    for rest in walk(i + 1, c):
-                        yield (g, *rest)
-        else:
-            yield from walk(i + 1, union(m))
+            return j == target
+        if owned[i]:
+            return any(wins(i + 1, g.act(j, size)) for g in own)
+        return all(g.act(j, size) == j for g in opp) and wins(i + 1, j)
 
-    start = 1 << spec.initial.index(size)
+    def walk(i: int, j: int) -> Iterator[_Line]:
+        # entered only where wins(i, j) holds
+        if i == last:
+            yield (), (j,)
+        elif owned[i]:
+            for g in own:
+                c = g.act(j, size)
+                if wins(i + 1, c):
+                    for moves, path in walk(i + 1, c):
+                        yield (g, *moves), (j, *path)
+        else:
+            yield from walk(i + 1, j)
+
+    start = spec.initial.index(size)
     return walk(0, start) if wins(0, start) else iter(())
 
 
@@ -274,15 +243,11 @@ def _represented(n: int) -> Mapping[dihedral.DihedralElement, PlanarIsometry]:
 
 def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
     """All of Q's winning move tuples drawn from D_n, in the product order
-    of :func:`dihedral.isometries`; the flip must lie in D_n.
-
-    Strategies are counted as tuples of isometries (matrix values), so
-    distinct symbolic elements with the same representation coincide.
-    """
+    of :func:`dihedral.isometries`; the flip must lie in D_n."""
     dihedral.require(n, PICARD_POOL)
     named = _represented(n)
     return [Strategy("Q", tuple(named[g] for g in moves))
-            for moves in _winning_moves(spec, n, "Q")]
+            for moves, _ in _winning_moves(spec, n, "Q")]
 
 
 def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
@@ -290,23 +255,17 @@ def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
     of :func:`classify_strategies` over :func:`enumerate_winning_strategies`,
     in the same order, without replaying a move on a ``CoinState``.
 
-    Each winner's path is followed on the indices Z_2n with
-    :meth:`~pennyflip.dihedral.DihedralElement.act`.  On one grid
-    ``phi = j / 2n``, so the index paths sort as the ``phi`` paths do, and
-    the representative is the first member in product order."""
+    Winners are grouped on the index path the search yields with them.  On
+    one grid ``phi = j / 2n``, so the index paths sort as the ``phi`` paths
+    do, and the representative is the first member in product order."""
     dihedral.require(n, PICARD_POOL)
     named = _represented(n)
-    size = 2 * n
-    start = spec.initial.index(size)
     groups: dict[tuple[int, ...], list[Strategy]] = {}
-    for moves in _winning_moves(spec, n, "Q"):
-        path = [start]
-        for g in moves:
-            path.append(g.act(path[-1], size))
-        groups.setdefault(tuple(path), []).append(
+    for moves, path in _winning_moves(spec, n, "Q"):
+        groups.setdefault(path, []).append(
             Strategy("Q", tuple(named[g] for g in moves)))
     return [StrategyClass(groups[path][0], frozenset(groups[path]),
-                          tuple(CoinState.of(j, size) for j in path))
+                          tuple(CoinState.of(j, 2 * n) for j in path))
             for path in sorted(groups)]
 
 
@@ -382,11 +341,11 @@ def brute_force_extended_check(spec: GameSpec, n: int = 8,
         raise SearchBudgetExceeded(
             f"{len(spec.turns)} rounds exceeds the bound of {max_rounds}")
     dihedral.require(n, (FLIP, HADAMARD))
-    q_moves = next(_winning_moves(spec, n, "Q"), None)
-    p_moves = next(_winning_moves(spec, n, "P"), None)
-    strategy = (Strategy("Q", tuple(map(dihedral.represent, q_moves)))
-                if q_moves is not None else None)
-    return Decision(q_moves is not None, strategy, p_moves is not None)
+    q_win = next(_winning_moves(spec, n, "Q"), None)
+    p_win = next(_winning_moves(spec, n, "P"), None)
+    strategy = (Strategy("Q", tuple(map(dihedral.represent, q_win[0])))
+                if q_win is not None else None)
+    return Decision(q_win is not None, strategy, p_win is not None)
 
 
 def alternating_turn_sequences(min_rounds: int = 2,

@@ -277,6 +277,15 @@ CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n"}
     pytest.param(["enumerate", "--n", "-4"], 2, id="enumerate-n-negative"),
     pytest.param(["enumerate", "--n", "2"], 2, id="enumerate-n-2"),
     pytest.param(["classify", "--n", "0"], 2, id="classify-n-0"),
+    # listings stop at 12 rounds; 1201 rounds once overflowed the recursion
+    pytest.param(["enumerate", "--n", "8", "--turns", "QP" * 6 + "Q"], 3,
+                 id="enumerate-13-rounds"),
+    pytest.param(["classify", "--n", "8", "--turns", "QP" * 6 + "Q"], 3,
+                 id="classify-13-rounds"),
+    pytest.param(["enumerate", "--n", "8", "--turns", "QP" * 600 + "Q"], 3,
+                 id="enumerate-1201-rounds"),
+    pytest.param(["classify", "--n", "8", "--turns", "QP" * 600 + "Q"], 3,
+                 id="classify-1201-rounds"),
     pytest.param(["stabilizer", "--n", "0"], 2, id="stabilizer-n-0"),
     pytest.param(["fixed-set", "--n", "0"], 2, id="fixed-set-n-0"),
     pytest.param(["orbit", "--n", "1025"], 2, id="orbit-n-above-max"),
