@@ -12,8 +12,7 @@ ENV_CONFIG_PATH = "PENNYFLIP_CONFIG"
 #: Largest group order parameter n accepted anywhere.
 N_MAX = 1024
 
-#: Most rounds of a game any search accepts: the ceiling of ``max_rounds``
-#: and the bound on listing winning strategies.
+#: Most rounds of a game any search accepts, and the ceiling of ``max_rounds``.
 ROUNDS_MAX = 12
 
 _RANGE_RE = re.compile(r"^\s*(\d+)\s*\.\.\s*(\d+)\s*$")

@@ -136,8 +136,12 @@ class PlanarIsometry:
         return ((c, s), (s, -c))
 
     def __str__(self) -> str:
-        """Octagon-style name: I, F and H by letter, R_π and S_0, then
-        R_{mπ/8} / S_{mπ/8} on the eighth grid and the exact angle off it."""
+        return self._name
+
+    @functools.cached_property
+    def _name(self) -> str:
+        """Octagon-style name, built once: I, F and H by letter, R_π and
+        S_0, R_{mπ/8} / S_{mπ/8} on the eighth grid, else the exact angle."""
         name = _LETTERS.get(self)
         if name is not None:
             return name

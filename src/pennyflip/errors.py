@@ -22,7 +22,7 @@ class LengthMismatch(PennyflipError):
 
 
 class SearchBudgetExceeded(PennyflipError):
-    """Brute-force game search asked for more rounds than the bound allows."""
+    """A game search asked for more rounds than the bound allows."""
 
 
 class NotUnitary(PennyflipError):

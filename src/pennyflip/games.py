@@ -7,10 +7,9 @@ finite brute-force check of that decision share one search over (turn,
 state index on Z_2n).  Where the subset construction of Andronikos et al.,
 Mathematics 6(2), 2018 follows the set of states reachable under the
 opponent's choices, the search follows single states, because a winning
-set never holds more than one.  The CLI classifies the winners on the
-integer state paths the search yields (:func:`winning_classes`);
-:func:`classify_strategies` replays the paths with the ``Fraction``
-:func:`~pennyflip.states.act` and stays as its oracle.
+set never holds more than one.  It yields each class of winners whole, as
+a state path and a product of stabilizer cosets (:func:`winning_classes`);
+:func:`classify_strategies`, a ``Fraction`` replay, stays as its oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import dihedral
 from .config import ROUNDS_MAX
@@ -30,8 +28,6 @@ from .states import BASIS, CoinState, act, win_probability
 
 #: The classical player's repertoire: leave the coin alone or flip it.
 PICARD_POOL: tuple[PlanarIsometry, ...] = (IDENTITY, FLIP)
-
-DEFAULT_MAX_ROUNDS = 9
 
 
 @dataclass(frozen=True)
@@ -175,27 +171,40 @@ def _pool(n: int, player: str) -> tuple[dihedral.DihedralElement, ...]:
             tuple(dihedral.element_for_isometry(n, p) for p in PICARD_POOL))
 
 
-#: A winning line: the owner's move tuple and its state path, the indices on
-#: Z_2n of the initial state and of the state after each of the owner's moves.
-_Line = tuple[tuple[dihedral.DihedralElement, ...], tuple[int, ...]]
+#: Pool elements that send one state to another, in pool order: a coset.
+_Coset = tuple[dihedral.DihedralElement, ...]
+#: A winning class: its state path on Z_2n and the coset of each owner turn.
+_Line = tuple[tuple[int, ...], tuple[_Coset, ...]]
+
+
+@functools.lru_cache(maxsize=64)
+def _images(n: int, player: str, j: int) -> tuple[tuple[int, _Coset], ...]:
+    """Each image of state j of Z_2n under *player*'s pool, with its coset,
+    both in pool order."""
+    by_image: dict[int, list[dihedral.DihedralElement]] = {}
+    for g in _pool(n, player):
+        by_image.setdefault(g.act(j, 2 * n), []).append(g)
+    return tuple((c, tuple(gs)) for c, gs in by_image.items())
 
 
 def _winning_moves(spec: GameSpec, n: int, owner: str) -> Iterator[_Line]:
-    """Lazily yield every move tuple of *owner* that forces the coin to its
-    target whatever the opponent plays, with its state path, in the product
-    order of its pool: Q plays all of :func:`dihedral.elements`, the
-    classical player the elements of :data:`PICARD_POOL`.
+    """Lazily yield each class of *owner*'s winning move tuples, those that
+    force the coin to its target whatever the opponent plays, as its state
+    path on Z_2n and the coset of each of the owner's turns along it.  The
+    class is the product of its cosets, and the first elements of the first
+    class make the first winner in product order.  Q plays
+    :func:`dihedral.elements`, the classical player :data:`PICARD_POOL`.
 
     The search walks (turn index, state index j), moving j with
     :meth:`~pennyflip.dihedral.DihedralElement.act`.  Single states are
     enough.  Against a fixed move tuple, the states reachable under the
     opponent's choices form a set that each move permutes, and both pools
     hold the identity, so the set never shrinks: it must stay the one state
-    that ends as the target.  So an owner's turn branches over its pool, and
-    an opponent's turn goes on only where all of its moves send j to one
-    state, which the identity makes j itself.  Whether the owner can still
-    force the target from (turn, j) is memoised for both outcomes, and the
-    walk descends only where it can.  Games longer than
+    that ends as the target.  So an owner's turn branches once per image of
+    j, and an opponent's turn goes on only where all of its moves send j to
+    one state, which the identity makes j itself.  Whether the owner can
+    still force the target from (turn, j) is memoised for both outcomes,
+    and the walk descends only where it can.  Games longer than
     :data:`~pennyflip.config.ROUNDS_MAX` rounds are refused.
     """
     if len(spec.turns) > ROUNDS_MAX:
@@ -219,13 +228,12 @@ def _winning_moves(spec: GameSpec, n: int, owner: str) -> Iterator[_Line]:
     def walk(i: int, j: int) -> Iterator[_Line]:
         # entered only where wins(i, j) holds
         if i == last:
-            yield (), (j,)
+            yield (j,), ()
         elif owned[i]:
-            for g in own:
-                c = g.act(j, size)
+            for c, gs in _images(n, owner, j):
                 if wins(i + 1, c):
-                    for moves, path in walk(i + 1, c):
-                        yield (g, *moves), (j, *path)
+                    for path, cosets in walk(i + 1, c):
+                        yield (j, *path), (gs, *cosets)
         else:
             yield from walk(i + 1, j)
 
@@ -233,21 +241,15 @@ def _winning_moves(spec: GameSpec, n: int, owner: str) -> Iterator[_Line]:
     return walk(0, start) if wins(0, start) else iter(())
 
 
-@functools.lru_cache(maxsize=8)
-def _represented(n: int) -> Mapping[dihedral.DihedralElement, PlanarIsometry]:
-    """Each element of D_n with the isometry that represents it, read-only
-    because every caller shares it."""
-    return MappingProxyType(dict(zip(dihedral.elements(n),
-                                     dihedral.isometries(n))))
-
-
 def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
     """All of Q's winning move tuples drawn from D_n, in the product order
     of :func:`dihedral.isometries`; the flip must lie in D_n."""
     dihedral.require(n, PICARD_POOL)
-    named = _represented(n)
-    return [Strategy("Q", tuple(named[g] for g in moves))
-            for moves, _ in _winning_moves(spec, n, "Q")]
+    winners = sorted((moves for _, cosets in _winning_moves(spec, n, "Q")
+                      for moves in itertools.product(*cosets)),
+                     key=lambda moves: [(g.reflect, g.k) for g in moves])
+    return [Strategy("Q", tuple(map(dihedral.represent, moves)))
+            for moves in winners]
 
 
 def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
@@ -255,18 +257,17 @@ def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
     of :func:`classify_strategies` over :func:`enumerate_winning_strategies`,
     in the same order, without replaying a move on a ``CoinState``.
 
-    Winners are grouped on the index path the search yields with them.  On
-    one grid ``phi = j / 2n``, so the index paths sort as the ``phi`` paths
-    do, and the representative is the first member in product order."""
+    The search yields each class with an index path of its own; on one grid
+    ``phi = j / 2n``, so these sort as the ``phi`` paths do."""
     dihedral.require(n, PICARD_POOL)
-    named = _represented(n)
-    groups: dict[tuple[int, ...], list[Strategy]] = {}
-    for moves, path in _winning_moves(spec, n, "Q"):
-        groups.setdefault(path, []).append(
-            Strategy("Q", tuple(named[g] for g in moves)))
-    return [StrategyClass(groups[path][0], frozenset(groups[path]),
-                          tuple(CoinState.of(j, 2 * n) for j in path))
-            for path in sorted(groups)]
+    classes = []
+    for path, cosets in sorted(_winning_moves(spec, n, "Q")):
+        members = [Strategy("Q", moves) for moves in itertools.product(
+            *(map(dihedral.represent, gs) for gs in cosets))]
+        classes.append(StrategyClass(
+            members[0], frozenset(members),
+            tuple(CoinState.of(j, 2 * n) for j in path)))
+    return classes
 
 
 def classify_strategies(strategies: Iterable[Strategy],
@@ -332,24 +333,19 @@ def decide_extended_game(spec: GameSpec) -> Decision:
     return Decision(False)
 
 
-def brute_force_extended_check(spec: GameSpec, n: int = 8,
-                               max_rounds: int = DEFAULT_MAX_ROUNDS) -> Decision:
+def brute_force_extended_check(spec: GameSpec, n: int = 8) -> Decision:
     """Exhaustive search over the finite pool D_n for both players' winning
     strategies; the witness is Q's first winning move tuple in product order.
     """
-    if len(spec.turns) > max_rounds:
-        raise SearchBudgetExceeded(
-            f"{len(spec.turns)} rounds exceeds the bound of {max_rounds}")
     dihedral.require(n, (FLIP, HADAMARD))
     q_win = next(_winning_moves(spec, n, "Q"), None)
     p_win = next(_winning_moves(spec, n, "P"), None)
-    strategy = (Strategy("Q", tuple(map(dihedral.represent, q_win[0])))
-                if q_win is not None else None)
+    strategy = (None if q_win is None else Strategy(
+        "Q", tuple(dihedral.represent(gs[0]) for gs in q_win[1])))
     return Decision(q_win is not None, strategy, p_win is not None)
 
 
-def alternating_turn_sequences(min_rounds: int = 2,
-                               max_rounds: int = DEFAULT_MAX_ROUNDS
+def alternating_turn_sequences(min_rounds: int, max_rounds: int
                                ) -> list[tuple[str, ...]]:
     """Both alternating sequences for every length in the range."""
     return [tuple("PQ"[(first + i) % 2] for i in range(length))

@@ -139,7 +139,7 @@ def check_extended_games(cfg: Config):
         spec = GameSpec.from_string("".join(turns), initial, target_q)
         n_games += 1
         decided = decide_extended_game(spec)
-        brute = games.brute_force_extended_check(spec, 8, cfg.max_rounds)
+        brute = games.brute_force_extended_check(spec, 8)
         label = f"{''.join(turns)}/{initial}->{target_q}"
         if (decided.q_wins != brute.q_wins
                 or decided.q_wins != (turns[0] == "Q" == turns[-1])

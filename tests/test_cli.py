@@ -154,6 +154,12 @@ class TestGameCommands:
         assert result.exit_code == 0
         assert json.loads(result.output)["bruteForceAgrees"] is True
 
+    def test_analyze_checks_up_to_the_round_bound(self, runner):
+        result = invoke(runner, "analyze", "--turns", "QPQPQPQPQPQ",
+                        "--check", "--pool-n", "1024")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["bruteForceAgrees"] is True
+
 
 class TestSampleU2:
     def test_small_run(self, runner):
@@ -291,6 +297,8 @@ CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n"}
     pytest.param(["orbit", "--n", "1025"], 2, id="orbit-n-above-max"),
     pytest.param(["analyze", "--turns", "QPQ", "--check", "--pool-n", "0"], 2,
                  id="analyze-pool-n-0"),
+    pytest.param(["analyze", "--turns", "QP" * 6 + "Q", "--check"], 3,
+                 id="analyze-13-rounds-check"),
     pytest.param(["sample-u2", "--samples", "-1"], 2,
                  id="sample-u2-negative-samples"),
     pytest.param(["sample-u2", "--seed", "-1"], 2, id="sample-u2-negative-seed"),

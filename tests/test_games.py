@@ -176,6 +176,25 @@ class TestWinningClasses:
         with pytest.raises(SearchBudgetExceeded):
             winning_classes(GameSpec.from_string("QP" * 6 + "Q"), 8)
 
+    @pytest.mark.parametrize("turns", ["QPQ", "QPQPQ", "QPQPQPQ"])
+    def test_classes_are_products_of_stabilizer_cosets(self, turns):
+        for spec in all_specs(turns):
+            assert_coset_classes(spec, (16, 1024))
+
+    def test_nine_rounds_at_d1024(self):
+        assert_coset_classes(GameSpec.from_string("QPQPQPQPQ"), (1024,))
+
+
+def assert_coset_classes(spec, sizes):
+    """Q moves first and last: each of the q - 1 intermediate states is |+>
+    or |->, and each of the q moves has a stabilizer coset of 4 choices,
+    the same in D_8 as in every larger D_n with 8 | n."""
+    q = spec.turn_count("Q")
+    in_d8 = winning_classes(spec, 8)
+    assert [c.size for c in in_d8] == [4 ** q] * 2 ** (q - 1)
+    for n in sizes:
+        assert winning_classes(spec, n) == in_d8
+
 
 class TestDominance:
     def test_hadamard_pair_is_dominant(self):
@@ -309,9 +328,9 @@ class TestExtendedGames:
                     assert is_winning_strategy(spec, decision.strategy)
 
     def test_round_budget(self):
-        spec = GameSpec.from_string("QP" * 5)
+        spec = GameSpec.from_string("QP" * 6 + "Q")
         with pytest.raises(SearchBudgetExceeded):
-            brute_force_extended_check(spec, max_rounds=9)
+            brute_force_extended_check(spec)
 
     def test_pool_requires_eighth_roots(self):
         with pytest.raises(FNotInGroup):
