@@ -126,8 +126,7 @@ def enumerate(n: int, turns: str, initial: str, target_q: str | None,
     spec = _game_spec(turns, initial, target_q)
     classes = games.winning_classes(spec, n)
     if fmt == "json":
-        click.echo(reports.dump_json(reports.game_report(
-            spec, None, classes, sum(c.size for c in classes))))
+        click.echo(reports.dump_json(reports.game_report(spec, None, classes)))
     else:
         click.echo(reports.table_winning_classes(classes, spec.turns))
 
@@ -150,7 +149,7 @@ def classify(n: int, turns: str, initial: str, target_q: str | None,
     else:
         for c in classes:
             click.echo(f"{reports.path_name(c.path)}: {c.size} strategies, "
-                       f"e.g. {c.representative}")
+                       f"e.g. {next(c.members)}")
 
 
 @main.command()
@@ -167,7 +166,7 @@ def analyze(turns: str, initial: str, target_q: str | None, check: bool,
     """Decide an extended alternating game."""
     spec = _game_spec(turns, initial, target_q)
     decision = games.decide_extended_game(spec)
-    payload = reports.game_report(spec, decision, [], 0)
+    payload = reports.game_report(spec, decision, [])
     if decision.strategy is not None:
         payload["strategy"] = str(decision.strategy)
     if check:

@@ -8,7 +8,8 @@ state index on Z_2n).  Where the subset construction of Andronikos et al.,
 Mathematics 6(2), 2018 follows the set of states reachable under the
 opponent's choices, the search follows single states, because a winning
 set never holds more than one.  It yields each class of winners whole, as
-a state path and a product of stabilizer cosets (:func:`winning_classes`);
+a state path and a product of stabilizer cosets, and a class keeps just
+these (:func:`winning_classes`), building members only when asked;
 :func:`classify_strategies`, a ``Fraction`` replay, stays as its oracle.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -82,15 +84,21 @@ class Strategy:
 
 @dataclass(frozen=True)
 class StrategyClass:
-    """An equivalence class of strategies sharing one state path."""
+    """A class of Q's winners sharing one state path: the product of its
+    cosets, one tuple of the moves that take the coin along it per Q turn.
+    Members are built lazily in product order; the first represents it."""
 
-    representative: Strategy
-    members: frozenset[Strategy]
     path: tuple[CoinState, ...]
+    cosets: tuple[tuple[PlanarIsometry, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return math.prod(map(len, self.cosets))
+
+    @property
+    def members(self) -> Iterator[Strategy]:
+        return (Strategy("Q", moves)
+                for moves in itertools.product(*self.cosets))
 
 
 @dataclass(frozen=True)
@@ -253,31 +261,27 @@ def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
 
 
 def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
-    """Q's winning strategies in D_n partitioned by state path: the classes
-    of :func:`classify_strategies` over :func:`enumerate_winning_strategies`,
+    """Q's winning strategies in D_n partitioned by state path: the pairs of
+    :func:`classify_strategies` over :func:`enumerate_winning_strategies`,
     in the same order, without replaying a move on a ``CoinState``.
 
     The search yields each class with an index path of its own; on one grid
     ``phi = j / 2n``, so these sort as the ``phi`` paths do."""
     dihedral.require(n, PICARD_POOL)
-    classes = []
-    for path, cosets in sorted(_winning_moves(spec, n, "Q")):
-        members = [Strategy("Q", moves) for moves in itertools.product(
-            *(map(dihedral.represent, gs) for gs in cosets))]
-        classes.append(StrategyClass(
-            members[0], frozenset(members),
-            tuple(CoinState.of(j, 2 * n) for j in path)))
-    return classes
+    return [StrategyClass(tuple(CoinState.of(j, 2 * n) for j in path),
+                          tuple(tuple(map(dihedral.represent, gs))
+                                for gs in cosets))
+            for path, cosets in sorted(_winning_moves(spec, n, "Q"))]
 
 
-def classify_strategies(strategies: Iterable[Strategy],
-                        initial: CoinState) -> list[StrategyClass]:
-    """Partition by equality of state paths; deterministic path order."""
+def classify_strategies(strategies: Iterable[Strategy], initial: CoinState
+                        ) -> list[tuple[tuple[CoinState, ...], list[Strategy]]]:
+    """Partition by equality of state paths: ``(path, members)`` pairs,
+    paths in ascending ``phi`` order, members in input order."""
     groups: dict[tuple[CoinState, ...], list[Strategy]] = {}
     for sigma in strategies:
         groups.setdefault(state_path(sigma, initial), []).append(sigma)
-    return [StrategyClass(groups[path][0], frozenset(groups[path]), path)
-            for path in sorted(groups, key=lambda p: tuple(s.phi for s in p))]
+    return sorted(groups.items(), key=lambda item: [s.phi for s in item[0]])
 
 
 def is_dominant(spec: GameSpec, sigma: Strategy,

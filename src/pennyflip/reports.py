@@ -45,20 +45,19 @@ def class_json(cls: StrategyClass) -> dict:
     return {
         "path": [str(s) for s in cls.path],
         "size": cls.size,
-        "representative": str(cls.representative),
+        "representative": str(next(cls.members)),
     }
 
 
 def game_report(spec: GameSpec, decision: Decision | None,
-                classes: Sequence[StrategyClass],
-                strategy_count: int) -> dict:
+                classes: Sequence[StrategyClass]) -> dict:
     return {
         "schemaVersion": SCHEMA_VERSION,
         "turns": "".join(spec.turns),
         "initial": str(spec.initial),
         "targets": {"Q": str(spec.target_q), "P": str(spec.target_p)},
         "decision": decision.summary if decision is not None else None,
-        "strategyCount": strategy_count,
+        "strategyCount": sum(c.size for c in classes),
         "classes": [class_json(c) for c in classes],
     }
 
@@ -89,7 +88,7 @@ def table_winning_classes(classes: Sequence[StrategyClass],
                  str(cls.path[0])]
         step = 0
         for turn in turns:
-            step += turn == cls.representative.owner
+            step += turn == "Q"
             cells.append(str(cls.path[step]))
         rows.append(cells)
     return _md_table(header, rows)

@@ -36,20 +36,21 @@ def check_winning_classes_d8(cfg: Config):
     spec = games.PQG
     winners = games.enumerate_winning_strategies(spec, 8)
     classes = games.classify_strategies(winners, spec.initial)
-    paths = tuple(c.path for c in classes)
+    paths = tuple(path for path, _ in classes)
     synthesized = games.synthesize_by_intermediate_states(spec, 8)
     ok = (len(winners) == 32 and len(classes) == 2
-          and all(c.size == 16 for c in classes)
+          and all(len(members) == 16 for _, members in classes)
           and paths == EXPECTED_PATHS
-          and games.winning_classes(spec, 8) == classes
+          and [(c.path, list(c.members))
+               for c in games.winning_classes(spec, 8)] == classes
           and {s.moves for s in synthesized} == {s.moves for s in winners}
           and all(games.verify_characteristic_properties(spec, s)
                   for s in winners)
-          and all(games.is_dominant(spec, c.representative, isometries(8))
-                  for c in classes))
+          and all(games.is_dominant(spec, members[0], isometries(8))
+                  for _, members in classes))
     return ok, {"strategies": len(winners),
-                "classSizes": [c.size for c in classes],
-                "paths": [[str(s) for s in c.path] for c in classes]}
+                "classSizes": [len(members) for _, members in classes],
+                "paths": [[str(s) for s in path] for path in paths]}
 
 
 def check_winning_classes_stable(cfg: Config):
@@ -62,9 +63,10 @@ def check_winning_classes_stable(cfg: Config):
         synthesized = games.synthesize_by_intermediate_states(games.PQG, n)
         same = ({s.moves for s in winners} == base
                 and {s.moves for s in synthesized} == base
-                and tuple(c.path for c in classes) == EXPECTED_PATHS
-                and all(c.size == 16 for c in classes)
-                and games.winning_classes(games.PQG, n) == classes)
+                and tuple(path for path, _ in classes) == EXPECTED_PATHS
+                and all(len(members) == 16 for _, members in classes)
+                and [(c.path, list(c.members))
+                     for c in games.winning_classes(games.PQG, n)] == classes)
         details[f"D_{n}"] = {"strategies": len(winners), "identical": same}
         ok = ok and same
     return ok, details

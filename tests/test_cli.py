@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pennyflip import unitary
+from pennyflip import games, unitary
 from pennyflip.angles import Angle
 from pennyflip.cli import main, parse_isometry
 from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
@@ -83,8 +83,9 @@ def game_listing(command, fmt, target):
 
 
 def listing_golden(command, fmt, target):
-    """The pinned stdout of :func:`game_listing`, as the ``Fraction``
-    replay of :func:`pennyflip.games.classify_strategies` renders it."""
+    """The pinned stdout of :func:`game_listing`, as rendered when the
+    listings classified winners by the ``Fraction`` replay of
+    :func:`pennyflip.games.classify_strategies`."""
     ext = "json" if fmt == "json" else "md"
     name = f"{command}_n8_QPQPQ_0to{target}.{ext}"
     return (Path(__file__).parent / "golden" / name).read_bytes()
@@ -136,6 +137,47 @@ class TestGameCommands:
                 assert result.exit_code == 0
                 assert result.stdout_bytes == listing_golden(command, fmt,
                                                              "0")
+
+    def test_listings_without_members_build_one_strategy_per_class(
+            self, runner, monkeypatch):
+        built = []
+        real = games.Strategy
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+        monkeypatch.setattr(games, "Strategy", counting)
+        largest = ("--n", "1024", "--turns", "QPQPQPQPQPQ")
+        for command, fmt in (("enumerate", "json"), ("classify", "json"),
+                             ("classify", "markdown")):
+            runs = [(game_listing(command, fmt, target),
+                     listing_golden(command, fmt, target))
+                    for target in ("0", "1")]
+            runs.append(((command, *largest, "--format", fmt), None))
+            for args, golden in runs:
+                built.clear()
+                result = invoke(runner, *args)
+                assert result.exit_code == 0
+                assert golden is None or result.stdout_bytes == golden
+                if fmt == "markdown":
+                    classes = len(result.output.splitlines())
+                else:
+                    payload = json.loads(result.output)
+                    classes = len(payload["classes"] if command == "enumerate"
+                                  else payload)
+                assert classes > 0 and len(built) == classes, args
+                if golden is None:
+                    assert classes == 32
+
+    def test_largest_listing_the_round_bound_admits(self, runner):
+        turns = ("--turns", "QPQPQPQPQPQ")
+        large = invoke(runner, "enumerate", "--n", "1024", *turns)
+        small = invoke(runner, "enumerate", "--n", "8", *turns)
+        assert large.exit_code == small.exit_code == 0
+        assert large.stdout_bytes == small.stdout_bytes
+        payload = json.loads(large.output)
+        assert payload["strategyCount"] == 131072 == 2 ** (3 * 6 - 1)
+        assert [c["size"] for c in payload["classes"]] == [4096] * 32
 
     def test_analyze_markdown(self, runner):
         result = invoke(runner, "analyze", "--turns", "QPQ",

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,7 +8,7 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
                                 isometries)
 from pennyflip.errors import FNotInGroup, LengthMismatch, SearchBudgetExceeded
 from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy,
-                             StrategyClass, alternating_turn_sequences,
+                             alternating_turn_sequences,
                              brute_force_extended_check, classify_strategies,
                              decide_extended_game,
                              enumerate_winning_strategies, is_dominant,
@@ -122,43 +123,49 @@ class TestClassification:
     def test_two_classes_of_16(self):
         classes = classify_strategies(
             enumerate_winning_strategies(PQG, 8), KET_ZERO)
-        assert [c.size for c in classes] == [16, 16]
-        assert classes[0].path == (KET_ZERO, KET_PLUS, KET_ZERO)
-        assert classes[1].path == (KET_ZERO, KET_MINUS, KET_ZERO)
+        assert [(path, len(members)) for path, members in classes] == [
+            ((KET_ZERO, KET_PLUS, KET_ZERO), 16),
+            ((KET_ZERO, KET_MINUS, KET_ZERO), 16)]
 
     def test_singleton(self):
         sigma = q_strategy(HADAMARD, HADAMARD)
-        classes = classify_strategies([sigma], KET_ZERO)
-        assert len(classes) == 1 and classes[0].members == frozenset({sigma})
+        assert classify_strategies([sigma], KET_ZERO) == [
+            ((KET_ZERO, KET_PLUS, KET_ZERO), [sigma])]
 
     def test_equivalent_pair_merges(self):
-        classes = classify_strategies(
-            [q_strategy(HADAMARD, HADAMARD), q_strategy(R2, R14)], KET_ZERO)
-        assert len(classes) == 1 and classes[0].size == 2
+        pair = [q_strategy(HADAMARD, HADAMARD), q_strategy(R2, R14)]
+        assert classify_strategies(pair, KET_ZERO) == [
+            ((KET_ZERO, KET_PLUS, KET_ZERO), pair)]
 
 
 def class_mismatches(classes_of):
     """The (spec, n) cases of every alternating game of 2-7 rounds, every
     4 | n <= 32 and all four initial/target pairs where *classes_of* differs
-    from the Fraction replay, lazily.  Class equality compares the path, the
-    representative and the member set, and list equality the class order."""
+    from the Fraction replay, lazily.  The comparison is of ordered
+    ``(path, members)`` lists, so it pins the class order, the member order
+    and with it the representative; each class's size must count its
+    members."""
     for turns in alternating_turn_sequences(2, 7):
         for spec in all_specs("".join(turns)):
             for n in range(4, 33, 4):
-                if classes_of(spec, n) != classify_strategies(
+                listed = []
+                for c in classes_of(spec, n):
+                    members = list(c.members)
+                    assert c.size == len(members)
+                    listed.append((c.path, members))
+                if listed != classify_strategies(
                         enumerate_winning_strategies(spec, n), spec.initial):
                     yield spec, n
 
 
 def final_state_classes(spec, n):
-    """A mutant of :func:`winning_classes` that groups by the final state
-    alone."""
+    """A mutant of :func:`winning_classes` that merges the member lists of
+    classes with the same final state."""
     groups = {}
     for c in winning_classes(spec, n):
-        groups.setdefault(c.path[-1], []).append(c)
-    return [StrategyClass(cs[0].representative,
-                          frozenset().union(*(c.members for c in cs)),
-                          cs[0].path) for cs in groups.values()]
+        groups.setdefault(c.path[-1], (c.path, []))[1].extend(c.members)
+    return [SimpleNamespace(path=path, members=members, size=len(members))
+            for path, members in groups.values()]
 
 
 class TestWinningClasses:

@@ -5,9 +5,8 @@ from pennyflip.angles import Angle
 from pennyflip.cli import parse_isometry
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
                                 isometries)
-from pennyflip.games import (PQG, GameSpec, Strategy, classify_strategies,
-                             decide_extended_game,
-                             enumerate_winning_strategies)
+from pennyflip.games import (PQG, GameSpec, Strategy, decide_extended_game,
+                             winning_classes)
 from pennyflip.orbits import stabilizer
 from pennyflip.reports import (dump_json, element_set_json,
                                element_set_name, game_report, path_name,
@@ -18,8 +17,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def classes_d8():
-    winners = enumerate_winning_strategies(PQG, 8)
-    return winners, classify_strategies(winners, KET_ZERO)
+    return winning_classes(PQG, 8)
 
 
 R, S = PlanarIsometry.rotor, PlanarIsometry.reflector
@@ -76,8 +74,7 @@ class TestNaming:
 
 class TestMarkdownTables:
     def test_winning_classes_table_matches_golden(self):
-        _, classes = classes_d8()
-        rendered = table_winning_classes(classes, PQG.turns)
+        rendered = table_winning_classes(classes_d8(), PQG.turns)
         assert rendered == (GOLDEN / "table_winning_classes.md").read_text()
         for required in ("(H, H)", "(R_{2π/8}, R_{14π/8})",
                          "(S_{5π/8}, S_{5π/8})", "(S_{7π/8}, S_{7π/8})",
@@ -86,8 +83,7 @@ class TestMarkdownTables:
 
     def test_winning_classes_table_follows_the_turns(self):
         spec = GameSpec.from_string("QPQPQ")
-        classes = classify_strategies(
-            enumerate_winning_strategies(spec, 8), spec.initial)
+        classes = winning_classes(spec, 8)
         lines = table_winning_classes(classes, spec.turns).splitlines()
         assert classes and len(lines) == 2 + len(classes)
         for line in lines:
@@ -97,16 +93,12 @@ class TestMarkdownTables:
 
 class TestJson:
     def test_game_report_matches_golden(self):
-        winners, classes = classes_d8()
-        payload = game_report(PQG, decide_extended_game(PQG), classes,
-                              len(winners))
+        payload = game_report(PQG, decide_extended_game(PQG), classes_d8())
         rendered = dump_json(payload) + "\n"
         assert rendered == (GOLDEN / "game_report.json").read_text()
 
     def test_report_is_deterministic_and_parseable(self):
-        winners, classes = classes_d8()
-        payload = game_report(PQG, decide_extended_game(PQG), classes,
-                              len(winners))
+        payload = game_report(PQG, decide_extended_game(PQG), classes_d8())
         a, b = dump_json(payload), dump_json(payload)
         assert a == b
         parsed = json.loads(a)
