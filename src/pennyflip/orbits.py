@@ -2,8 +2,12 @@
 
 A state phi = a/b (in units of pi) is the index j = phi*N on Z_N with
 N = lcm(2n, b), where D_n acts by integer arithmetic; the basis orbit lies
-on N = 2n, with |0> at 0 and |1> at n.  Fixed sets are taken over the
-basis orbit, which keeps the operation decidable by enumeration.
+on N = 2n, with |0> at 0 and |1> at n.  An orbit is two cosets of dZ_N,
+d = gcd(2N/n, N): j + dZ_N from the rotations, -j + dZ_N from the
+reflections.  A stabilizer is decided element by element with
+:meth:`DihedralElement.act`, so |orbit|*|stabilizer| = 2n stays a check.
+Fixed sets are taken over the basis orbit's indices; a :class:`CoinState`
+is built only for an index that is returned.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from .states import CoinState
 
 
 def index_orbit(n: int, j: int, size: int) -> set[int]:
-    """Indices reachable from *j* on Z_size under all 2n elements."""
-    return {g.act(j, size) for g in dihedral.elements(n)}
+    """Indices reachable from *j* on Z_size: the cosets +-j + dZ_size."""
+    d = math.gcd(2 * size // n, size)
+    return {*range(j % d, size, d), *range(-j % d, size, d)}
 
 
 def index_stabilizer(n: int, j: int, size: int) -> tuple[DihedralElement, ...]:
@@ -53,6 +58,6 @@ def fixed_set(n: int, ps: Sequence[PlanarIsometry]) -> tuple[CoinState, ...]:
     lie in D_n (the flip needs 4 | n), else :class:`FNotInGroup` is raised."""
     dihedral.require(n, ps)
     gs = [dihedral.element_for_isometry(n, p) for p in ps]
-    return tuple(x for x in orbit_of_basis(n)
-                 if all(g.act(x.index(2 * n), 2 * n) == x.index(2 * n)
-                        for g in gs))
+    basis = index_orbit(n, 0, 2 * n) | index_orbit(n, n, 2 * n)
+    return tuple(CoinState.of(j, 2 * n) for j in sorted(basis)
+                 if all(g.act(j, 2 * n) == j for g in gs))

@@ -12,6 +12,7 @@ and game search act on grid indices instead (:meth:`CoinState.index`);
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -26,7 +27,9 @@ class CoinState:
     phi: Angle
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", Angle(self.phi % 1))
+        phi = self.phi      # an Angle in [0, 1), as each grid index gives, stays
+        if not (type(phi) is Angle and 0 <= phi.numerator < phi.denominator):
+            object.__setattr__(self, "phi", Angle(phi % 1))
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "CoinState":
@@ -92,15 +95,20 @@ def act(p: PlanarIsometry, x: CoinState) -> CoinState:
 def win_probability(final: CoinState, target: CoinState) -> float:
     """cos^2 of the projective angle between *final* and *target*.
 
-    The differences that actually occur in game analysis (multiples of
+    The difference mod pi is taken on integer numerators and denominators;
+    the differences that actually occur in game analysis (multiples of
     pi/4) return literal 1.0, 0.5 or 0.0 rather than approximations.
     """
-    d = (final.phi - target.phi) % 1
-    if d.denominator == 1:          # difference 0 mod pi
+    a, b = final.phi.as_integer_ratio()
+    c, d = target.phi.as_integer_ratio()
+    num = (a * d - c * b) % (b * d)     # the difference mod pi, over b*d
+    g = math.gcd(num, b * d)
+    den = b * d // g
+    if den == 1:                        # difference 0 mod pi
         return 1.0
-    if d.denominator == 2:          # difference pi/2
+    if den == 2:                        # difference pi/2
         return 0.0
-    if d.denominator == 4:          # odd multiple of pi/4
+    if den == 4:                        # odd multiple of pi/4
         return 0.5
-    c, _ = Angle(d).cos_sin()
+    c, _ = Angle(num // g, den).cos_sin()
     return c * c

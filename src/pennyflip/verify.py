@@ -109,10 +109,11 @@ def check_orbit_structure(cfg: Config):
         # n/2 states each for even n, n for odd; one orbit iff 4 | n
         shape_ok = (len(orb0) == len(orb1) == (n if n % 2 else n // 2)
                     and (orb0 == orb1 if n % 4 == 0 else not orb0 & orb1))
+        # on the basis orbit and at index 1, whose cosets +-1 + dZ_2n differ
         counting_ok = all(
             len(orbits.index_orbit(n, j, size))
             * len(orbits.index_stabilizer(n, j, size)) == 2 * n
-            for j in orb0 | orb1)
+            for j in orb0 | orb1 | {1})
         if not (shape_ok and counting_ok):
             failures.append(n)
     return not failures, {"nRange": [cfg.n_min, cfg.n_max],

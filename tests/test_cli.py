@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -75,6 +76,33 @@ class TestOrbitCommands:
         result = invoke(runner, "fixed-set", "--n", "7", "--elems", "I,F")
         assert result.exit_code == 3
         assert "D_7" in result.output
+
+
+def orbit_cli_digest(runner, spec):
+    """sha256 over every ``orbit``/``stabilizer``/``fixed-set`` run that
+    *spec* names: per run, its argv and exit code, then its stdout."""
+    digest = hashlib.sha256()
+    lo, hi = spec["nRange"]
+    runs = ([("orbit", "--state", s) for s in spec["states"]]
+            + [("stabilizer", "--state", s) for s in spec["states"]]
+            + [("fixed-set", "--elems", e) for e in spec["elems"]])
+    for n in range(lo, hi + 1):
+        for fmt in spec["formats"]:
+            for command, option, value in runs:
+                argv = [command, "--n", str(n), option, value,
+                        "--format", fmt]
+                result = invoke(runner, *argv)
+                digest.update(f"{' '.join(argv)} -> {result.exit_code}\n"
+                              .encode())
+                digest.update(result.stdout_bytes)
+    return digest.hexdigest()
+
+
+def test_orbit_commands_match_golden(runner):
+    # stdout and exit codes of the orbit commands, pinned byte for byte
+    spec = json.loads((Path(__file__).parent / "golden"
+                       / "orbit_cli.json").read_text())
+    assert orbit_cli_digest(runner, spec) == spec["sha256"]
 
 
 def game_listing(command, fmt, target):

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from pennyflip.angles import Angle
 from pennyflip.config import N_MAX
+from pennyflip import dihedral
 from pennyflip.dihedral import FLIP, IDENTITY, DihedralElement, represent
 from pennyflip.errors import FNotInGroup
-from pennyflip.orbits import fixed_set, orbit, orbit_of_basis, stabilizer
+from pennyflip.orbits import (fixed_set, index_orbit, orbit, orbit_of_basis,
+                              stabilizer)
 from pennyflip.states import (KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
                               CoinState, act)
 
@@ -64,6 +66,33 @@ class TestOrbit:
         for n in range(3, 25):
             for x in (KET_ZERO, KET_ONE, *off_grid):
                 assert set(orbit(n, x)) == bfs_orbit(n, x)
+
+
+def act_orbit(n, j, size):
+    """Oracle: the orbit of index j enumerated through every element."""
+    return {g.act(j, size) for g in dihedral.elements(n)}
+
+
+def test_index_orbit_matches_act_enumeration_exhaustively():
+    # Every j of an enumerated orbit must give that orbit back (the orbits
+    # partition Z_size), and every j lies in one, so each closed form is
+    # checked against the enumeration of its own orbit.
+    for n in range(3, 65):
+        for b in range(1, 13):
+            size = math.lcm(2 * n, b)
+            unseen = set(range(size))
+            while unseen:
+                expected = act_orbit(n, min(unseen), size)
+                for j in expected:
+                    assert index_orbit(n, j, size) == expected, (n, size, j)
+                unseen -= expected
+
+
+@given(st.integers(3, N_MAX), st.integers(1, 10**4), st.data())
+def test_index_orbit_matches_act_enumeration_off_grid(n, b, data):
+    size = math.lcm(2 * n, b)
+    j = data.draw(st.integers(0, size - 1))
+    assert index_orbit(n, j, size) == act_orbit(n, j, size)
 
 
 @given(st.integers(3, N_MAX), st.data())

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from pennyflip.angles import Angle
 from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, isometries
+from pennyflip.errors import ExactArithmeticOverflow
 from pennyflip.orbits import orbit_of_basis
 from pennyflip.states import (KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
                               CoinState, act, win_probability)
@@ -95,6 +97,74 @@ class TestWinProbability:
                 total = (win_probability(x, KET_ZERO)
                          + win_probability(x, KET_ONE))
                 assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def win_probability_oracle(final: CoinState, target: CoinState) -> float:
+    """The Fraction formula: the difference mod pi, the pi/4 table, else
+    the cosine of the reduced angle."""
+    d = (final.phi - target.phi) % 1
+    if d.denominator == 1:
+        return 1.0
+    if d.denominator == 2:
+        return 0.0
+    if d.denominator == 4:
+        return 0.5
+    c, _ = Angle(d).cos_sin()
+    return c * c
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=10**9)
+
+
+class TestWinProbabilityOracle:
+    @given(rationals, rationals)
+    def test_bit_equal_to_the_fraction_formula(self, a, b):
+        final, target = CoinState(Angle(a)), CoinState(Angle(b))
+        got = win_probability(final, target)
+        assert got.hex() == win_probability_oracle(final, target).hex()
+
+    def test_literal_on_the_quarter_grid(self):
+        for i, k in itertools.product(range(-4, 9), repeat=2):
+            got = win_probability(CoinState.of(i, 4), CoinState.of(k, 4))
+            expected = (1.0, 0.5, 0.0, 0.5)[(i - k) % 4]
+            assert got == expected and type(got) is float
+
+    def test_over_wide_difference_overflows_like_the_oracle(self):
+        # two 62-bit prime denominators: each state fits in 64 bits, their
+        # difference does not
+        final = CoinState.of(1, 2**62 - 57)
+        target = CoinState.of(1, 2**61 - 1)
+        for probability in (win_probability, win_probability_oracle):
+            with pytest.raises(ExactArithmeticOverflow):
+                probability(final, target)
+
+
+def reduced_by_hand(value) -> CoinState:
+    """The state whose phi is the explicit reduction Angle(value % 1),
+    built without CoinState.__post_init__."""
+    x = object.__new__(CoinState)
+    object.__setattr__(x, "phi", Angle(Fraction(value) % 1))
+    return x
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**9)
+
+
+@given(st.one_of(st.integers(-10**6, 10**6), fractions, fractions.map(Angle),
+                 st.fractions(min_value=0, max_value=1,
+                              max_denominator=10**9).filter(
+                     lambda f: f < 1).map(Angle)))
+def test_state_angle_is_an_angle_in_the_unit_interval(value):
+    x = CoinState(value)
+    assert type(x.phi) is Angle
+    assert 0 <= x.phi < 1
+    expected = reduced_by_hand(value)
+    assert x == expected and hash(x) == hash(expected)
+
+
+def test_over_wide_state_angle_still_overflows():
+    with pytest.raises(ExactArithmeticOverflow):
+        CoinState(Fraction(1, 2**63))
 
 
 def test_rendering_and_parsing():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,17 +20,42 @@ from pennyflip.states import KET_MINUS, KET_PLUS
     (games, "winning_classes", [], verify.check_winning_classes_d8),
     (games, "winning_classes", [], verify.check_winning_classes_stable),
     (dihedral, "verify_presentation", False, verify.check_representation),
+    (orbits, "index_stabilizer", (), verify.check_orbit_structure),
+    (orbits, "fixed_set", (), verify.check_fixed_set_dichotomy),
     (unitary, "winning_state", None, verify.check_phase_families),
     (unitary, "winning_state", KET_PLUS, verify.check_u2_sampling),
 ], ids=["characteristic-d8", "synthesis-d8", "synthesis-stable",
         "dominance-d8", "fast-classes-d8", "fast-classes-stable",
-        "presentation", "no-winner-families",
-        "all-winners-sampling"])
+        "presentation", "empty-stabilizers", "empty-fixed-sets",
+        "no-winner-families", "all-winners-sampling"])
 def test_check_fails_when_its_helper_is_wrong(monkeypatch, module, helper,
                                               wrong, check):
     assert check(Config())[0] is True
     monkeypatch.setattr(module, helper, lambda *args: wrong)
     assert check(Config())[0] is False
+
+
+def test_orbit_structure_fails_without_the_reflection_coset(monkeypatch):
+    def rotation_coset(n, j, size):
+        d = math.gcd(2 * size // n, size)
+        return set(range(j % d, size, d))
+    monkeypatch.setattr(orbits, "index_orbit", rotation_coset)
+    assert verify.check_orbit_structure(Config())[0] is False
+
+
+def test_orbit_structure_fails_when_one_reflection_misacts(monkeypatch):
+    # r^2 s in D_8 sends j to 8 - j on Z_16; shifted by one, it fixes no
+    # index, so only the stabilizer half of the check can see it
+    real = dihedral.DihedralElement.act
+
+    def misacting(g, j, size):
+        moved = real(g, j, size)
+        if (g.n, g.k, g.reflect) == (8, 2, True):
+            return (moved + 1) % size
+        return moved
+    monkeypatch.setattr(dihedral.DihedralElement, "act", misacting)
+    ok, details = verify.check_orbit_structure(Config())
+    assert ok is False and details["failures"] == [8]
 
 
 def test_phase_families_fail_without_the_minus_class(monkeypatch):
