@@ -64,10 +64,10 @@ class Angle(Fraction):
         +-sqrt(2)/2 come back bit-stable; everything else goes through the
         float path.
         """
-        f = self % 2
-        if f.denominator in (1, 2, 4):
-            return _EIGHTH_TABLE[int(f * 4)]
-        return math.cos(self.radians), math.sin(self.radians)
+        if self.denominator in (1, 2, 4):
+            return _EIGHTH_TABLE[self.numerator * 4 // self.denominator % 8]
+        r = self.radians
+        return math.cos(r), math.sin(r)
 
     # -- text --------------------------------------------------------------
 

@@ -3,14 +3,17 @@
 Covers game specifications, play-out, classification, intermediate-state
 synthesis for the three-round game, and the closed-form decision procedure
 for arbitrary alternating games.  Winning-strategy enumeration and the
-finite brute-force check of that decision share one search over (turn,
-state index on Z_2n).  Where the subset construction of Andronikos et al.,
-Mathematics 6(2), 2018 follows the set of states reachable under the
-opponent's choices, the search follows single states, because a winning
-set never holds more than one.  It yields each class of winners whole, as
-a state path and a product of stabilizer cosets, and a class keeps just
-these (:func:`winning_classes`), building members only when asked;
-:func:`classify_strategies`, a ``Fraction`` replay, stays as its oracle.
+finite brute-force check of that decision share one search on state indices
+of Z_2n.  Where the subset construction of Andronikos et al., Mathematics
+6(2), 2018 follows the set of states reachable under the opponent's
+choices, the search follows single states, because a winning set never
+holds more than one.  A loop back from the target finds, per turn, the
+states from which the owner still forces it; a loop forward from the
+initial state extends each winning line through them.  Each class of
+winners comes out whole, as a state path and a product of stabilizer
+cosets, and a class keeps just these (:func:`winning_classes`), building
+members only when asked; :func:`classify_strategies`, a ``Fraction``
+replay, stays as its oracle.
 """
 
 from __future__ import annotations
@@ -195,25 +198,25 @@ def _images(n: int, player: str, j: int) -> tuple[tuple[int, _Coset], ...]:
     return tuple((c, tuple(gs)) for c, gs in by_image.items())
 
 
-def _winning_moves(spec: GameSpec, n: int, owner: str) -> Iterator[_Line]:
-    """Lazily yield each class of *owner*'s winning move tuples, those that
-    force the coin to its target whatever the opponent plays, as its state
-    path on Z_2n and the coset of each of the owner's turns along it.  The
-    class is the product of its cosets, and the first elements of the first
-    class make the first winner in product order.  Q plays
+def _winning_moves(spec: GameSpec, n: int, owner: str) -> list[_Line]:
+    """Each class of *owner*'s winning move tuples, those that force the
+    coin to its target whatever the opponent plays, as its state path on
+    Z_2n and the coset of each owner turn along it; the first elements of
+    the first class make the first winner in product order.  Q plays
     :func:`dihedral.elements`, the classical player :data:`PICARD_POOL`.
 
-    The search walks (turn index, state index j), moving j with
-    :meth:`~pennyflip.dihedral.DihedralElement.act`.  Single states are
-    enough.  Against a fixed move tuple, the states reachable under the
-    opponent's choices form a set that each move permutes, and both pools
-    hold the identity, so the set never shrinks: it must stay the one state
-    that ends as the target.  So an owner's turn branches once per image of
-    j, and an opponent's turn goes on only where all of its moves send j to
-    one state, which the identity makes j itself.  Whether the owner can
-    still force the target from (turn, j) is memoised for both outcomes,
-    and the walk descends only where it can.  Games longer than
-    :data:`~pennyflip.config.ROUNDS_MAX` rounds are refused.
+    Single states are enough: against a fixed move tuple, the states
+    reachable under the opponent's choices form a set that each move
+    permutes, and both pools hold the identity, so the set never shrinks
+    and must stay the one state that ends as the target.  Each pool is a
+    group, so a set's preimages under it are its images.  Going back,
+    ``wins[i]`` holds the states before turn i from which the owner still
+    forces the target: the images of ``wins[i + 1]`` before an owner's turn
+    (for Q, a union of D_n-orbits), its states that every opponent move
+    fixes before an opponent's turn.  Going forward from the initial state,
+    each line branches at an owner's turn once per image of its state in
+    ``wins[i + 1]``, with the coset of moves that reaches it.  Games longer
+    than :data:`~pennyflip.config.ROUNDS_MAX` rounds are refused.
     """
     if len(spec.turns) > ROUNDS_MAX:
         raise SearchBudgetExceeded(
@@ -221,32 +224,20 @@ def _winning_moves(spec: GameSpec, n: int, owner: str) -> Iterator[_Line]:
     size = 2 * n
     own = _pool(n, owner)
     opp = _pool(n, "P" if owner == "Q" else "Q")
-    owned = [t == owner for t in spec.turns]
-    last = len(spec.turns)
     target = (spec.target_q if owner == "Q" else spec.target_p).index(size)
-
-    @functools.cache
-    def wins(i: int, j: int) -> bool:
-        if i == last:
-            return j == target
-        if owned[i]:
-            return any(wins(i + 1, g.act(j, size)) for g in own)
-        return all(g.act(j, size) == j for g in opp) and wins(i + 1, j)
-
-    def walk(i: int, j: int) -> Iterator[_Line]:
-        # entered only where wins(i, j) holds
-        if i == last:
-            yield (j,), ()
-        elif owned[i]:
-            for c, gs in _images(n, owner, j):
-                if wins(i + 1, c):
-                    for path, cosets in walk(i + 1, c):
-                        yield (j, *path), (gs, *cosets)
-        else:
-            yield from walk(i + 1, j)
-
+    wins = [{target}]
+    for t in reversed(spec.turns):
+        wins.insert(0, {g.act(y, size) for y in wins[0] for g in own}
+                    if t == owner else {y for y in wins[0] if all(
+                        g.act(y, size) == y for g in opp)})
     start = spec.initial.index(size)
-    return walk(0, start) if wins(0, start) else iter(())
+    lines: list[_Line] = [((start,), ())] if start in wins[0] else []
+    for i, t in enumerate(spec.turns):
+        if t == owner:
+            lines = [((*path, c), (*cosets, gs)) for path, cosets in lines
+                     for c, gs in _images(n, owner, path[-1])
+                     if c in wins[i + 1]]
+    return lines
 
 
 def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
@@ -342,11 +333,10 @@ def brute_force_extended_check(spec: GameSpec, n: int = 8) -> Decision:
     strategies; the witness is Q's first winning move tuple in product order.
     """
     dihedral.require(n, (FLIP, HADAMARD))
-    q_win = next(_winning_moves(spec, n, "Q"), None)
-    p_win = next(_winning_moves(spec, n, "P"), None)
-    strategy = (None if q_win is None else Strategy(
-        "Q", tuple(dihedral.represent(gs[0]) for gs in q_win[1])))
-    return Decision(q_win is not None, strategy, p_win is not None)
+    lines = _winning_moves(spec, n, "Q")
+    strategy = (None if not lines else Strategy(
+        "Q", tuple(dihedral.represent(gs[0]) for gs in lines[0][1])))
+    return Decision(bool(lines), strategy, bool(_winning_moves(spec, n, "P")))
 
 
 def alternating_turn_sequences(min_rounds: int, max_rounds: int

@@ -78,7 +78,7 @@ for _m in BASE_MATRICES.values():
 
 
 def is_unitary(u: np.ndarray, tol: float = TOL_MEMBERSHIP) -> bool:
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(2))) <= tol)
+    return unitarity_residual(u) <= tol
 
 
 def phase_family(base: PlanarIsometry, theta: float) -> np.ndarray:

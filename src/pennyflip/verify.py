@@ -32,25 +32,33 @@ EXPECTED_PATHS = (
 )
 
 
+def _pqg_winners(n: int):
+    """Q's winners of the three-round game in D_n, their ``Fraction``-replay
+    classes, and whether those take the two expected paths with 16 members
+    each, equal :func:`games.winning_classes` and hold exactly the winners
+    built from intermediate states."""
+    spec = games.PQG
+    winners = games.enumerate_winning_strategies(spec, n)
+    classes = games.classify_strategies(winners, spec.initial)
+    synthesized = games.synthesize_by_intermediate_states(spec, n)
+    ok = (tuple(path for path, _ in classes) == EXPECTED_PATHS
+          and all(len(members) == 16 for _, members in classes)
+          and [(c.path, list(c.members))
+               for c in games.winning_classes(spec, n)] == classes
+          and {s.moves for s in synthesized} == {s.moves for s in winners})
+    return winners, classes, ok
+
+
 def check_winning_classes_d8(cfg: Config):
     spec = games.PQG
-    winners = games.enumerate_winning_strategies(spec, 8)
-    classes = games.classify_strategies(winners, spec.initial)
-    paths = tuple(path for path, _ in classes)
-    synthesized = games.synthesize_by_intermediate_states(spec, 8)
-    ok = (len(winners) == 32 and len(classes) == 2
-          and all(len(members) == 16 for _, members in classes)
-          and paths == EXPECTED_PATHS
-          and [(c.path, list(c.members))
-               for c in games.winning_classes(spec, 8)] == classes
-          and {s.moves for s in synthesized} == {s.moves for s in winners}
-          and all(games.verify_characteristic_properties(spec, s)
-                  for s in winners)
+    winners, classes, ok = _pqg_winners(8)
+    ok = (ok and all(games.verify_characteristic_properties(spec, s)
+                     for s in winners)
           and all(games.is_dominant(spec, members[0], isometries(8))
                   for _, members in classes))
     return ok, {"strategies": len(winners),
                 "classSizes": [len(members) for _, members in classes],
-                "paths": [[str(s) for s in path] for path in paths]}
+                "paths": [[str(s) for s in path] for path, _ in classes]}
 
 
 def check_winning_classes_stable(cfg: Config):
@@ -58,15 +66,8 @@ def check_winning_classes_stable(cfg: Config):
     details = {}
     ok = True
     for n in (16, 24, 32):
-        winners = games.enumerate_winning_strategies(games.PQG, n)
-        classes = games.classify_strategies(winners, games.PQG.initial)
-        synthesized = games.synthesize_by_intermediate_states(games.PQG, n)
-        same = ({s.moves for s in winners} == base
-                and {s.moves for s in synthesized} == base
-                and tuple(path for path, _ in classes) == EXPECTED_PATHS
-                and all(len(members) == 16 for _, members in classes)
-                and [(c.path, list(c.members))
-                     for c in games.winning_classes(games.PQG, n)] == classes)
+        winners, _, same = _pqg_winners(n)
+        same = same and {s.moves for s in winners} == base
         details[f"D_{n}"] = {"strategies": len(winners), "identical": same}
         ok = ok and same
     return ok, details

@@ -52,6 +52,26 @@ def test_cos_sin_general_value():
     assert s == pytest.approx(0.7818314824680298, abs=1e-12)
 
 
+def reference_cos_sin(a):
+    """The formula ``Angle.cos_sin`` used first: reduce mod 2 as a
+    ``Fraction``, read the table on the pi/4 grid, else go through floats."""
+    f = a % 2
+    if f.denominator in (1, 2, 4):
+        return {0: (1.0, 0.0), 1: (math.sqrt(2) / 2,) * 2, 2: (0.0, 1.0),
+                3: (-math.sqrt(2) / 2, math.sqrt(2) / 2), 4: (-1.0, 0.0),
+                5: (-math.sqrt(2) / 2,) * 2, 6: (0.0, -1.0),
+                7: (math.sqrt(2) / 2, -math.sqrt(2) / 2)}[int(f * 4)]
+    return math.cos(float(a) * math.pi), math.sin(float(a) * math.pi)
+
+
+@given(st.integers(min_value=-2**62, max_value=2**62),
+       st.one_of(st.sampled_from([1, 2, 4, 8, 3, 12]),
+                 st.integers(min_value=1, max_value=2**62)))
+def test_cos_sin_bit_equal_to_the_reference(numerator, denominator):
+    a = Angle(numerator, denominator)
+    assert a.cos_sin() == reference_cos_sin(a)
+
+
 def test_overflow_is_an_error():
     with pytest.raises(ExactArithmeticOverflow):
         Angle(1, 2**64 + 1)

@@ -105,6 +105,38 @@ def test_orbit_commands_match_golden(runner):
     assert orbit_cli_digest(runner, spec) == spec["sha256"]
 
 
+def game_cli_digest(runner, spec):
+    """sha256 over every ``enumerate``/``classify``/``analyze --check`` run
+    that *spec* names: per run, its argv and exit code, then its stdout and
+    its stderr."""
+    digest = hashlib.sha256()
+    lo, hi = spec["rounds"]
+    for n in spec["n"]:
+        for turns in games.alternating_turn_sequences(lo, hi):
+            for initial, target in spec["pairs"]:
+                game = ("--turns", "".join(turns), "--initial", initial,
+                        "--target-q", target)
+                for argv in (("enumerate", "--n", str(n), *game),
+                             ("classify", "--n", str(n), *game,
+                              "--format", "markdown"),
+                             ("analyze", *game, "--check",
+                              "--pool-n", str(n))):
+                    result = invoke(runner, *argv)
+                    digest.update(f"{' '.join(argv)} -> {result.exit_code}\n"
+                                  .encode())
+                    digest.update(result.stdout_bytes)
+                    digest.update(b"\0")
+                    digest.update(result.stderr_bytes)
+    return digest.hexdigest()
+
+
+def test_game_commands_match_golden(runner):
+    # stdout, stderr and exit codes of the game commands, pinned byte for byte
+    spec = json.loads((Path(__file__).parent / "golden"
+                       / "game_cli.json").read_text())
+    assert game_cli_digest(runner, spec) == spec["sha256"]
+
+
 def game_listing(command, fmt, target):
     return (command, "--n", "8", "--turns", "QPQPQ", "--initial", "0",
             "--target-q", target, "--format", fmt)

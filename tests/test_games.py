@@ -4,10 +4,10 @@ from types import SimpleNamespace
 import pytest
 
 from pennyflip.angles import Angle
-from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
-                                isometries)
+from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
+                                PlanarIsometry, isometries)
 from pennyflip.errors import FNotInGroup, LengthMismatch, SearchBudgetExceeded
-from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy,
+from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy, _pool,
                              alternating_turn_sequences,
                              brute_force_extended_check, classify_strategies,
                              decide_extended_game,
@@ -190,6 +190,33 @@ class TestWinningClasses:
 
     def test_nine_rounds_at_d1024(self):
         assert_coset_classes(GameSpec.from_string("QPQPQPQPQ"), (1024,))
+
+
+class TestCountLaw:
+    """A closed form that shares no code with the search: with 8 | n and Q
+    moving first and last, Q's q turns give 2^(q-1) classes of 4^q winners
+    (each of the q - 1 intermediate states is |+> or |->, each move one of
+    4 in its coset); every other game has none."""
+
+    @pytest.mark.parametrize("n", [*range(4, 65, 4), 1024])
+    def test_class_count_and_size(self, n):
+        for turns in map("".join, alternating_turn_sequences(2, 12)):
+            q = turns.count("Q")
+            law = n % 8 == 0 and turns[0] == turns[-1] == "Q"
+            expected = [4 ** q] * 2 ** (q - 1) if law else []
+            for initial in BASIS:
+                for target in BASIS:
+                    spec = GameSpec.from_string(turns, initial, target)
+                    assert ([c.size for c in winning_classes(spec, n)]
+                            == expected), (n, turns, initial, target)
+
+    @pytest.mark.parametrize("n", range(4, 65, 4))
+    def test_pools_are_groups(self, n):
+        # the search reads a set's preimages under a pool as its images
+        for player in ("Q", "P"):
+            pool = set(_pool(n, player))
+            assert DihedralElement(n, 0) in pool
+            assert {a.compose(b) for a in pool for b in pool} == pool
 
 
 def assert_coset_classes(spec, sizes):
