@@ -9,11 +9,10 @@ from .errors import (ExactArithmeticOverflow, FNotInGroup, LengthMismatch,
                      SearchBudgetExceeded)
 from .games import (PICARD_POOL, PQG, Decision, GameSpec, Strategy,
                     StrategyClass, brute_force_extended_check,
-                    classify_strategies, decide_extended_game,
-                    enumerate_winning_strategies, is_dominant,
+                    classify_strategies, decide_extended_game, is_dominant,
                     is_winning_strategy, play_out, state_path,
                     synthesize_by_intermediate_states,
-                    verify_characteristic_properties)
+                    verify_characteristic_properties, winning_classes)
 from .orbits import fixed_set, orbit, orbit_of_basis, stabilizer
 from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO, CoinState,
                      act, win_probability)
@@ -30,9 +29,9 @@ __all__ = [
     "PennyflipError", "SearchBudgetExceeded",
     "PICARD_POOL", "PQG", "Decision", "GameSpec", "Strategy",
     "StrategyClass", "brute_force_extended_check", "classify_strategies",
-    "decide_extended_game", "enumerate_winning_strategies", "is_dominant",
-    "is_winning_strategy", "play_out", "state_path",
-    "synthesize_by_intermediate_states", "verify_characteristic_properties",
+    "decide_extended_game", "is_dominant", "is_winning_strategy", "play_out",
+    "state_path", "synthesize_by_intermediate_states",
+    "verify_characteristic_properties", "winning_classes",
     "fixed_set", "orbit", "orbit_of_basis", "stabilizer",
     "BASIS", "KET_MINUS", "KET_ONE", "KET_PLUS", "KET_ZERO", "CoinState",
     "act", "win_probability",

@@ -12,7 +12,8 @@ ENV_CONFIG_PATH = "PENNYFLIP_CONFIG"
 #: Largest group order parameter n accepted anywhere.
 N_MAX = 1024
 
-#: Most rounds of a game any search accepts, and the ceiling of ``max_rounds``.
+#: Most rounds of a game whose winners are listed (``enumerate``, ``classify``),
+#: and the ceiling of ``max_rounds``; decisions run at any length.
 ROUNDS_MAX = 12
 
 _RANGE_RE = re.compile(r"^\s*(\d+)\s*\.\.\s*(\d+)\s*$")
@@ -48,36 +49,39 @@ def parse_n_range(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def load_config_file(path: str | Path, base: Config | None = None) -> Config:
+def load_config_file(path: str | Path) -> Config:
     """Read a ``key=value`` config file; unknown keys are an error.
 
-    Keys may be spelled with ``_`` or ``-``.  A file that cannot be read is
-    a ``ValueError`` like any other bad input.  Flags always win over file
-    values, so callers apply the file first.
+    Keys may be spelled with ``_`` or ``-``; a bad line is named by its
+    ``path:line``.  An unreadable file is a ``ValueError`` like any other bad
+    input.  Flags always win over file values, so callers apply the file first.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(
             f"cannot read config file {path}: {exc.strerror}") from exc
-    cfg = base or Config()
+    cfg = Config()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        field = key.replace("-", "_")
-        if field == "n_range":
-            lo, hi = parse_n_range(value)
-            cfg = replace(cfg, n_min=lo, n_max=hi)
-        elif field in ("max_rounds", "samples", "seed"):
-            cfg = replace(cfg, **{field: int(value)})
-        elif field == "tolerance":
-            cfg = replace(cfg, tolerance=float(value))
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            field = key.replace("-", "_")
+            if field == "n_range":
+                lo, hi = parse_n_range(value)
+                cfg = replace(cfg, n_min=lo, n_max=hi)
+            elif field in ("max_rounds", "samples", "seed"):
+                cfg = replace(cfg, **{field: int(value)})
+            elif field == "tolerance":
+                cfg = replace(cfg, tolerance=float(value))
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return cfg
 
 

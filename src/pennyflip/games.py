@@ -2,18 +2,17 @@
 
 Covers game specifications, play-out, classification, intermediate-state
 synthesis for the three-round game, and the closed-form decision procedure
-for arbitrary alternating games.  Winning-strategy enumeration and the
-finite brute-force check of that decision share one search on state indices
-of Z_2n.  Where the subset construction of Andronikos et al., Mathematics
+for arbitrary alternating games, which one search on state indices of Z_2n
+checks.  Where the subset construction of Andronikos et al., Mathematics
 6(2), 2018 follows the set of states reachable under the opponent's
 choices, the search follows single states, because a winning set never
 holds more than one.  A loop back from the target finds, per turn, the
-states from which the owner still forces it; a loop forward from the
-initial state extends each winning line through them.  Each class of
-winners comes out whole, as a state path and a product of stabilizer
-cosets, and a class keeps just these (:func:`winning_classes`), building
-members only when asked; :func:`classify_strategies`, a ``Fraction``
-replay, stays as its oracle.
+states from which the owner still forces it (:func:`_wins`), which decides
+a game of any length in time linear in its rounds.  Listing alone is
+bounded: a loop forward extends each of Q's winning lines through those
+states, and each class comes out whole, as a state path and a product of
+stabilizer cosets (:func:`winning_classes`); :func:`classify_strategies`,
+a ``Fraction`` replay, stays as its oracle.
 """
 
 from __future__ import annotations
@@ -184,8 +183,6 @@ def _pool(n: int, player: str) -> tuple[dihedral.DihedralElement, ...]:
 
 #: Pool elements that send one state to another, in pool order: a coset.
 _Coset = tuple[dihedral.DihedralElement, ...]
-#: A winning class: its state path on Z_2n and the coset of each owner turn.
-_Line = tuple[tuple[int, ...], tuple[_Coset, ...]]
 
 
 @functools.lru_cache(maxsize=64)
@@ -198,71 +195,61 @@ def _images(n: int, player: str, j: int) -> tuple[tuple[int, _Coset], ...]:
     return tuple((c, tuple(gs)) for c, gs in by_image.items())
 
 
-def _winning_moves(spec: GameSpec, n: int, owner: str) -> list[_Line]:
-    """Each class of *owner*'s winning move tuples, those that force the
-    coin to its target whatever the opponent plays, as its state path on
-    Z_2n and the coset of each owner turn along it; the first elements of
-    the first class make the first winner in product order.  Q plays
+def _wins(spec: GameSpec, n: int, owner: str) -> list[frozenset[int]]:
+    """``wins[i]``: the states of Z_2n before turn i from which *owner*
+    forces the coin to its target whatever the opponent plays.  Q plays
     :func:`dihedral.elements`, the classical player :data:`PICARD_POOL`.
 
     Single states are enough: against a fixed move tuple, the states
     reachable under the opponent's choices form a set that each move
     permutes, and both pools hold the identity, so the set never shrinks
-    and must stay the one state that ends as the target.  Each pool is a
-    group, so a set's preimages under it are its images.  Going back,
-    ``wins[i]`` holds the states before turn i from which the owner still
-    forces the target: the images of ``wins[i + 1]`` before an owner's turn
-    (for Q, a union of D_n-orbits), its states that every opponent move
-    fixes before an opponent's turn.  Going forward from the initial state,
-    each line branches at an owner's turn once per image of its state in
-    ``wins[i + 1]``, with the coset of moves that reaches it.  Games longer
-    than :data:`~pennyflip.config.ROUNDS_MAX` rounds are refused.
+    and must stay the one state that ends as the target.  Each pool is a group, so before an owner's turn the preimages of
+    ``wins[i + 1]`` are its orbits, read off :func:`_images` once per orbit;
+    before an opponent's turn its states that every opponent move fixes
+    stay.  Each step runs once per distinct set, whose result is shared.
     """
-    if len(spec.turns) > ROUNDS_MAX:
-        raise SearchBudgetExceeded(
-            f"{len(spec.turns)} rounds exceeds the bound of {ROUNDS_MAX}")
     size = 2 * n
-    own = _pool(n, owner)
     opp = _pool(n, "P" if owner == "Q" else "Q")
     target = (spec.target_q if owner == "Q" else spec.target_p).index(size)
-    wins = [{target}]
+    steps: dict[tuple[str, frozenset[int]], frozenset[int]] = {}
+    wins = [frozenset({target})]
     for t in reversed(spec.turns):
-        wins.insert(0, {g.act(y, size) for y in wins[0] for g in own}
-                    if t == owner else {y for y in wins[0] if all(
-                        g.act(y, size) == y for g in opp)})
-    start = spec.initial.index(size)
-    lines: list[_Line] = [((start,), ())] if start in wins[0] else []
-    for i, t in enumerate(spec.turns):
-        if t == owner:
-            lines = [((*path, c), (*cosets, gs)) for path, cosets in lines
-                     for c, gs in _images(n, owner, path[-1])
-                     if c in wins[i + 1]]
-    return lines
-
-
-def enumerate_winning_strategies(spec: GameSpec, n: int) -> list[Strategy]:
-    """All of Q's winning move tuples drawn from D_n, in the product order
-    of :func:`dihedral.isometries`; the flip must lie in D_n."""
-    dihedral.require(n, PICARD_POOL)
-    winners = sorted((moves for _, cosets in _winning_moves(spec, n, "Q")
-                      for moves in itertools.product(*cosets)),
-                     key=lambda moves: [(g.reflect, g.k) for g in moves])
-    return [Strategy("Q", tuple(map(dihedral.represent, moves)))
-            for moves in winners]
+        key = (t, wins[-1])
+        if key not in steps:
+            reached: set[int] = set()
+            for y in wins[-1]:
+                if t == owner and y not in reached:
+                    reached.update(c for c, _ in _images(n, owner, y))
+                elif t != owner and all(g.act(y, size) == y for g in opp):
+                    reached.add(y)
+            steps[key] = frozenset(reached)
+        wins.append(steps[key])
+    wins.reverse()
+    return wins
 
 
 def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
-    """Q's winning strategies in D_n partitioned by state path: the pairs of
-    :func:`classify_strategies` over :func:`enumerate_winning_strategies`,
-    in the same order, without replaying a move on a ``CoinState``.
-
-    The search yields each class with an index path of its own; on one grid
-    ``phi = j / 2n``, so these sort as the ``phi`` paths do."""
+    """Q's winners in D_n by state path: :func:`classify_strategies` over
+    them in product order, without a ``CoinState``.  Each line branches at
+    a Q turn once per image of its state in ``wins[i + 1]``, with the coset
+    that reaches it; index paths on Z_2n sort as the ``phi`` paths do.
+    Games longer than :data:`~pennyflip.config.ROUNDS_MAX` are refused."""
     dihedral.require(n, PICARD_POOL)
+    if len(spec.turns) > ROUNDS_MAX:
+        raise SearchBudgetExceeded(
+            f"{len(spec.turns)} rounds exceeds the bound of {ROUNDS_MAX}")
+    wins = _wins(spec, n, "Q")
+    start = spec.initial.index(2 * n)
+    lines = [((start,), ())] if start in wins[0] else []
+    for i, t in enumerate(spec.turns):
+        if t == "Q":
+            lines = [((*path, c), (*cosets, gs)) for path, cosets in lines
+                     for c, gs in _images(n, "Q", path[-1])
+                     if c in wins[i + 1]]
     return [StrategyClass(tuple(CoinState.of(j, 2 * n) for j in path),
                           tuple(tuple(map(dihedral.represent, gs))
                                 for gs in cosets))
-            for path, cosets in sorted(_winning_moves(spec, n, "Q"))]
+            for path, cosets in sorted(lines)]
 
 
 def classify_strategies(strategies: Iterable[Strategy], initial: CoinState
@@ -330,13 +317,22 @@ def decide_extended_game(spec: GameSpec) -> Decision:
 
 def brute_force_extended_check(spec: GameSpec, n: int = 8) -> Decision:
     """Exhaustive search over the finite pool D_n for both players' winning
-    strategies; the witness is Q's first winning move tuple in product order.
+    strategies, at any length; the witness is Q's first winner in product
+    order: per Q turn, the first move of the first coset into ``wins[i + 1]``.
     """
     dihedral.require(n, (FLIP, HADAMARD))
-    lines = _winning_moves(spec, n, "Q")
-    strategy = (None if not lines else Strategy(
-        "Q", tuple(dihedral.represent(gs[0]) for gs in lines[0][1])))
-    return Decision(bool(lines), strategy, bool(_winning_moves(spec, n, "P")))
+    wins = _wins(spec, n, "Q")
+    j = spec.initial.index(2 * n)
+    picard_wins = j in _wins(spec, n, "P")[0]
+    if j not in wins[0]:
+        return Decision(False, None, picard_wins)
+    moves = []
+    for i, t in enumerate(spec.turns):
+        if t == "Q":
+            j, gs = next((c, gs) for c, gs in _images(n, "Q", j)
+                         if c in wins[i + 1])
+            moves.append(dihedral.represent(gs[0]))
+    return Decision(True, Strategy("Q", tuple(moves)), picard_wins)
 
 
 def alternating_turn_sequences(min_rounds: int, max_rounds: int

@@ -40,9 +40,6 @@ class CoinState:
         multiple of phi's denominator."""
         return self.phi.numerator * (size // self.phi.denominator)
 
-    def amplitudes(self) -> tuple[float, float]:
-        return self.phi.cos_sin()
-
     def __str__(self) -> str:
         named = _NAMES.get(self)
         if named is not None:

@@ -38,13 +38,13 @@ def _pqg_winners(n: int):
     each, equal :func:`games.winning_classes` and hold exactly the winners
     built from intermediate states."""
     spec = games.PQG
-    winners = games.enumerate_winning_strategies(spec, n)
+    listed = [(c.path, list(c.members)) for c in games.winning_classes(spec, n)]
+    winners = [s for _, members in listed for s in members]
     classes = games.classify_strategies(winners, spec.initial)
     synthesized = games.synthesize_by_intermediate_states(spec, n)
     ok = (tuple(path for path, _ in classes) == EXPECTED_PATHS
           and all(len(members) == 16 for _, members in classes)
-          and [(c.path, list(c.members))
-               for c in games.winning_classes(spec, n)] == classes
+          and listed == classes
           and {s.moves for s in synthesized} == {s.moves for s in winners})
     return winners, classes, ok
 
@@ -62,7 +62,7 @@ def check_winning_classes_d8(cfg: Config):
 
 
 def check_winning_classes_stable(cfg: Config):
-    base = {s.moves for s in games.enumerate_winning_strategies(games.PQG, 8)}
+    base = {s.moves for s in _pqg_winners(8)[0]}
     details = {}
     ok = True
     for n in (16, 24, 32):
@@ -79,7 +79,7 @@ def check_small_groups(cfg: Config):
     ok = True
     for n, flip_expected in expected_flip.items():
         has_flip = dihedral.contains_isometry(n, FLIP)
-        count = (len(games.enumerate_winning_strategies(games.PQG, n))
+        count = (sum(c.size for c in games.winning_classes(games.PQG, n))
                  if has_flip else 0)
         details[f"D_{n}"] = {"flipPresent": has_flip, "qWinning": count}
         ok = ok and has_flip == flip_expected and count == 0

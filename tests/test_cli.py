@@ -262,6 +262,17 @@ class TestGameCommands:
         assert result.exit_code == 0
         assert json.loads(result.output)["bruteForceAgrees"] is True
 
+    # the round bound is on listings only; a decision runs at any length
+    @pytest.mark.parametrize("turns, pool_n", [
+        pytest.param("QP" * 6 + "Q", "8", id="analyze-13-rounds-check"),
+        pytest.param("QP" * 600 + "Q", "1024", id="analyze-1201-rounds-check"),
+    ])
+    def test_analyze_checks_past_the_round_bound(self, runner, turns, pool_n):
+        result = invoke(runner, "analyze", "--turns", turns, "--check",
+                        "--pool-n", pool_n)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["bruteForceAgrees"] is True
+
 
 class TestSampleU2:
     def test_small_run(self, runner):
@@ -339,6 +350,16 @@ class TestVerifyAll:
         assert result.exit_code == 2
         assert "unknown key" in result.output
 
+    @pytest.mark.parametrize("line", ["samples=abc", "tolerance=x",
+                                      "n_range=abc"])
+    def test_bad_config_value_names_its_line(self, runner, tmp_path, line):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(f"seed=1\n{line}\n")
+        result = invoke(runner, "verify-all", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert f"{cfg}:2: " in result.output
+        assert "Traceback" not in result.output
+
     def test_env_config_accepts_dashed_keys(self, runner, tmp_path,
                                             monkeypatch):
         cfg = tmp_path / "verify.cfg"
@@ -399,8 +420,6 @@ CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n"}
     pytest.param(["orbit", "--n", "1025"], 2, id="orbit-n-above-max"),
     pytest.param(["analyze", "--turns", "QPQ", "--check", "--pool-n", "0"], 2,
                  id="analyze-pool-n-0"),
-    pytest.param(["analyze", "--turns", "QP" * 6 + "Q", "--check"], 3,
-                 id="analyze-13-rounds-check"),
     pytest.param(["sample-u2", "--samples", "-1"], 2,
                  id="sample-u2-negative-samples"),
     pytest.param(["sample-u2", "--seed", "-1"], 2, id="sample-u2-negative-seed"),

@@ -11,8 +11,8 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 represent, verify_presentation)
 from pennyflip.errors import FNotInGroup, MismatchedGroup
 from pennyflip.games import (PQG, GameSpec, brute_force_extended_check,
-                             enumerate_winning_strategies,
-                             synthesize_by_intermediate_states)
+                             synthesize_by_intermediate_states,
+                             winning_classes)
 from pennyflip.orbits import fixed_set
 
 
@@ -143,7 +143,7 @@ class TestRepresentation:
 # Every entry point that needs a move in D_n asks the one membership guard,
 # which names the first missing move.
 @pytest.mark.parametrize("call, message", [
-    (lambda: enumerate_winning_strategies(PQG, 6), "F ∉ D_6"),
+    (lambda: winning_classes(PQG, 6), "F ∉ D_6"),
     (lambda: synthesize_by_intermediate_states(PQG, 6), "F ∉ D_6"),
     (lambda: brute_force_extended_check(GameSpec.from_string("QPQP"), 12),
      "H ∉ D_12"),

@@ -8,15 +8,15 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 PlanarIsometry, isometries)
 from pennyflip.errors import FNotInGroup, LengthMismatch, SearchBudgetExceeded
 from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy, _pool,
-                             alternating_turn_sequences,
+                             _wins, alternating_turn_sequences,
                              brute_force_extended_check, classify_strategies,
-                             decide_extended_game,
-                             enumerate_winning_strategies, is_dominant,
+                             decide_extended_game, is_dominant,
                              is_winning_strategy, play_out,
                              state_path, synthesize_by_intermediate_states,
                              verify_characteristic_properties,
                              winning_classes)
-from pennyflip.states import BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO
+from pennyflip.states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
+                             act)
 
 S7 = PlanarIsometry.reflector(Angle(7, 8))
 R2 = PlanarIsometry.rotor(Angle(1, 4))
@@ -86,7 +86,7 @@ class TestWinningStrategies:
         assert not verify_characteristic_properties(PQG, q_strategy(FLIP, FLIP))
 
     def test_every_winner_has_characteristic_properties(self):
-        for sigma in enumerate_winning_strategies(PQG, 8):
+        for sigma in winners(PQG, 8):
             assert verify_characteristic_properties(PQG, sigma)
 
 
@@ -100,29 +100,29 @@ class TestEnumeration:
     def test_matches_product_scan_in_order(self, turns, sizes):
         for spec in all_specs(turns):
             for n in sizes:
-                assert (enumerate_winning_strategies(spec, n)
-                        == list(product_scan(spec, n)))
+                assert (classify_strategies(product_scan(spec, n), spec.initial)
+                        == [(c.path, list(c.members))
+                            for c in winning_classes(spec, n)])
 
     def test_d8_has_32_winners(self):
-        assert len(enumerate_winning_strategies(PQG, 8)) == 32
+        assert sum(c.size for c in winning_classes(PQG, 8)) == 32
 
     def test_d4_has_none(self):
-        assert enumerate_winning_strategies(PQG, 4) == []
+        assert winning_classes(PQG, 4) == []
 
     def test_d16_adds_nothing(self):
-        w8 = {s.moves for s in enumerate_winning_strategies(PQG, 8)}
+        w8 = {s.moves for s in winners(PQG, 8)}
         for n in (16, 1024):
-            assert {s.moves for s in enumerate_winning_strategies(PQG, n)} == w8
+            assert {s.moves for s in winners(PQG, n)} == w8
 
     def test_odd_n_rejected(self):
         with pytest.raises(FNotInGroup):
-            enumerate_winning_strategies(PQG, 7)
+            winning_classes(PQG, 7)
 
 
 class TestClassification:
     def test_two_classes_of_16(self):
-        classes = classify_strategies(
-            enumerate_winning_strategies(PQG, 8), KET_ZERO)
+        classes = classify_strategies(product_scan(PQG, 8), KET_ZERO)
         assert [(path, len(members)) for path, members in classes] == [
             ((KET_ZERO, KET_PLUS, KET_ZERO), 16),
             ((KET_ZERO, KET_MINUS, KET_ZERO), 16)]
@@ -154,8 +154,17 @@ def class_mismatches(classes_of):
                     assert c.size == len(members)
                     listed.append((c.path, members))
                 if listed != classify_strategies(
-                        enumerate_winning_strategies(spec, n), spec.initial):
+                        winners(spec, n), spec.initial):
                     yield spec, n
+
+
+def winners(spec, n):
+    """Q's winners in D_n, the members of every :func:`winning_classes`
+    class re-sorted into the product order of ``isometries(n)``, the order
+    a product scan finds them in."""
+    rank = {p: i for i, p in enumerate(isometries(n))}
+    return sorted((s for c in winning_classes(spec, n) for s in c.members),
+                  key=lambda s: [rank[m] for m in s.moves])
 
 
 def final_state_classes(spec, n):
@@ -247,7 +256,7 @@ class TestDominance:
 class TestSynthesis:
     def test_d8_builds_the_32_winners(self):
         synthesized = {s.moves for s in synthesize_by_intermediate_states(PQG, 8)}
-        enumerated = {s.moves for s in enumerate_winning_strategies(PQG, 8)}
+        enumerated = {s.moves for s in winners(PQG, 8)}
         assert synthesized == enumerated
 
     def test_first_moves_to_plus(self):
@@ -259,14 +268,13 @@ class TestSynthesis:
 
     def test_d12_has_no_safe_intermediate(self):
         assert synthesize_by_intermediate_states(PQG, 12) == []
-        assert enumerate_winning_strategies(PQG, 12) == []
+        assert winning_classes(PQG, 12) == []
 
     def test_agrees_with_enumeration_in_larger_groups(self):
         for n in (16, 24, 32):
             synthesized = {s.moves
                            for s in synthesize_by_intermediate_states(PQG, n)}
-            enumerated = {s.moves
-                          for s in enumerate_winning_strategies(PQG, n)}
+            enumerated = {s.moves for s in winners(PQG, n)}
             assert synthesized == enumerated
 
 
@@ -281,6 +289,22 @@ def product_scan(spec, n):
 def all_specs(turns):
     return [GameSpec.from_string(turns, initial, target)
             for initial in BASIS for target in BASIS]
+
+
+def forces_target(spec, sigma):
+    """Oracle for :func:`is_winning_strategy` in time linear in the rounds:
+    a Q strategy wins iff, with the classical player idle, the coin is fixed
+    by the flip before each of that player's turns and ends on Q's target.
+    Otherwise the states reachable under the classical player's choices
+    hold two from that turn on, since Q's moves are bijections."""
+    moves = iter(sigma.moves)
+    state = spec.initial
+    for t in spec.turns:
+        if t == "Q":
+            state = act(next(moves), state)
+        elif act(FLIP, state) != state:
+            return False
+    return state == spec.target_q
 
 
 def literal_brute_force(spec, n=8):
@@ -361,10 +385,27 @@ class TestExtendedGames:
                     assert decision.q_wins
                     assert is_winning_strategy(spec, decision.strategy)
 
-    def test_round_budget(self):
-        spec = GameSpec.from_string("QP" * 6 + "Q")
-        with pytest.raises(SearchBudgetExceeded):
-            brute_force_extended_check(spec)
+    @pytest.mark.parametrize("rounds", [13, 1201])
+    def test_decisions_past_the_listing_bound(self, rounds):
+        # no round bound: the brute-force witness is the first winner in
+        # product order, not the Hadamard witness, so both must win
+        for turns in alternating_turn_sequences(rounds, rounds):
+            for spec in all_specs("".join(turns)):
+                decided = decide_extended_game(spec)
+                for n in (8, 1024):
+                    brute = brute_force_extended_check(spec, n)
+                    assert ((brute.q_wins, brute.picard_wins)
+                            == (decided.q_wins, decided.picard_wins))
+                    assert (brute.strategy is None) == (decided.strategy is None)
+                    for sigma in filter(None, (brute.strategy,
+                                               decided.strategy)):
+                        assert forces_target(spec, sigma)
+                        assert rounds > 13 or is_winning_strategy(spec, sigma)
+
+    def test_win_sets_are_shared_at_any_length(self):
+        # one reference per turn to a few sets, not one set per turn
+        wins = _wins(GameSpec.from_string("QP" * 600 + "Q"), 1024, "Q")
+        assert len(wins) == 1202 and len(set(map(id, wins))) <= 4
 
     def test_pool_requires_eighth_roots(self):
         with pytest.raises(FNotInGroup):

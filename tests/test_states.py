@@ -66,8 +66,8 @@ def test_reflector_involution():
 
 
 def inner_product_oracle(a: CoinState, b: CoinState) -> float:
-    va = np.array(a.amplitudes())
-    vb = np.array(b.amplitudes())
+    va = np.array(a.phi.cos_sin())
+    vb = np.array(b.phi.cos_sin())
     return float(va @ vb) ** 2
 
 

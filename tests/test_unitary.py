@@ -34,7 +34,7 @@ def wins_qpq(a1: np.ndarray, a2: np.ndarray) -> bool:
 
 def embed(x) -> np.ndarray:
     """Complex embedding of a projective real state."""
-    return np.array(x.amplitudes(), dtype=complex)
+    return np.array(x.phi.cos_sin(), dtype=complex)
 
 
 class TestPhaseFamilies:
