@@ -166,7 +166,7 @@ def analyze(turns: str, initial: str, target_q: str | None, check: bool,
     """Decide an extended alternating game."""
     spec = _game_spec(turns, initial, target_q)
     decision = games.decide_extended_game(spec)
-    payload = reports.game_report(spec, decision, [])
+    payload = reports.game_report(spec, decision)
     if decision.strategy is not None:
         payload["strategy"] = str(decision.strategy)
     if check:
@@ -191,7 +191,7 @@ def analyze(turns: str, initial: str, target_q: str | None, check: bool,
 def sample_u2(samples: int, seed: int) -> None:
     """Sample unitaries and count winning first moves (a measure-zero event)."""
     from . import unitary
-    hits, max_residual, _ = unitary.screen(seed, samples)
+    hits, max_residual, _ = unitary.screen(seed, samples, states=False)
     click.echo(reports.dump_json(
         {"samples": samples, "hits": hits, "maxResidual": max_residual}))
 

@@ -50,16 +50,20 @@ def class_json(cls: StrategyClass) -> dict:
 
 
 def game_report(spec: GameSpec, decision: Decision | None,
-                classes: Sequence[StrategyClass]) -> dict:
-    return {
+                classes: Sequence[StrategyClass] | None = None) -> dict:
+    """The game's payload: its decision, and its listing when *classes*
+    are given (a decision alone lists nothing)."""
+    payload = {
         "schemaVersion": SCHEMA_VERSION,
         "turns": "".join(spec.turns),
         "initial": str(spec.initial),
         "targets": {"Q": str(spec.target_q), "P": str(spec.target_p)},
         "decision": decision.summary if decision is not None else None,
-        "strategyCount": sum(c.size for c in classes),
-        "classes": [class_json(c) for c in classes],
     }
+    if classes is not None:
+        payload["strategyCount"] = sum(c.size for c in classes)
+        payload["classes"] = [class_json(c) for c in classes]
+    return payload
 
 
 def dump_json(payload) -> str:

@@ -41,10 +41,14 @@ class CoinState:
         return self.phi.numerator * (size // self.phi.denominator)
 
     def __str__(self) -> str:
-        named = _NAMES.get(self)
-        if named is not None:
-            return named
-        return f"cos({self.phi})|0⟩+sin({self.phi})|1⟩"
+        # every named state is a multiple of pi/4; hashing any other state
+        # to find that out costs a Fraction hash
+        if self.phi.denominator <= 4:
+            named = _NAMES.get(self)
+            if named is not None:
+                return named
+        angle = str(self.phi)
+        return f"cos({angle})|0⟩+sin({angle})|1⟩"
 
     @classmethod
     def parse(cls, text: str) -> "CoinState":

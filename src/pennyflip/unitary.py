@@ -8,7 +8,11 @@ sampling harness that finds no such move among Haar-random unitaries.
 A first move U wins when U|0> is a phase multiple of |+> or |->: the flip
 fixes both up to phase, so Q's second move then reaches any target.  That
 state is the move's class, the middle of its state path, whatever phases
-U carries; ``winning_state`` decides it.
+U carries.  ``winning_states`` decides it for a stack of matrices in one
+array pass; it is the one batched classifier, behind both the sampling
+screen and the ``phase-families`` check, and the one place that holds the
+distance to |+> and |->.  ``winning_state`` decides one matrix and stays
+its per-sample oracle.
 
 Sampling draws a window from one generator, ``np.random.default_rng(seed)``:
 sample ``k`` is row ``k`` of a ``(samples, ROW)`` array of standard normals.
@@ -18,9 +22,11 @@ whose direction ``w/|w|`` is the global phase, and the state of sample ``k``
 is the same row's first four values. ``screen`` draws the window in blocks
 of ``BLOCK`` rows and does the rest in whole-array numpy; the rows of one
 stream are the same however many are drawn at a time, so a window's result
-does not depend on ``BLOCK``. ``sample_unitary`` and ``sample_state``,
-which read one row at a time, and ``winning_state`` stay as the per-sample
-oracle it matches bit for bit.
+does not depend on ``BLOCK``.  Its unitary half (hits and residuals) and
+its state half (flip-test mismatches) are separate, and ``sample-u2`` runs
+only the first: it draws the same rows but builds no states.
+``sample_unitary`` and ``sample_state``, which read one row at a time, and
+``winning_state`` stay as the per-sample oracle it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -171,10 +177,14 @@ def _proportional(u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(np.hypot(w.real, w.imag) - 1.0) <= tol
 
 
-def draw(rng: np.random.Generator,
-         count: int) -> tuple[np.ndarray, np.ndarray]:
+def draw(rng: np.random.Generator, count: int,
+         states: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The next *count* rows of *rng* as ``sample_unitary`` and
-    ``sample_state`` read them, stacked: unitary and state of each row."""
+    ``sample_state`` read them, stacked: unitary and state of each row.
+
+    With *states* false the same rows are drawn but no state is built, and
+    the states read None.
+    """
     rows = rng.standard_normal((count, ROW))
     z = (rows[:, :4] + 1j * rows[:, 4:8]).reshape(-1, 2, 2)
     c0 = z[:, :, 0] / _norm(z[:, :, 0])[:, None]
@@ -183,6 +193,8 @@ def draw(rng: np.random.Generator,
     w = rows[:, 8:] / _norm(rows[:, 8:])[:, None]
     phases = w[:, 0] + 1j * w[:, 1]
     unitaries = phases[:, None, None] * np.stack([c0, c1], axis=2)
+    if not states:
+        return unitaries, None
     psi = rows[:, 0:2] + 1j * rows[:, 2:4]
     return unitaries, psi / _norm(psi)[:, None]
 
@@ -193,38 +205,72 @@ def unitarity_residuals(unitaries: np.ndarray) -> np.ndarray:
                   - np.eye(2)).max(axis=(1, 2))
 
 
-def screen_block(unitaries: np.ndarray, states: np.ndarray,
-                 tol: float = TOL_MEMBERSHIP) -> tuple[int, float, int]:
-    """(hits, max residual, state mismatches) of stacked samples.
+#: The state each class code of ``_classes`` stands for.
+_CLASS_STATES = (None, KET_PLUS, KET_MINUS)
 
-    A hit is a unitary ``winning_state`` classes: its first column is within
-    *tol* of a phase multiple of |+> or |->. A state mismatches when
-    ``fixed_by_flip_projective`` disagrees with its nearness to |+> or |->.
-    Raises NotUnitary as ``winning_state`` does.
-    """
+
+def _classes(unitaries: np.ndarray,
+             tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Class codes (indices into ``_CLASS_STATES``) and unitarity residuals
+    of stacked 2x2 matrices; raises NotUnitary as ``winning_state`` does."""
     residuals = unitarity_residuals(unitaries)
     if not np.all(residuals <= tol):
         raise NotUnitary("matrix fails the unitarity check")
     col = unitaries[:, :, 0]
-    hits = _proportional(col, PLUS, tol) | _proportional(col, MINUS, tol)
+    codes = np.where(_proportional(col, PLUS, tol), 1,
+                     2 * _proportional(col, MINUS, tol))
+    return codes, residuals
+
+
+def winning_states(unitaries: np.ndarray,
+                   tol: float = TOL_MEMBERSHIP) -> list[CoinState | None]:
+    """``winning_state`` of each matrix of a stack, in one array pass.
+
+    Raises NotUnitary when any of them fails the unitarity check.
+    """
+    codes, _ = _classes(unitaries, tol)
+    return [_CLASS_STATES[code] for code in codes.tolist()]
+
+
+def screen_unitaries(unitaries: np.ndarray,
+                     tol: float = TOL_MEMBERSHIP) -> tuple[int, float]:
+    """(hits, max residual) of stacked unitaries.
+
+    A hit is a unitary ``winning_states`` classes: its first column is
+    within *tol* of a phase multiple of |+> or |->.  Raises NotUnitary as
+    ``winning_states`` does.
+    """
+    codes, residuals = _classes(unitaries, tol)
+    return int(np.count_nonzero(codes)), float(residuals.max(initial=0.0))
+
+
+def screen_states(states: np.ndarray, tol: float = TOL_MEMBERSHIP) -> int:
+    """How many of stacked states mismatch: ``fixed_by_flip_projective``
+    disagrees with their nearness to |+> or |->."""
     near_eigen = (_proportional(states, PLUS, tol)
                   | _proportional(states, MINUS, tol))
     # the flip swaps the two amplitudes, exactly as matrix(FLIP) @ psi does
     fixed = _proportional(states[:, ::-1], states, tol)
-    return (int(np.count_nonzero(hits)), float(residuals.max(initial=0.0)),
-            int(np.count_nonzero(fixed != near_eigen)))
+    return int(np.count_nonzero(fixed != near_eigen))
 
 
-def screen(seed: int, samples: int,
-           tol: float = TOL_MEMBERSHIP) -> tuple[int, float, int]:
-    """``screen_block`` over the first *samples* rows of
-    ``np.random.default_rng(seed)``, ``BLOCK`` rows at a time."""
+def screen(seed: int, samples: int, tol: float = TOL_MEMBERSHIP,
+           states: bool = True) -> tuple[int, float, int | None]:
+    """(hits, max residual, state mismatches) over the first *samples* rows
+    of ``np.random.default_rng(seed)``, ``BLOCK`` rows at a time.
+
+    With *states* false only ``screen_unitaries`` runs: no state is built
+    and the mismatch count reads None.
+    """
     rng = np.random.default_rng(seed)
-    hits = mismatches = 0
+    hits = 0
     max_residual = 0.0
+    mismatches = 0 if states else None
     for start in range(0, samples, BLOCK):
-        h, r, m = screen_block(*draw(rng, min(BLOCK, samples - start)), tol)
+        unitaries, psi = draw(rng, min(BLOCK, samples - start), states)
+        h, r = screen_unitaries(unitaries, tol)
         hits += h
         max_residual = max(max_residual, r)
-        mismatches += m
+        if states:
+            mismatches += screen_states(psi, tol)
     return hits, max_residual, mismatches

@@ -176,18 +176,23 @@ def check_flip_eigensystem(cfg: Config):
 
 
 def check_phase_families(cfg: Config):
+    # grid point i is e^{i theta_i} times base i mod 8; play classes each
+    # member by the state its base sends |0> to
+    expected = [act(base, KET_ZERO) for base in unitary.FIRST_MOVE_BASES]
+    thetas = [(i * 2.0 * math.pi / 100.0 + 0.05) % (2.0 * math.pi)
+              for i in range(100)]
+    bases = np.stack(list(unitary.BASE_MATRICES.values()))[np.arange(100) % 8]
+    phases = np.array([cmath.exp(1j * theta) for theta in thetas])
+    members = phases[:, None, None] * bases
+    found = unitary.winning_states(members, cfg.tolerance)
     failures = 0
     worst = 0.0
-    for i in range(100):
-        base = unitary.FIRST_MOVE_BASES[i % 8]
-        theta = (i * 2.0 * math.pi / 100.0 + 0.05) % (2.0 * math.pi)
-        u = unitary.phase_family(base, theta)
-        # play classes each member by the state its base sends |0> to
-        if unitary.winning_state(u, cfg.tolerance) != act(base, KET_ZERO):
+    for i, (theta, state) in enumerate(zip(thetas, found)):
+        if state != expected[i % 8]:
             failures += 1
             continue
-        found = cmath.phase(u[0, 0] / unitary.BASE_MATRICES[base][0, 0])
-        err = abs((found - theta + math.pi) % (2.0 * math.pi) - math.pi)
+        phase = cmath.phase(members[i, 0, 0] / bases[i, 0, 0])
+        err = abs((phase - theta + math.pi) % (2.0 * math.pi) - math.pi)
         worst = max(worst, err)
         if err > cfg.tolerance:
             failures += 1

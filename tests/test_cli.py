@@ -274,7 +274,27 @@ class TestGameCommands:
         assert json.loads(result.output)["bruteForceAgrees"] is True
 
 
+def sample_u2_digest(runner, spec):
+    """sha256 over every ``sample-u2`` run that *spec* names: per run, its
+    argv and exit code, then its stdout."""
+    digest = hashlib.sha256()
+    for seed in spec["seeds"]:
+        for samples in spec["samples"]:
+            argv = ["sample-u2", "--samples", str(samples), "--seed", str(seed)]
+            result = invoke(runner, *argv)
+            digest.update(f"{' '.join(argv)} -> {result.exit_code}\n".encode())
+            digest.update(result.stdout_bytes)
+    return digest.hexdigest()
+
+
 class TestSampleU2:
+    def test_matches_golden(self, runner):
+        # stdout pinned byte for byte; seed 872001724 holds a Haar sample
+        # near |+> (row 3557) that counts as a hit at the default tolerance
+        spec = json.loads((Path(__file__).parent / "golden"
+                           / "sample_u2_cli.json").read_text())
+        assert sample_u2_digest(runner, spec) == spec["sha256"]
+
     def test_small_run(self, runner):
         result = invoke(runner, "sample-u2", "--samples", "50", "--seed", "1")
         assert result.exit_code == 0
@@ -291,8 +311,12 @@ class TestSampleU2:
     def test_counts_a_winning_first_move(self, runner, monkeypatch):
         hadamard = unitary.matrix(HADAMARD)
         real = unitary.draw
-        monkeypatch.setattr(unitary, "draw", lambda rng, count: (
-            np.broadcast_to(hadamard, (count, 2, 2)), real(rng, count)[1]))
+
+        def planted(rng, count, states):
+            assert states is False      # sample-u2 builds no states
+            return (np.broadcast_to(hadamard, (count, 2, 2)),
+                    real(rng, count, states)[1])
+        monkeypatch.setattr(unitary, "draw", planted)
         result = invoke(runner, "sample-u2", "--samples", "50")
         assert result.exit_code == 0
         assert json.loads(result.output)["hits"] == 50

@@ -26,6 +26,18 @@ def test_antipodal_identification():
     assert CoinState.of(-1, 4) == KET_MINUS
 
 
+def test_names_match_the_lookup_on_every_grid():
+    # the name of every j*pi/(2n) with n <= 64, against a ket-name lookup
+    # made for each state
+    names = {KET_ZERO: "|0⟩", KET_PLUS: "|+⟩", KET_ONE: "|1⟩",
+             KET_MINUS: "|−⟩"}
+    for n in range(1, 65):
+        for j in range(2 * n):
+            x = CoinState.of(j, 2 * n)
+            assert str(x) == names.get(
+                x, f"cos({x.phi})|0⟩+sin({x.phi})|1⟩")
+
+
 def test_hadamard_sends_zero_to_plus():
     assert act(HADAMARD, KET_ZERO) == KET_PLUS
     assert act(HADAMARD, KET_ONE) == KET_MINUS

@@ -17,9 +17,9 @@ from pennyflip.unitary import (BASE_MATRICES, BLOCK, FIRST_MOVE_BASES, MINUS,
                                PLUS, TOL_MEMBERSHIP, draw, eigensystem_flip,
                                fixed_by_flip_projective, is_unitary, matrix,
                                phase_family, proportional, sample_state,
-                               sample_unitary, screen, screen_block,
+                               sample_unitary, screen, screen_unitaries,
                                unitarity_residual, unitarity_residuals,
-                               winning_state)
+                               winning_state, winning_states)
 
 R2 = PlanarIsometry.rotor(Angle(1, 4))
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -210,6 +210,9 @@ SEED_BASES = st.integers(0, 10**12)
 # from 1 - sqrt(2)/2 up every sample is a hit, and from 0.5 up states
 # mismatch the flip test
 TOLERANCES = st.sampled_from([TOL_MEMBERSHIP, 0.5, 0.9])
+NON_UNITARY = pytest.mark.parametrize(
+    "bad", [np.diag([1.0, 2.0]), np.full((2, 2), np.nan)],
+    ids=["scaled", "nan"])
 #: Wins QPQ with H as its last move, though its second-column phase puts it
 #: off every e^{i theta} times one of the eight bases.
 A1 = np.column_stack([PLUS, 1j * MINUS])
@@ -255,8 +258,13 @@ class TestBatchedScreen:
         assert states.tobytes() == b"".join(p.tobytes() for p in oracle_psi)
         residuals = np.array([unitarity_residual(u) for u in oracle_u])
         assert unitarity_residuals(unitaries).tobytes() == residuals.tobytes()
-        assert screen(seed, k, tol) == per_sample_screen(oracle_u, oracle_psi,
-                                                         tol)
+        want = per_sample_screen(oracle_u, oracle_psi, tol)
+        assert screen(seed, k, tol) == want
+        # without states the same rows are drawn, and only the states go
+        only_unitaries, no_states = draw(rng(seed), k, states=False)
+        assert only_unitaries.tobytes() == unitaries.tobytes()
+        assert no_states is None
+        assert screen(seed, k, tol, states=False) == (*want[:2], None)
 
     @settings(max_examples=8, deadline=None)
     @given(SEED_BASES, st.integers(0, 2 * BLOCK + 1),
@@ -291,20 +299,41 @@ class TestBatchedScreen:
         planted = [phase_family(base, theta)
                    for base, theta in zip(FIRST_MOVE_BASES, thetas)]
         planted += [A1, rotated_hadamard(eps), rephased_hadamard(eps)]
-        unitaries, states = draw(rng(seed), 3 * len(planted))
+        unitaries, _ = draw(rng(seed), 3 * len(planted))
         unitaries[::3] = planted
         want = sum(winning_state(u, tol) is not None for u in unitaries)
         assert want >= len(planted)
-        assert screen_block(unitaries, states, tol)[0] == want
+        assert screen_unitaries(unitaries, tol)[0] == want
 
-    @pytest.mark.parametrize("bad", [np.diag([1.0, 2.0]),
-                                     np.full((2, 2), np.nan)],
-                             ids=["scaled", "nan"])
+    @NON_UNITARY
     def test_raises_on_a_planted_non_unitary(self, bad):
-        unitaries, states = draw(rng(0), 7)
+        unitaries, _ = draw(rng(0), 7)
         unitaries[4] = bad
         with pytest.raises(NotUnitary):
-            screen_block(unitaries, states)
+            screen_unitaries(unitaries)
+
+
+class TestWinningStates:
+    @settings(max_examples=25, deadline=None)
+    @given(SEED_BASES, WINDOWS,
+           st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8),
+           st.floats(0.0, 1e-3),
+           st.sampled_from([TOL_MEMBERSHIP, 1e-6, 0.5, 0.9]))
+    def test_matches_the_per_matrix_oracle(self, seed, k, thetas, eps, tol):
+        planted = [phase_family(base, theta)
+                   for base, theta in zip(FIRST_MOVE_BASES, thetas)]
+        planted += [A1, rotated_hadamard(eps), rephased_hadamard(eps)]
+        unitaries = np.concatenate([draw(rng(seed), k)[0], planted])
+        unitaries = unitaries[rng(seed).permutation(len(unitaries))]
+        assert winning_states(unitaries, tol) == [winning_state(u, tol)
+                                                  for u in unitaries]
+
+    @NON_UNITARY
+    def test_raises_on_a_planted_non_unitary(self, bad):
+        unitaries, _ = draw(rng(0), 7)
+        unitaries[4] = bad
+        with pytest.raises(NotUnitary):
+            winning_states(unitaries)
 
 
 class TestExactComplexBridge:

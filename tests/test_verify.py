@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from pennyflip import dihedral, games, orbits, unitary, verify
 from pennyflip.config import Config
-from pennyflip.states import KET_MINUS, KET_PLUS
+from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, act
 
 
 # Each row breaks one claim helper; the check that owns it must then fail.
@@ -22,7 +23,7 @@ from pennyflip.states import KET_MINUS, KET_PLUS
     (dihedral, "verify_presentation", False, verify.check_representation),
     (orbits, "index_stabilizer", (), verify.check_orbit_structure),
     (orbits, "fixed_set", (), verify.check_fixed_set_dichotomy),
-    (unitary, "winning_state", None, verify.check_phase_families),
+    (unitary, "winning_states", [None] * 100, verify.check_phase_families),
     (unitary, "winning_state", KET_PLUS, verify.check_u2_sampling),
 ], ids=["characteristic-d8", "synthesis-d8", "synthesis-stable",
         "dominance-d8", "fast-classes-d8", "fast-classes-stable",
@@ -59,10 +60,37 @@ def test_orbit_structure_fails_when_one_reflection_misacts(monkeypatch):
 
 
 def test_phase_families_fail_without_the_minus_class(monkeypatch):
-    real = unitary.winning_state
-    monkeypatch.setattr(unitary, "winning_state", lambda u, tol: (
-        None if real(u, tol) == KET_MINUS else real(u, tol)))
+    real = unitary.winning_states
+    monkeypatch.setattr(unitary, "winning_states", lambda us, tol: [
+        None if state == KET_MINUS else state for state in real(us, tol)])
     assert verify.check_phase_families(Config())[0] is False
+
+
+def per_matrix_phase_families(tol):
+    """The phase-families check one member at a time, by the per-matrix
+    ``winning_state``: the loop the batched check replaces."""
+    failures = 0
+    worst = 0.0
+    for i in range(100):
+        base = unitary.FIRST_MOVE_BASES[i % 8]
+        theta = (i * 2.0 * math.pi / 100.0 + 0.05) % (2.0 * math.pi)
+        u = unitary.phase_family(base, theta)
+        if unitary.winning_state(u, tol) != act(base, KET_ZERO):
+            failures += 1
+            continue
+        found = cmath.phase(u[0, 0] / unitary.BASE_MATRICES[base][0, 0])
+        err = abs((found - theta + math.pi) % (2.0 * math.pi) - math.pi)
+        worst = max(worst, err)
+        if err > tol:
+            failures += 1
+    return failures == 0, {"gridPoints": 100, "failures": failures,
+                           "maxThetaError": worst}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 5e-9, 1e-8, 0.5, 0.9])
+def test_phase_families_match_the_per_matrix_loop(tol):
+    assert (verify.check_phase_families(Config(tolerance=tol))
+            == per_matrix_phase_families(tol))
 
 
 def test_probability_identities_cover_n_above_64(monkeypatch):
@@ -91,8 +119,8 @@ def test_u2_sampling_fails_on_a_winning_first_move(monkeypatch):
     assert verify.check_u2_sampling(cfg)[0] is True
     hadamard = unitary.matrix(dihedral.HADAMARD)
     real = unitary.draw
-    monkeypatch.setattr(unitary, "draw", lambda rng, count: (
-        np.broadcast_to(hadamard, (count, 2, 2)), real(rng, count)[1]))
+    monkeypatch.setattr(unitary, "draw", lambda rng, count, states: (
+        np.broadcast_to(hadamard, (count, 2, 2)), real(rng, count, states)[1]))
     ok, details = verify.check_u2_sampling(cfg)
     assert details["hits"] == 50
     assert ok is False
