@@ -1,4 +1,4 @@
-"""Command-line surface.
+"""Command-line surface; ``_echo`` prints each command's ``reports`` payload.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
 error (e.g. asking for the flip in a group that lacks it).
@@ -54,11 +54,12 @@ def domain_errors_exit_3(fn):
     return wrapper
 
 
-def _echo_states(states, fmt: str) -> None:
+def _echo(payload, fmt: str, render) -> None:
+    """Print *payload* as JSON, or as its Markdown rendering *render*."""
     if fmt == "json":
-        click.echo(reports.dump_json(reports.state_set_json(states)))
+        click.echo(reports.dump_json(payload))
     else:
-        click.echo(reports.state_set_name(states))
+        click.echo(render(payload), nl=False)
 
 
 format_option = click.option(
@@ -78,7 +79,8 @@ def main() -> None:
 @domain_errors_exit_3
 def orbit(n: int, state_text: str, fmt: str) -> None:
     """States reachable from STATE under all of D_n."""
-    _echo_states(orbits.orbit(n, CoinState.parse(state_text)), fmt)
+    states = orbits.orbit(n, CoinState.parse(state_text))
+    _echo(reports.state_set_json(states), fmt, reports.names_markdown)
 
 
 @main.command()
@@ -89,10 +91,7 @@ def orbit(n: int, state_text: str, fmt: str) -> None:
 def stabilizer(n: int, state_text: str, fmt: str) -> None:
     """Elements of D_n fixing STATE."""
     elems = orbits.stabilizer(n, CoinState.parse(state_text))
-    if fmt == "json":
-        click.echo(reports.dump_json(reports.element_set_json(elems)))
-    else:
-        click.echo(reports.element_set_name(elems))
+    _echo(reports.element_set_json(elems), fmt, reports.names_markdown)
 
 
 @main.command("fixed-set")
@@ -104,7 +103,8 @@ def stabilizer(n: int, state_text: str, fmt: str) -> None:
 def fixed_set(n: int, elems_text: str, fmt: str) -> None:
     """States in the basis orbit fixed by every listed isometry."""
     elems = [parse_isometry(tok) for tok in elems_text.split(",") if tok.strip()]
-    _echo_states(orbits.fixed_set(n, elems), fmt)
+    states = orbits.fixed_set(n, elems)
+    _echo(reports.state_set_json(states), fmt, reports.names_markdown)
 
 
 def _game_spec(turns: str, initial: str, target_q: str | None) -> GameSpec:
@@ -143,13 +143,8 @@ def classify(n: int, turns: str, initial: str, target_q: str | None,
     """Equivalence classes of the winning strategies, with state paths."""
     spec = _game_spec(turns, initial, target_q)
     classes = games.winning_classes(spec, n)
-    if fmt == "json":
-        click.echo(reports.dump_json(
-            [reports.class_json(c) for c in classes]))
-    else:
-        for c in classes:
-            click.echo(f"{reports.path_name(c.path)}: {c.size} strategies, "
-                       f"e.g. {next(c.members)}")
+    _echo([reports.class_json(c) for c in classes], fmt,
+          reports.classes_markdown)
 
 
 @main.command()
@@ -166,20 +161,9 @@ def analyze(turns: str, initial: str, target_q: str | None, check: bool,
     """Decide an extended alternating game."""
     spec = _game_spec(turns, initial, target_q)
     decision = games.decide_extended_game(spec)
-    payload = reports.game_report(spec, decision)
-    if decision.strategy is not None:
-        payload["strategy"] = str(decision.strategy)
-    if check:
-        brute = games.brute_force_extended_check(spec, pool_n)
-        payload["bruteForceAgrees"] = (brute.q_wins == decision.q_wins
-                                       and not brute.picard_wins)
-    if fmt == "json":
-        click.echo(reports.dump_json(payload))
-    else:
-        line = f"{''.join(spec.turns)}: {decision.summary}"
-        if decision.strategy is not None:
-            line += f" with {decision.strategy}"
-        click.echo(line)
+    brute = games.brute_force_extended_check(spec, pool_n) if check else None
+    _echo(reports.decision_json(spec, decision, brute), fmt,
+          reports.decision_markdown)
 
 
 @main.command("sample-u2")
@@ -193,7 +177,7 @@ def sample_u2(samples: int, seed: int) -> None:
     from . import unitary
     hits, max_residual, _ = unitary.screen(seed, samples, states=False)
     click.echo(reports.dump_json(
-        {"samples": samples, "hits": hits, "maxResidual": max_residual}))
+        reports.sampling_json(samples, hits, max_residual)))
 
 
 @main.command("verify-all")
@@ -223,13 +207,8 @@ def verify_all(n_range: str | None, max_rounds: int | None,
     if updates:
         cfg = replace(cfg, **updates)
     results = verify.run_all(cfg, timings=timings)
-    if fmt == "json":
-        click.echo(reports.dump_json(results))
-    else:
-        for r in results:
-            click.echo(f"[{r['status']}] {r['checkId']} — {r['claimRef']}")
-    if not verify.all_passed(results):
-        failing = [r["checkId"] for r in results if r["status"] == "fail"]
+    _echo(results, fmt, reports.checks_markdown)
+    if failing := verify.failing(results):
         click.echo("failing checks: " + ", ".join(failing), err=True)
         sys.exit(1)
 

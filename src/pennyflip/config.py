@@ -16,6 +16,11 @@ N_MAX = 1024
 #: and the ceiling of ``max_rounds``; decisions run at any length.
 ROUNDS_MAX = 12
 
+#: Membership / unitarity tolerance, the default ``tolerance``.
+TOL_MEMBERSHIP = 1e-9
+#: Algebraic residual tolerance, and the least ``tolerance`` (see ``Config``).
+TOL_RESIDUAL = 1e-12
+
 _RANGE_RE = re.compile(r"^\s*(\d+)\s*\.\.\s*(\d+)\s*$")
 
 
@@ -26,7 +31,7 @@ class Config:
     max_rounds: int = 9
     samples: int = 10_000
     seed: int = 0
-    tolerance: float = 1e-9
+    tolerance: float = TOL_MEMBERSHIP
 
     def __post_init__(self) -> None:
         if not 3 <= self.n_min <= self.n_max <= N_MAX:
@@ -37,9 +42,11 @@ class Config:
                 f"max_rounds {self.max_rounds} outside [2, {ROUNDS_MAX}]")
         if self.samples < 0 or self.seed < 0:
             raise ValueError("samples and seed must be nonnegative")
-        # from 1 up every unitary.proportional test passes; NaN fails too
-        if not 0 < self.tolerance < 1:
-            raise ValueError(f"tolerance {self.tolerance} outside (0, 1)")
+        # below TOL_RESIDUAL the unitarity test fails samples u2-sampling
+        # accepts; from 1 up every proportionality test passes; NaN fails too
+        if not TOL_RESIDUAL <= self.tolerance < 1:
+            raise ValueError(f"tolerance {self.tolerance} outside "
+                             f"[{TOL_RESIDUAL}, 1)")
 
 
 def parse_n_range(text: str) -> tuple[int, int]:

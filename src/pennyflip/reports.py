@@ -1,8 +1,8 @@
-"""JSON and Markdown renderings of sets, strategy classes and game reports.
+"""Every CLI command's JSON payload, and its Markdown rendering.
 
-JSON is the canonical format; Markdown is a rendering of the same payload.
-All emitters are deterministic for a given input so reports can be compared
-byte for byte.
+Markdown renders the parsed JSON payload, except ``enumerate``'s table,
+which lists every class member.  All emitters are deterministic for a
+given input so reports can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -15,20 +15,6 @@ from .games import Decision, GameSpec, StrategyClass
 from .states import CoinState
 
 SCHEMA_VERSION = "1"
-
-
-# -- naming ----------------------------------------------------------------
-
-def path_name(path: Sequence[CoinState]) -> str:
-    return "(" + ", ".join(str(s) for s in path) + ")"
-
-
-def state_set_name(states: Iterable[CoinState]) -> str:
-    return "{" + ", ".join(str(s) for s in states) + "}"
-
-
-def element_set_name(elems: Iterable[DihedralElement]) -> str:
-    return "{" + ", ".join(str(represent(g)) for g in elems) + "}"
 
 
 # -- JSON payloads ---------------------------------------------------------
@@ -66,11 +52,46 @@ def game_report(spec: GameSpec, decision: Decision | None,
     return payload
 
 
+def decision_json(spec: GameSpec, decision: Decision,
+                  brute: Decision | None = None) -> dict:
+    """The decision, Q's witness, and whether a brute-force run agrees."""
+    payload = game_report(spec, decision)
+    if decision.strategy is not None:
+        payload["strategy"] = str(decision.strategy)
+    if brute is not None:
+        payload["bruteForceAgrees"] = (brute.q_wins == decision.q_wins
+                                       and not brute.picard_wins)
+    return payload
+
+
+def sampling_json(samples: int, hits: int, max_residual: float) -> dict:
+    return {"samples": samples, "hits": hits, "maxResidual": max_residual}
+
+
 def dump_json(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
 
 
-# -- Markdown tables -------------------------------------------------------
+# -- Markdown renderings ---------------------------------------------------
+
+def names_markdown(rows: Sequence[dict]) -> str:
+    return "{" + ", ".join(row["name"] for row in rows) + "}\n"
+
+
+def classes_markdown(classes: Sequence[dict]) -> str:
+    return "".join(f"({', '.join(c['path'])}): {c['size']} strategies, "
+                   f"e.g. {c['representative']}\n" for c in classes)
+
+
+def decision_markdown(report: dict) -> str:
+    witness = f" with {report['strategy']}" if "strategy" in report else ""
+    return f"{report['turns']}: {report['decision']}{witness}\n"
+
+
+def checks_markdown(results: Sequence[dict]) -> str:
+    return "".join(f"[{r['status']}] {r['checkId']} — {r['claimRef']}\n"
+                   for r in results)
+
 
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines = ["| " + " | ".join(header) + " |",

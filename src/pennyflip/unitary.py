@@ -37,14 +37,11 @@ import math
 import numpy as np
 
 from .angles import Angle
+from .config import TOL_MEMBERSHIP, TOL_RESIDUAL
 from .dihedral import FLIP, HADAMARD, PlanarIsometry
 from .errors import NotUnitary
 from .states import KET_MINUS, KET_PLUS, CoinState
 
-#: Membership / unitarity tolerance.
-TOL_MEMBERSHIP = 1e-9
-#: Algebraic residual tolerance.
-TOL_RESIDUAL = 1e-12
 #: Rows drawn and screened at a time, so memory stays flat for any window.
 BLOCK = 1024
 #: Standard normals per sample: eight for the 2x2 complex draw, two for the

@@ -306,5 +306,5 @@ def run_all(cfg: Config, timings: bool = False) -> list[dict]:
     return reports
 
 
-def all_passed(reports: list[dict]) -> bool:
-    return all(r["status"] != "fail" for r in reports)
+def failing(reports: list[dict]) -> list[str]:
+    return [r["checkId"] for r in reports if r["status"] == "fail"]

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pennyflip import games, unitary
+from pennyflip import games, reports, unitary
 from pennyflip.angles import Angle
 from pennyflip.cli import main, parse_isometry
 from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
@@ -135,6 +135,75 @@ def test_game_commands_match_golden(runner):
     spec = json.loads((Path(__file__).parent / "golden"
                        / "game_cli.json").read_text())
     assert game_cli_digest(runner, spec) == spec["sha256"]
+
+
+def markdown_cli_digest(runner, spec):
+    """sha256 over every ``analyze --format markdown`` (with and without
+    ``--check``), ``classify`` JSON and ``verify-all --format markdown`` run
+    that *spec* names: per run, its argv and exit code, then its stdout and
+    its stderr."""
+    digest = hashlib.sha256()
+    lo, hi = spec["rounds"]
+    pool = ("--check", "--pool-n", str(spec["poolN"]))
+    runs = []
+    for turns in games.alternating_turn_sequences(lo, hi):
+        for initial, target in spec["pairs"]:
+            game = ("--turns", "".join(turns), "--initial", initial,
+                    "--target-q", target)
+            runs += [("analyze", *game, "--format", "markdown"),
+                     ("analyze", *game, *pool, "--format", "markdown")]
+            runs += [("classify", "--n", str(n), *game) for n in spec["n"]]
+    runs += [("verify-all", *args, "--format", "markdown")
+             for args in spec["verifyAll"]]
+    for argv in runs:
+        result = invoke(runner, *argv)
+        digest.update(f"{' '.join(argv)} -> {result.exit_code}\n".encode())
+        digest.update(result.stdout_bytes)
+        digest.update(b"\0")
+        digest.update(result.stderr_bytes)
+    return digest.hexdigest()
+
+
+def test_markdown_commands_match_golden(runner):
+    # Markdown of analyze and verify-all, and classify JSON, byte for byte
+    spec = json.loads((Path(__file__).parent / "golden"
+                       / "markdown_cli.json").read_text())
+    assert markdown_cli_digest(runner, spec) == spec["sha256"]
+
+
+#: The Markdown renderer of each command's JSON payload.
+RENDERERS = {"orbit": reports.names_markdown,
+             "stabilizer": reports.names_markdown,
+             "fixed-set": reports.names_markdown,
+             "classify": reports.classes_markdown,
+             "analyze": reports.decision_markdown,
+             "verify-all": reports.checks_markdown}
+
+
+def rendered_runs():
+    for n in ("6", "8", "12"):
+        for state in ("0", "+", "1/5*pi"):
+            yield "orbit", "--n", n, "--state", state
+            yield "stabilizer", "--n", n, "--state", state
+        yield "fixed-set", "--n", n, "--elems", "S_0,R_π"
+        yield "fixed-set", "--n", n, "--elems", "S_0"
+    # the brute-force pool needs H, so 8 | n
+    for n, pool_n in (("8", "8"), ("12", "16")):
+        for turns in ("QPQ", "PQP", "QPQPQ"):
+            yield "classify", "--n", n, "--turns", turns
+            yield "analyze", "--turns", turns, "--check", "--pool-n", pool_n
+    yield "verify-all", *TestVerifyAll.ARGS[1:]
+
+
+def test_markdown_renders_the_json_payload(runner):
+    # --format markdown is the command's renderer applied to its JSON stdout
+    for argv in rendered_runs():
+        as_json = invoke(runner, *argv, "--format", "json")
+        as_markdown = invoke(runner, *argv, "--format", "markdown")
+        assert as_json.exit_code == as_markdown.exit_code == 0, argv
+        payload = json.loads(as_json.stdout)
+        assert (RENDERERS[argv[0]](payload).encode()
+                == as_markdown.stdout_bytes), argv
 
 
 def game_listing(command, fmt, target):
@@ -411,7 +480,9 @@ class TestVerifyAll:
 
 NAN_CFG = "<config file with tolerance=nan>"
 INF_CFG = "<config file with tolerance=inf>"
-CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n"}
+TINY_CFG = "<config file with tolerance=1e-16>"
+CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n",
+                TINY_CFG: "tolerance=1e-16\n"}
 
 
 # Every invalid input exits with its contract code and no traceback:
@@ -460,6 +531,11 @@ CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n"}
                  id="verify-all-inf-tolerance"),
     pytest.param(["verify-all", "--config", INF_CFG], 2,
                  id="verify-all-inf-tolerance-in-config"),
+    # below the residual bound the unitarity test rejects accepted samples
+    pytest.param(["verify-all", "--tolerance", "1e-14"], 2,
+                 id="verify-all-tolerance-below-residual-bound"),
+    pytest.param(["verify-all", "--config", TINY_CFG], 2,
+                 id="verify-all-tolerance-below-residual-bound-in-config"),
 ])
 def test_invalid_input_exit_code(runner, tmp_path, argv, code):
     def arg(a):

@@ -1,16 +1,20 @@
 import json
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pennyflip.angles import Angle
 from pennyflip.cli import parse_isometry
+from pennyflip.config import N_MAX
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
-                                isometries)
+                                elements, isometries, represent)
 from pennyflip.games import (PQG, GameSpec, Strategy, decide_extended_game,
                              winning_classes)
 from pennyflip.orbits import stabilizer
-from pennyflip.reports import (dump_json, element_set_json,
-                               element_set_name, game_report, path_name,
-                               state_set_name, table_winning_classes)
+from pennyflip.reports import (class_json, classes_markdown, dump_json,
+                               element_set_json, game_report, names_markdown,
+                               state_set_json, table_winning_classes)
 from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,6 +42,13 @@ def golden_sections(path):
     return sections
 
 
+def proper_prefixes(names):
+    """The pairs of sorted neighbours where one name is a proper prefix of
+    the next; a name with any proper extension has one as its neighbour."""
+    ordered = sorted(set(names))
+    return [(a, b) for a, b in zip(ordered, ordered[1:]) if b.startswith(a)]
+
+
 class TestNaming:
     def test_named_letters(self):
         assert str(IDENTITY) == "I"
@@ -62,14 +73,32 @@ class TestNaming:
             assert [str(p) for p in ps] == sections[header], header
             assert [parse_isometry(str(p)) for p in ps] == list(ps), header
 
+    # sorting strategies by their names compares them move by move only
+    # while no isometry name is a proper prefix of another
+    def test_golden_names_are_prefix_free(self):
+        sections = golden_sections(GOLDEN / "isometry_names.txt")
+        names = [name for section in sections.values() for name in section]
+        assert proper_prefixes(names) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=3, max_value=N_MAX))
+    def test_group_names_are_prefix_free(self, n):
+        names = [str(represent(g)) for g in elements(n)]
+        assert len(set(names)) == 2 * n
+        assert proper_prefixes(names) == []
+
     def test_strategy_and_path_names(self):
         assert str(Strategy("Q", (HADAMARD, HADAMARD))) == "(H, H)"
-        assert path_name((KET_ZERO, KET_PLUS, KET_ZERO)) == "(|0⟩, |+⟩, |0⟩)"
-        assert state_set_name((KET_PLUS, KET_MINUS)) == "{|+⟩, |−⟩}"
+        first = classes_d8()[0]
+        assert first.path == (KET_ZERO, KET_PLUS, KET_ZERO)
+        assert classes_markdown([class_json(first)]).startswith(
+            "(|0⟩, |+⟩, |0⟩): 16 strategies, e.g. ")
+        states = state_set_json((KET_PLUS, KET_MINUS))
+        assert names_markdown(states) == "{|+⟩, |−⟩}\n"
 
     def test_stabilizer_renders_with_group_letters(self):
-        names = element_set_name(stabilizer(8, KET_PLUS))
-        assert names == "{I, R_π, F, S_{6π/8}}"
+        names = names_markdown(element_set_json(stabilizer(8, KET_PLUS)))
+        assert names == "{I, R_π, F, S_{6π/8}}\n"
 
 
 class TestMarkdownTables:
