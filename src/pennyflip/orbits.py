@@ -4,8 +4,10 @@ A state phi = a/b (in units of pi) is the index j = phi*N on Z_N with
 N = lcm(2n, b), where D_n acts by integer arithmetic; the basis orbit lies
 on N = 2n, with |0> at 0 and |1> at n.  An orbit is two cosets of dZ_N,
 d = gcd(2N/n, N): j + dZ_N from the rotations, -j + dZ_N from the
-reflections.  A stabilizer is decided element by element with
-:meth:`DihedralElement.act`, so |orbit|*|stabilizer| = 2n stays a check.
+reflections.  A stabilizer solves k*step = c (mod N), step = 2N/n, for
+k in [0, n): c = 0 for the rotations r^k and c = 2j for the reflections
+r^k s.  Each solution is kept only if :meth:`DihedralElement.act` fixes j,
+so the action still decides it and |orbit|*|stabilizer| = 2n stays a check.
 Fixed sets are taken over the basis orbit's indices; a :class:`CoinState`
 is built only for an index that is returned.
 """
@@ -27,8 +29,20 @@ def index_orbit(n: int, j: int, size: int) -> set[int]:
 
 
 def index_stabilizer(n: int, j: int, size: int) -> tuple[DihedralElement, ...]:
-    """Elements fixing the index *j* on Z_size, in canonical order."""
-    return tuple(g for g in dihedral.elements(n) if g.act(j, size) == j)
+    """Elements fixing the index *j* on Z_size, in canonical order: each k
+    in [0, n) with k*step = c (mod size), c = 0 for r^k and 2j for r^k s,
+    that :meth:`DihedralElement.act` confirms."""
+    step = 2 * size // n
+    d = math.gcd(step, size)
+    period = size // d
+    inverse = pow(step // d, -1, period)
+    found = []
+    for reflect, c in ((False, 0), (True, 2 * j)):
+        if c % d == 0:
+            ks = range(c // d * inverse % period, n, period)
+            found += [g for g in (DihedralElement(n, k, reflect) for k in ks)
+                      if g.act(j, size) == j]
+    return tuple(found)
 
 
 def _on_grid(n: int, x: CoinState) -> tuple[int, int]:

@@ -110,11 +110,13 @@ def check_orbit_structure(cfg: Config):
         # n/2 states each for even n, n for odd; one orbit iff 4 | n
         shape_ok = (len(orb0) == len(orb1) == (n if n % 2 else n // 2)
                     and (orb0 == orb1 if n % 4 == 0 else not orb0 & orb1))
-        # on the basis orbit and at index 1, whose cosets +-1 + dZ_2n differ
+        # on each distinct orbit of the basis and of index 1, whose cosets
+        # +-1 + dZ_2n differ
+        distinct = {frozenset(orb) for orb in
+                    (orb0, orb1, orbits.index_orbit(n, 1, size))}
         counting_ok = all(
-            len(orbits.index_orbit(n, j, size))
-            * len(orbits.index_stabilizer(n, j, size)) == 2 * n
-            for j in orb0 | orb1 | {1})
+            len(orb) * len(orbits.index_stabilizer(n, j, size)) == 2 * n
+            for orb in distinct for j in orb)
         if not (shape_ok and counting_ok):
             failures.append(n)
     return not failures, {"nRange": [cfg.n_min, cfg.n_max],

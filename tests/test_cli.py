@@ -105,6 +105,32 @@ def test_orbit_commands_match_golden(runner):
     assert orbit_cli_digest(runner, spec) == spec["sha256"]
 
 
+def stabilizer_cli_digest(runner, spec):
+    """sha256 over every ``stabilizer`` run that *spec* names, as in
+    :func:`orbit_cli_digest`; ``{2n}`` in a state stands for 2n, so
+    ``1/{2n}*pi`` is the index 1 of the basis grid Z_2n."""
+    digest = hashlib.sha256()
+    for n in spec["n"]:
+        states = [s.replace("{2n}", str(2 * n)) for s in spec["states"]]
+        for fmt in spec["formats"]:
+            for state in states + spec["extraStates"].get(str(n), []):
+                argv = ["stabilizer", "--n", str(n), "--state", state,
+                        "--format", fmt]
+                result = invoke(runner, *argv)
+                digest.update(f"{' '.join(argv)} -> {result.exit_code}\n"
+                              .encode())
+                digest.update(result.stdout_bytes)
+    return digest.hexdigest()
+
+
+def test_stabilizer_beyond_orbit_golden_matches(runner):
+    # stabilizers past the orbit golden's n <= 64, up to N_MAX, and on a
+    # grid Z_N with N past 2**63
+    spec = json.loads((Path(__file__).parent / "golden"
+                       / "stabilizer_large_n.json").read_text())
+    assert stabilizer_cli_digest(runner, spec) == spec["sha256"]
+
+
 def game_cli_digest(runner, spec):
     """sha256 over every ``enumerate``/``classify``/``analyze --check`` run
     that *spec* names: per run, its argv and exit code, then its stdout and

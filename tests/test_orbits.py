@@ -9,8 +9,8 @@ from pennyflip.config import N_MAX
 from pennyflip import dihedral
 from pennyflip.dihedral import FLIP, IDENTITY, DihedralElement, represent
 from pennyflip.errors import FNotInGroup
-from pennyflip.orbits import (fixed_set, index_orbit, orbit, orbit_of_basis,
-                              stabilizer)
+from pennyflip.orbits import (fixed_set, index_orbit, index_stabilizer, orbit,
+                              orbit_of_basis, stabilizer)
 from pennyflip.states import (KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
                               CoinState, act)
 
@@ -93,6 +93,27 @@ def test_index_orbit_matches_act_enumeration_off_grid(n, b, data):
     size = math.lcm(2 * n, b)
     j = data.draw(st.integers(0, size - 1))
     assert index_orbit(n, j, size) == act_orbit(n, j, size)
+
+
+def act_stabilizer(n, j, size):
+    """Oracle: the stabilizer of index j enumerated through every element."""
+    return tuple(g for g in dihedral.elements(n) if g.act(j, size) == j)
+
+
+def test_index_stabilizer_matches_act_enumeration_exhaustively():
+    # tuple equality pins the canonical order as well as the elements
+    for n in range(3, 65):
+        for size in {math.lcm(2 * n, b) for b in range(1, 13)}:
+            for j in range(size):
+                assert (index_stabilizer(n, j, size)
+                        == act_stabilizer(n, j, size)), (n, size, j)
+
+
+@given(st.integers(3, N_MAX), st.integers(1, 10**4), st.data())
+def test_index_stabilizer_matches_act_enumeration_off_grid(n, b, data):
+    size = math.lcm(2 * n, b)
+    j = data.draw(st.integers(0, size - 1))
+    assert index_stabilizer(n, j, size) == act_stabilizer(n, j, size)
 
 
 @given(st.integers(3, N_MAX), st.data())

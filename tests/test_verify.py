@@ -59,6 +59,40 @@ def test_orbit_structure_fails_when_one_reflection_misacts(monkeypatch):
     assert ok is False and details["failures"] == [8]
 
 
+def test_orbit_structure_fails_when_one_reflection_misacts_beyond_64(
+        monkeypatch):
+    # r^4 s in D_72 sends j to 16 - j on Z_144 and fixes 8 and 80, which lie
+    # in the basis orbit 4Z_144; shifted by one, it fixes no index.  (r^5 s
+    # fixes only indices = 2 mod 4, which the check never visits.)
+    real = dihedral.DihedralElement.act
+
+    def misacting(g, j, size):
+        moved = real(g, j, size)
+        if (g.n, g.k, g.reflect) == (72, 4, True):
+            return (moved + 1) % size
+        return moved
+    monkeypatch.setattr(dihedral.DihedralElement, "act", misacting)
+    ok, details = verify.check_orbit_structure(Config(n_min=71, n_max=73))
+    assert ok is False and details["failures"] == [72]
+
+
+@pytest.mark.parametrize("n", [1023, 1024])
+def test_orbit_structure_makes_linear_act_calls(monkeypatch, n):
+    # counted, not timed: each distinct orbit costs one act call per
+    # (state, stabilizer element) pair, 2n per orbit, 4n at these n; an
+    # element-by-element stabilizer costs 2n per state
+    real = dihedral.DihedralElement.act
+    calls = 0
+
+    def counting(g, j, size):
+        nonlocal calls
+        calls += 1
+        return real(g, j, size)
+    monkeypatch.setattr(dihedral.DihedralElement, "act", counting)
+    assert verify.check_orbit_structure(Config(n_min=n, n_max=n))[0] is True
+    assert calls <= 6 * n
+
+
 def test_phase_families_fail_without_the_minus_class(monkeypatch):
     real = unitary.winning_states
     monkeypatch.setattr(unitary, "winning_states", lambda us, tol: [
