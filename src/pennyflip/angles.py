@@ -21,7 +21,7 @@ from .errors import ExactArithmeticOverflow
 
 #: Checked integer width.  Everything in this problem domain stays tiny, so
 #: blowing past 64 bits means something went wrong; fail loudly.
-_INT_MAX = 2**63 - 1
+INT_MAX = 2**63 - 1
 
 _SQRT2_HALF = math.sqrt(2.0) / 2.0
 
@@ -45,7 +45,7 @@ class Angle(Fraction):
 
     def __new__(cls, numerator=0, denominator=None):
         self = super().__new__(cls, numerator, denominator)
-        if abs(self.numerator) > _INT_MAX or self.denominator > _INT_MAX:
+        if abs(self.numerator) > INT_MAX or self.denominator > INT_MAX:
             raise ExactArithmeticOverflow(
                 f"angle {self.numerator}/{self.denominator} exceeds 64-bit width"
             )

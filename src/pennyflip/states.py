@@ -16,8 +16,9 @@ import math
 import re
 from dataclasses import dataclass
 
-from .angles import Angle
+from .angles import INT_MAX, Angle
 from .dihedral import PlanarIsometry
+from .errors import ExactArithmeticOverflow
 
 
 @dataclass(frozen=True)
@@ -111,5 +112,9 @@ def win_probability(final: CoinState, target: CoinState) -> float:
         return 0.0
     if den == 4:                        # odd multiple of pi/4
         return 0.5
-    c, _ = Angle(num // g, den).cos_sin()
+    if den > INT_MAX:                   # as Angle(num // g, den) would
+        raise ExactArithmeticOverflow(
+            f"angle {num // g}/{den} exceeds 64-bit width")
+    # the cosine Angle.cos_sin takes: a true division, then the float pi
+    c = math.cos(num // g / den * math.pi)
     return c * c

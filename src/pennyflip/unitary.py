@@ -12,7 +12,12 @@ U carries.  ``winning_states`` decides it for a stack of matrices in one
 array pass; it is the one batched classifier, behind both the sampling
 screen and the ``phase-families`` check, and the one place that holds the
 distance to |+> and |->.  ``winning_state`` decides one matrix and stays
-its per-sample oracle.
+its per-sample oracle.  The batched classifier estimates each row's
+unitarity residual and first-column overlaps with plain elementwise
+arithmetic, each within a derived error bound of the BLAS products the
+oracle takes; the BLAS oracles ``unitarity_residuals`` and ``_dot`` run
+only on the rows that bound leaves open, so every class, maximum residual
+and NotUnitary is still the oracle's, bit for bit.
 
 Sampling draws a window from one generator, ``np.random.default_rng(seed)``:
 sample ``k`` is row ``k`` of a ``(samples, ROW)`` array of standard normals.
@@ -168,10 +173,42 @@ def _norm(z: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(z.real, z.real) + _dot(z.imag, z.imag))
 
 
+# Error bound of the elementwise estimates below against their BLAS oracles.
+# Each real or imaginary part of a two-term complex inner product <a|b> is a
+# four-term real dot product.  For any summation order, with or without
+# FMA, its computed value lies within gamma_4 * P of the exact one, where
+# P = |a_0||b_0| + |a_1||b_1| <= ||a|| ||b||, gamma_4 = 4u / (1 - 4u) and
+# u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., 3.1).  Estimate and oracle each carry that error, so as complex
+# numbers they lie within 2 * sqrt(2) * gamma_4 * P < 11.32u * P of each
+# other.  Each side then rounds once in ``hypot`` (by under one ulp, at most
+# 2u times its value, which is at most P + r for the result r) and once in
+# ``- 1`` (by at most u * r; not at all when the value lies in [1/2, 2]).
+# So the two results differ by at most 15.32u * P + 6u * r < 16u * (P + r),
+# and the slack covers the rounding of P and r themselves.  The bound
+# scales with the row's entries, not with the tolerance, so it holds at
+# every tolerance; underflow stays far below it, since a row whose column
+# norms are small has a residual near 1.
+_ERR = 2.0 ** -49       # 16u
+
+
 def _proportional(u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
-    """Row-wise ``proportional``: |abs(vdot(u, v)) - 1| within *tol*."""
-    w = _dot(u.conj(), v)
-    return np.abs(np.hypot(w.real, w.imag) - 1.0) <= tol
+    """Row-wise ``proportional``: |abs(vdot(u, v)) - 1| within *tol*.
+
+    An elementwise estimate decides each row that its error bound leaves on
+    one side of *tol*; the BLAS oracle ``_dot`` decides the rest, NaN rows
+    included.
+    """
+    g = u.conj() * v
+    a = np.abs(g)
+    off = np.abs(np.abs(g[:, 0] + g[:, 1]) - 1.0)
+    near = off <= tol
+    bound = _ERR * (a[:, 0] + a[:, 1] + off)
+    open_ = ~(np.abs(off - tol) > bound)
+    if open_.any():
+        w = _dot(u[open_].conj(), np.broadcast_to(v, u.shape)[open_])
+        near[open_] = np.abs(np.hypot(w.real, w.imag) - 1.0) <= tol
+    return near
 
 
 def draw(rng: np.random.Generator, count: int,
@@ -207,16 +244,37 @@ _CLASS_STATES = (None, KET_PLUS, KET_MINUS)
 
 
 def _classes(unitaries: np.ndarray,
-             tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Class codes (indices into ``_CLASS_STATES``) and unitarity residuals
-    of stacked 2x2 matrices; raises NotUnitary as ``winning_state`` does."""
-    residuals = unitarity_residuals(unitaries)
+             tol: float) -> tuple[np.ndarray, float]:
+    """Class codes (indices into ``_CLASS_STATES``) and the largest
+    unitarity residual of stacked 2x2 matrices; raises NotUnitary as
+    ``winning_state`` does.
+
+    Every row's residual is estimated elementwise; P of each Gram entry is
+    at most the larger squared column norm.  The oracle
+    ``unitarity_residuals`` then runs on the row estimated largest, and on
+    each row whose bound reaches that row's exact residual, NaN and inf
+    rows included: the maximum is among them, and every row passes *tol*
+    exactly when the maximum does.
+    """
+    if len(unitaries) == 0:
+        return np.zeros(0, dtype=int), 0.0
+    c0, c1 = unitaries[:, :, 0], unitaries[:, :, 1]
+    g = c0.conj() * c1
+    sq = unitaries.real * unitaries.real + unitaries.imag * unitaries.imag
+    n0 = sq[:, 0, 0] + sq[:, 1, 0]
+    n1 = sq[:, 0, 1] + sq[:, 1, 1]
+    estimate = np.maximum(np.maximum(np.abs(n0 - 1.0), np.abs(n1 - 1.0)),
+                          np.abs(g[:, 0] + g[:, 1]))
+    bound = _ERR * (np.maximum(n0, n1) + estimate)
+    top = int(np.argmax(estimate))
+    floor = unitarity_residuals(unitaries[top:top + 1])
+    open_ = ~(estimate + bound < floor[0])
+    residuals = np.concatenate([floor, unitarity_residuals(unitaries[open_])])
     if not np.all(residuals <= tol):
         raise NotUnitary("matrix fails the unitarity check")
-    col = unitaries[:, :, 0]
-    codes = np.where(_proportional(col, PLUS, tol), 1,
-                     2 * _proportional(col, MINUS, tol))
-    return codes, residuals
+    codes = np.where(_proportional(c0, PLUS, tol), 1,
+                     2 * _proportional(c0, MINUS, tol))
+    return codes, float(residuals.max())
 
 
 def winning_states(unitaries: np.ndarray,
@@ -237,8 +295,8 @@ def screen_unitaries(unitaries: np.ndarray,
     within *tol* of a phase multiple of |+> or |->.  Raises NotUnitary as
     ``winning_states`` does.
     """
-    codes, residuals = _classes(unitaries, tol)
-    return int(np.count_nonzero(codes)), float(residuals.max(initial=0.0))
+    codes, max_residual = _classes(unitaries, tol)
+    return int(np.count_nonzero(codes)), max_residual
 
 
 def screen_states(states: np.ndarray, tol: float = TOL_MEMBERSHIP) -> int:

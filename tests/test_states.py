@@ -141,6 +141,23 @@ class TestWinProbabilityOracle:
             expected = (1.0, 0.5, 0.0, 0.5)[(i - k) % 4]
             assert got == expected and type(got) is float
 
+    def test_builds_no_angle(self, monkeypatch):
+        states = [x for n in (5, 12, 64) for x in orbit_of_basis(n)]
+        want = [win_probability_oracle(x, y) for x in states
+                for y in (KET_ZERO, KET_PLUS, states[1])]
+        built = []
+        new = Angle.__new__
+
+        def counting(cls, *args):
+            built.append(args)
+            return new(cls, *args)
+
+        monkeypatch.setattr(Angle, "__new__", staticmethod(counting))
+        got = [win_probability(x, y) for x in states
+               for y in (KET_ZERO, KET_PLUS, states[1])]
+        assert built == []
+        assert [p.hex() for p in got] == [p.hex() for p in want]
+
     def test_over_wide_difference_overflows_like_the_oracle(self):
         # two 62-bit prime denominators: each state fits in 64 bits, their
         # difference does not

@@ -344,3 +344,196 @@ class TestExactComplexBridge:
                 numeric = matrix(p) @ embed(x)
                 # equality is projective: the exact image may differ by sign
                 assert abs(abs(np.vdot(exact, numeric)) - 1.0) <= 1e-12
+
+
+def proportional_oracle(u: np.ndarray, v: np.ndarray,
+                        tol: float) -> np.ndarray:
+    """``unitary._proportional`` before the elementwise screen: the BLAS
+    dot on every row."""
+    w = unitary._dot(u.conj(), v)
+    return np.abs(np.hypot(w.real, w.imag) - 1.0) <= tol
+
+
+def classes_oracle(unitaries: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, float]:
+    """``unitary._classes`` before the elementwise screen: the BLAS oracles
+    on every row."""
+    residuals = unitarity_residuals(unitaries)
+    if not np.all(residuals <= tol):
+        raise NotUnitary("matrix fails the unitarity check")
+    col = unitaries[:, :, 0]
+    codes = np.where(proportional_oracle(col, PLUS, tol), 1,
+                     2 * proportional_oracle(col, MINUS, tol))
+    return codes, float(residuals.max(initial=0.0))
+
+
+def assert_classes_like_the_oracle(unitaries: np.ndarray, tol: float):
+    """Same codes, the same maximum bit for bit, or NotUnitary from both."""
+    try:
+        want = classes_oracle(unitaries, tol)
+    except NotUnitary:
+        with pytest.raises(NotUnitary):
+            unitary._classes(unitaries, tol)
+        return
+    codes, max_residual = unitary._classes(unitaries, tol)
+    assert codes.tolist() == want[0].tolist()
+    assert max_residual.hex() == want[1].hex()
+
+
+def assert_proportional_like_the_oracle(u: np.ndarray, v: np.ndarray,
+                                        tol: float):
+    assert (unitary._proportional(u, v, tol).tolist()
+            == proportional_oracle(u, v, tol).tolist())
+
+
+SCREEN_TOLERANCES = [1e-12, TOL_MEMBERSHIP, 0.05, 0.5, 0.9]
+
+
+def planted(rows: list[np.ndarray], seed: int = 0) -> np.ndarray:
+    """A window of ``draw`` with *rows* planted in it, evenly spaced."""
+    unitaries, _ = draw(rng(seed), 3 * len(rows))
+    unitaries[1::3] = rows
+    return unitaries
+
+
+class TestElementwiseScreen:
+    """The elementwise estimates with their error bound decide exactly what
+    the BLAS oracles decide: the same hits, the same maximum residual and
+    the same NotUnitary."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(SEED_BASES, WINDOWS, st.sampled_from(SCREEN_TOLERANCES))
+    def test_draw_windows_match_the_oracle(self, seed, k, tol):
+        unitaries, states = draw(rng(seed), k)
+        assert_classes_like_the_oracle(unitaries, tol)
+        for v in (PLUS, MINUS):
+            assert_proportional_like_the_oracle(unitaries[:, :, 0], v, tol)
+            assert_proportional_like_the_oracle(states, v, tol)
+        assert_proportional_like_the_oracle(states[:, ::-1], states, tol)
+
+    @pytest.mark.parametrize("tol", SCREEN_TOLERANCES)
+    def test_empty_and_single_row_stacks(self, tol):
+        unitaries, _ = draw(rng(5), 2)
+        for stack in (unitaries[:0], unitaries[:1], np.stack([A1])):
+            assert_classes_like_the_oracle(stack, tol)
+        assert unitary._classes(unitaries[:0], tol)[1] == 0.0
+
+    @pytest.mark.parametrize("view", [
+        lambda us: us[::2], lambda us: us[::-1],
+        lambda us: us.transpose(0, 2, 1)], ids=["step", "reversed", "T"])
+    def test_non_contiguous_views(self, view):
+        unitaries, _ = draw(rng(11), 2 * BLOCK + 3)
+        stack = view(unitaries)
+        assert not stack.flags.c_contiguous
+        for tol in SCREEN_TOLERANCES:
+            assert_classes_like_the_oracle(stack, tol)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tol", [TOL_MEMBERSHIP, 0.9])
+    @pytest.mark.parametrize("bad", [
+        np.full((2, 2), np.nan), np.full((2, 2), np.inf),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.nan]]),
+        np.array([[1.0, -np.inf], [0.0, 1.0]]),
+        1e200 * matrix(HADAMARD)],
+        ids=["nan", "inf", "one-inf", "one-nan", "off-diagonal-inf", "huge"])
+    def test_non_finite_rows_raise(self, bad, tol):
+        stack = planted([bad])
+        assert_classes_like_the_oracle(stack, tol)
+        with pytest.raises(NotUnitary):
+            unitary._classes(stack, tol)
+
+    def test_column_norms_near_one_plus_tol(self):
+        # at tol 0.9 a column of squared norm about 1.9 sits on the edge
+        tol = 0.9
+        scale = math.sqrt(1.0 + tol)
+        u, _ = draw(rng(13), 1)
+        for steps in range(-6, 7):
+            a = scale + steps * math.ulp(scale)
+            for row in (np.diag([a, 1.0]).astype(complex), a * u[0]):
+                assert_classes_like_the_oracle(planted([row]), tol)
+
+    def test_residual_a_few_ulps_either_side_of_tol(self):
+        unitaries, _ = draw(rng(17), BLOCK)
+        residuals = unitarity_residuals(unitaries)
+        for tol in (residuals.max(), residuals[0], residuals[1]):
+            for steps in range(-3, 4):
+                edge = tol + steps * math.ulp(tol)
+                assert_classes_like_the_oracle(unitaries, edge)
+                assert_classes_like_the_oracle(unitaries[:2], edge)
+
+    def test_estimates_ranked_against_the_exact_residuals(self):
+        # elementwise, row 0 estimates the larger residual (2.69e-16 against
+        # 2.22e-16), but the BLAS residual of row 10 is the larger (4.44e-16
+        # against 3.33e-16): the maximum must still come from row 10
+        unitaries, _ = draw(rng(3), 11)
+        pair = unitaries[[0, 10]]
+        residuals = unitarity_residuals(pair)
+        assert residuals[1] > residuals[0]
+        for stack in (pair, pair[::-1], planted(list(pair), 3)):
+            assert_classes_like_the_oracle(stack, TOL_MEMBERSHIP)
+            assert (unitary._classes(stack, TOL_MEMBERSHIP)[1]
+                    == residuals.max())
+
+    def test_overlap_a_few_ulps_either_side_of_tol(self):
+        # each row's BLAS overlap |1 - |<u|v>||, and one ulp below it, as the
+        # tolerance: the rows the estimate differs from the oracle on must
+        # go to the oracle
+        unitaries, states = draw(rng(19), 64)
+        for u, v in ((unitaries[:, :, 0], PLUS), (unitaries[:, :, 0], MINUS),
+                     (states[:, ::-1], states)):
+            w = unitary._dot(u.conj(), v)
+            off = np.abs(np.hypot(w.real, w.imag) - 1.0)
+            vs = np.broadcast_to(v, u.shape)
+            for i, edge in enumerate(off.tolist()):
+                for tol in (edge, math.nextafter(edge, 0.0),
+                            math.nextafter(edge, 1.0)):
+                    assert_proportional_like_the_oracle(u[i:i + 1],
+                                                        vs[i:i + 1], tol)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_oracles_see_few_rows(seed, monkeypatch):
+    # the gain of the elementwise screen rests on this: at the default
+    # tolerance the residual oracle sees at most 1 % of the rows, and the
+    # first-column tests send none to the BLAS dot
+    residual_rows = []
+    dot_rows = []
+    in_draw = []
+    residuals, dot, draw_ = (unitary.unitarity_residuals, unitary._dot,
+                             unitary.draw)
+
+    def counting_residuals(unitaries):
+        residual_rows.append(len(unitaries))
+        return residuals(unitaries)
+
+    def counting_dot(a, b):
+        if not in_draw:
+            dot_rows.append(len(a))
+        return dot(a, b)
+
+    def marked_draw(*args):
+        in_draw.append(True)
+        try:
+            return draw_(*args)
+        finally:
+            in_draw.pop()
+
+    monkeypatch.setattr(unitary, "unitarity_residuals", counting_residuals)
+    monkeypatch.setattr(unitary, "_dot", counting_dot)
+    monkeypatch.setattr(unitary, "draw", marked_draw)
+    hits, max_residual, _ = screen(seed, 4000, states=False)
+    assert hits == 0 and max_residual > 0.0
+    assert 0 < sum(residual_rows) <= 40
+    assert dot_rows == []
+
+
+@pytest.mark.parametrize("tol, want", [
+    (TOL_MEMBERSHIP, (0, 1.748407006014211e-14, 0)),
+    (0.05, (2001, 1.748407006014211e-14, 1433)),
+    (0.5, (10000, 1.748407006014211e-14, 4996)),
+    (0.9, (10000, 1.748407006014211e-14, 997))])
+def test_screen_values_are_pinned(tol, want):
+    # the mismatches from 0.05 up are the distance-scale defect of the flip
+    # test, kept as they are until the U(2) tolerance becomes an angle
+    assert screen(0, 10000, tol) == want
