@@ -206,8 +206,8 @@ def verify_all(n_range: str | None, max_rounds: int | None,
         updates["n_min"], updates["n_max"] = parse_n_range(n_range)
     if updates:
         cfg = replace(cfg, **updates)
-    results = verify.run_all(cfg, timings=timings)
-    _echo(results, fmt, reports.checks_markdown)
+    results = verify.run_all(cfg)
+    _echo(reports.check_rows(results, timings), fmt, reports.checks_markdown)
     if failing := verify.failing(results):
         click.echo("failing checks: " + ", ".join(failing), err=True)
         sys.exit(1)

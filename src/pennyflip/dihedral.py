@@ -65,9 +65,6 @@ class DihedralElement:
             return "e"
         return "r" if self.k == 1 else f"r^{self.k}"
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "reflect": self.reflect}
-
 
 @functools.lru_cache(maxsize=8)
 def elements(n: int) -> tuple[DihedralElement, ...]:

@@ -115,14 +115,6 @@ class Decision:
     strategy: Strategy | None = None
     picard_wins: bool = False
 
-    @property
-    def summary(self) -> str:
-        if self.q_wins:
-            return "Q wins"
-        if self.picard_wins:
-            return "P wins"
-        return "no winning strategy for either player"
-
 
 def _check_lengths(spec: GameSpec, sigma: Strategy) -> None:
     expected = spec.turn_count(sigma.owner)

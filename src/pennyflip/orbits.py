@@ -56,10 +56,13 @@ def orbit(n: int, x: CoinState) -> tuple[CoinState, ...]:
     return tuple(CoinState.of(i, size) for i in sorted(index_orbit(n, j, size)))
 
 
+def _basis_indices(n: int) -> list[int]:
+    return sorted(index_orbit(n, 0, 2 * n) | index_orbit(n, n, 2 * n))
+
+
 def orbit_of_basis(n: int) -> tuple[CoinState, ...]:
     """Union of the |0> and |1> orbits."""
-    reached = index_orbit(n, 0, 2 * n) | index_orbit(n, n, 2 * n)
-    return tuple(CoinState.of(j, 2 * n) for j in sorted(reached))
+    return tuple(CoinState.of(j, 2 * n) for j in _basis_indices(n))
 
 
 def stabilizer(n: int, x: CoinState) -> tuple[DihedralElement, ...]:
@@ -72,6 +75,5 @@ def fixed_set(n: int, ps: Sequence[PlanarIsometry]) -> tuple[CoinState, ...]:
     lie in D_n (the flip needs 4 | n), else :class:`FNotInGroup` is raised."""
     dihedral.require(n, ps)
     gs = [dihedral.element_for_isometry(n, p) for p in ps]
-    basis = index_orbit(n, 0, 2 * n) | index_orbit(n, n, 2 * n)
-    return tuple(CoinState.of(j, 2 * n) for j in sorted(basis)
+    return tuple(CoinState.of(j, 2 * n) for j in _basis_indices(n)
                  if all(g.act(j, 2 * n) == j for g in gs))

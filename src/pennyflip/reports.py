@@ -1,8 +1,9 @@
-"""Every CLI command's JSON payload, and its Markdown rendering.
+"""Every stdout key and text of the CLI, and its Markdown rendering.
 
-Markdown renders the parsed JSON payload, except ``enumerate``'s table,
-which lists every class member.  All emitters are deterministic for a
-given input so reports can be compared byte for byte.
+The ``verify-all`` row envelope, the decision texts and the element keys are
+built here; a check's own ``details`` are its result.  Markdown renders the
+parsed JSON payload, except ``enumerate``'s table, which lists every class
+member.  All emitters are deterministic so reports compare byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ def state_set_json(states: Iterable[CoinState]) -> list[dict]:
 
 
 def element_set_json(elems: Iterable[DihedralElement]) -> list[dict]:
-    return [dict(g.to_json(), name=str(represent(g))) for g in elems]
+    return [{"n": g.n, "k": g.k, "reflect": g.reflect,
+             "name": str(represent(g))} for g in elems]
 
 
 def class_json(cls: StrategyClass) -> dict:
@@ -33,6 +35,11 @@ def class_json(cls: StrategyClass) -> dict:
         "size": cls.size,
         "representative": str(next(cls.members)),
     }
+
+
+def decision_text(decision: Decision) -> str:
+    return ("Q wins" if decision.q_wins else "P wins" if decision.picard_wins
+            else "no winning strategy for either player")
 
 
 def game_report(spec: GameSpec, decision: Decision | None,
@@ -44,7 +51,7 @@ def game_report(spec: GameSpec, decision: Decision | None,
         "turns": "".join(spec.turns),
         "initial": str(spec.initial),
         "targets": {"Q": str(spec.target_q), "P": str(spec.target_p)},
-        "decision": decision.summary if decision is not None else None,
+        "decision": decision_text(decision) if decision is not None else None,
     }
     if classes is not None:
         payload["strategyCount"] = sum(c.size for c in classes)
@@ -68,6 +75,14 @@ def sampling_json(samples: int, hits: int, max_residual: float) -> dict:
     return {"samples": samples, "hits": hits, "maxResidual": max_residual}
 
 
+def check_rows(results: Iterable[tuple], timings: bool = False) -> list[dict]:
+    """``verify.run_all``'s results as rows; ``elapsedMs`` 0 unless *timings*."""
+    return [{"checkId": check_id, "claimRef": claim, "details": details,
+             "status": "skipped" if ok is None else ("pass" if ok else "fail"),
+             "elapsedMs": int(seconds * 1000) if timings else 0}
+            for check_id, claim, ok, details, seconds in results]
+
+
 def dump_json(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
 
@@ -85,7 +100,9 @@ def classes_markdown(classes: Sequence[dict]) -> str:
 
 def decision_markdown(report: dict) -> str:
     witness = f" with {report['strategy']}" if "strategy" in report else ""
-    return f"{report['turns']}: {report['decision']}{witness}\n"
+    check = {True: "; brute force agrees", False: "; brute force disagrees"}
+    brute = check.get(report.get("bruteForceAgrees"), "")
+    return f"{report['turns']}: {report['decision']}{witness}{brute}\n"
 
 
 def checks_markdown(results: Sequence[dict]) -> str:

@@ -1,10 +1,10 @@
 """The verification suite behind ``verify-all``.
 
 Each check re-derives one of the library's headline claims by enumeration
-and reports pass/fail with structured details.  This is the one place that
-derives each claim: the acceptance tests run these checks and pin their
-details.  Checks run in canonical order and are deterministic for a fixed
-configuration and seed.
+and returns data, ``(ok, details)`` with ``ok`` None for a skip; ``reports``
+builds the printed rows.  This is the one place that derives each claim: the
+acceptance tests run these checks and pin their details.  Checks run in
+canonical order and are deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import time
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -290,23 +290,15 @@ CHECKS: list[tuple[str, str, Callable]] = [
 ]
 
 
-def run_all(cfg: Config, timings: bool = False) -> list[dict]:
-    """Run every check; reports in canonical checkId order."""
-    reports = []
+def run_all(cfg: Config) -> list[tuple[str, str, bool | None, dict, float]]:
+    """Run every check in canonical order; each gives (id, claim, ok, details, s)."""
+    results = []
     for check_id, claim, fn in CHECKS:
-        start = time.perf_counter()
+        start = perf_counter()
         ok, details = fn(cfg)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        status = "skipped" if ok is None else ("pass" if ok else "fail")
-        reports.append({
-            "checkId": check_id,
-            "claimRef": claim,
-            "status": status,
-            "details": details,
-            "elapsedMs": elapsed if timings else 0,
-        })
-    return reports
+        results.append((check_id, claim, ok, details, perf_counter() - start))
+    return results
 
 
-def failing(reports: list[dict]) -> list[str]:
-    return [r["checkId"] for r in reports if r["status"] == "fail"]
+def failing(results) -> list[str]:
+    return [check_id for check_id, _, ok, _, _ in results if ok is False]

@@ -75,10 +75,6 @@ class TestElements:
                 assert a.compose(b) in gset
                 assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
-    def test_json_roundtrip(self):
-        assert ref(8, 5).to_json() == {"n": 8, "k": 5, "reflect": True}
-        assert rot(12, 7).to_json() == {"n": 12, "k": 7, "reflect": False}
-
 
 def matmul_oracle(p: PlanarIsometry, q: PlanarIsometry) -> np.ndarray:
     return np.array(p.matrix()) @ np.array(q.matrix())

@@ -1,20 +1,26 @@
+import ast
 import json
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pennyflip
+from pennyflip import verify
 from pennyflip.angles import Angle
 from pennyflip.cli import parse_isometry
 from pennyflip.config import N_MAX
-from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
-                                elements, isometries, represent)
-from pennyflip.games import (PQG, GameSpec, Strategy, decide_extended_game,
-                             winning_classes)
+from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
+                                PlanarIsometry, elements, isometries,
+                                represent)
+from pennyflip.games import (PQG, Decision, GameSpec, Strategy,
+                             decide_extended_game, winning_classes)
 from pennyflip.orbits import stabilizer
-from pennyflip.reports import (class_json, classes_markdown, dump_json,
-                               element_set_json, game_report, names_markdown,
-                               state_set_json, table_winning_classes)
+from pennyflip.reports import (check_rows, checks_markdown, class_json,
+                               classes_markdown, decision_markdown,
+                               decision_text, dump_json, element_set_json,
+                               game_report, names_markdown, state_set_json,
+                               table_winning_classes)
 from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -143,3 +149,84 @@ class TestJson:
             {"n": 8, "k": 0, "reflect": True, "name": "S_0"},
             {"n": 8, "k": 4, "reflect": True, "name": "S_{4π/8}"},
         ]
+
+    def test_element_keys(self):
+        rows = element_set_json([DihedralElement.reflection(8, 5),
+                                 DihedralElement.rotation(12, 7)])
+        assert rows == [
+            {"n": 8, "k": 5, "reflect": True, "name": "S_{5π/8}"},
+            {"n": 12, "k": 7, "reflect": False, "name": "R_{7/6·π}"},
+        ]
+
+
+class TestDecisionTexts:
+    def test_the_three_texts(self):
+        strategy = Strategy("Q", (HADAMARD, HADAMARD))
+        assert decision_text(Decision(True, strategy)) == "Q wins"
+        assert decision_text(Decision(False, None, True)) == "P wins"
+        assert (decision_text(Decision(False))
+                == "no winning strategy for either player")
+        assert game_report(PQG, Decision(False, None, True))["decision"] == (
+            "P wins")
+
+    def test_markdown_renders_the_brute_force_verdict(self):
+        report = {"turns": "QPQ", "decision": "Q wins", "strategy": "(H, H)"}
+        assert decision_markdown(report) == "QPQ: Q wins with (H, H)\n"
+        assert (decision_markdown(dict(report, bruteForceAgrees=True))
+                == "QPQ: Q wins with (H, H); brute force agrees\n")
+        assert (decision_markdown(dict(report, bruteForceAgrees=False))
+                == "QPQ: Q wins with (H, H); brute force disagrees\n")
+
+
+class TestCheckRows:
+    RESULTS = [("a", "claim a", True, {"x": 1}, 0.0123),
+               ("b", "claim b", False, {}, 1.5),
+               ("c", "claim c", None, {"skipped": "why"}, 0.0)]
+
+    def test_status_words_and_envelope(self):
+        rows = check_rows(self.RESULTS)
+        assert rows[0] == {"checkId": "a", "claimRef": "claim a",
+                           "status": "pass", "details": {"x": 1},
+                           "elapsedMs": 0}
+        assert [r["status"] for r in rows] == ["pass", "fail", "skipped"]
+        assert checks_markdown(rows) == ("[pass] a — claim a\n"
+                                         "[fail] b — claim b\n"
+                                         "[skipped] c — claim c\n")
+
+    def test_elapsed_only_with_timings(self):
+        assert [r["elapsedMs"] for r in check_rows(self.RESULTS)] == [0, 0, 0]
+        assert [r["elapsedMs"] for r in check_rows(self.RESULTS, True)] == [
+            12, 1500, 0]
+
+    def test_failing_reads_ok_only(self):
+        assert verify.failing(self.RESULTS) == ["b"]
+
+
+#: Strings that only ``reports`` may hold: the row envelope of ``verify-all``
+#: and the decision texts.  The status words are left out, since a check's
+#: own details may use one as a key (``u2-sampling``'s ``"skipped"``).
+REPORT_ONLY = {"checkId", "claimRef", "status", "details", "elapsedMs",
+               "Q wins", "P wins", "no winning strategy for either player"}
+
+
+def report_only_strings(source):
+    return sorted({node.value for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant)
+                   and node.value in REPORT_ONLY})
+
+
+class TestReportsOwnTheOutput:
+    def test_no_other_module_holds_a_row_key_or_decision_text(self):
+        package = Path(pennyflip.__file__).parent
+        sources = sorted(p for p in package.glob("*.py")
+                         if p.name != "reports.py")
+        assert sources
+        found = {p.name: report_only_strings(p.read_text(encoding="utf-8"))
+                 for p in sources}
+        assert {name: keys for name, keys in found.items() if keys} == {}
+
+    def test_guard_sees_a_planted_text(self):
+        assert report_only_strings('TEXT = "Q wins"\n') == ["Q wins"]
+
+    def test_elements_build_no_json(self):
+        assert not hasattr(DihedralElement, "to_json")
