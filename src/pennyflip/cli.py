@@ -125,10 +125,8 @@ def enumerate(n: int, turns: str, initial: str, target_q: str | None,
     """Exhaustively enumerate and classify Q's winning strategies in D_n."""
     spec = _game_spec(turns, initial, target_q)
     classes = games.winning_classes(spec, n)
-    if fmt == "json":
-        click.echo(reports.dump_json(reports.game_report(spec, None, classes)))
-    else:
-        click.echo(reports.table_winning_classes(classes, spec.turns))
+    _echo(reports.game_report(spec, None, classes), fmt,
+          lambda _: reports.table_winning_classes(classes, spec.turns))
 
 
 @main.command()

@@ -1,9 +1,11 @@
 """Complex 2x2 unitary layer.
 
 Everything the exact dihedral machinery cannot express lives here: the
-eigen-structure of the coin flip, phase families e^{i*theta} * A, the test
-that decides a winning first move inside U(2) by play, and a seeded
-sampling harness that finds no such move among Haar-random unitaries.
+flip's eigenvectors |+> and |->, the test that decides a winning first move
+inside U(2) by play, and a seeded sampling harness that finds no such move
+among Haar-random unitaries.  The layer holds no D_8 move of its own: the
+``phase-families`` check takes its bases, Q's winning first moves, from the
+exact search in ``games`` and classes their multiples e^{i*theta} * A here.
 
 A first move U wins when U|0> is a phase multiple of |+> or |->: the flip
 fixes both up to phase, so Q's second move then reaches any target.  That
@@ -36,14 +38,12 @@ only the first: it draws the same rows but builds no states.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .angles import Angle
-from .config import TOL_MEMBERSHIP, TOL_RESIDUAL
-from .dihedral import FLIP, HADAMARD, PlanarIsometry
+from .config import TOL_MEMBERSHIP
+from .dihedral import FLIP, PlanarIsometry
 from .errors import NotUnitary
 from .states import KET_MINUS, KET_PLUS, CoinState
 
@@ -55,21 +55,9 @@ ROW = 10
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
+#: The flip's eigenvectors: |+> for +1 and |-> for -1.
 PLUS = np.array([SQRT2_HALF, SQRT2_HALF], dtype=complex)
 MINUS = np.array([SQRT2_HALF, -SQRT2_HALF], dtype=complex)
-
-#: The eight first moves occurring in winning strategies: four send |0> to
-#: |+> and four send |0> to |->.
-FIRST_MOVE_BASES: tuple[PlanarIsometry, ...] = (
-    HADAMARD,                                # S_{pi/8}
-    PlanarIsometry.rotor(Angle(1, 4)),       # R_{2pi/8}
-    PlanarIsometry.reflector(Angle(5, 8)),   # S_{5pi/8}
-    PlanarIsometry.rotor(Angle(5, 4)),       # R_{10pi/8}
-    PlanarIsometry.reflector(Angle(7, 8)),   # S_{7pi/8}
-    PlanarIsometry.rotor(Angle(7, 4)),       # R_{14pi/8}
-    PlanarIsometry.reflector(Angle(3, 8)),   # S_{3pi/8}
-    PlanarIsometry.rotor(Angle(3, 4)),       # R_{6pi/8}
-)
 
 
 def matrix(p: PlanarIsometry) -> np.ndarray:
@@ -77,36 +65,14 @@ def matrix(p: PlanarIsometry) -> np.ndarray:
     return np.array(p.matrix(), dtype=complex)
 
 
-#: The complex matrix of each of ``FIRST_MOVE_BASES``, in that order, built
-#: once and read-only.
-BASE_MATRICES: dict[PlanarIsometry, np.ndarray] = {
-    base: matrix(base) for base in FIRST_MOVE_BASES}
-for _m in BASE_MATRICES.values():
-    _m.flags.writeable = False
-
-
 def is_unitary(u: np.ndarray, tol: float = TOL_MEMBERSHIP) -> bool:
     return unitarity_residual(u) <= tol
-
-
-def phase_family(base: PlanarIsometry, theta: float) -> np.ndarray:
-    """The family member e^{i*theta} * base, *base* one of FIRST_MOVE_BASES."""
-    return cmath.exp(1j * theta) * BASE_MATRICES[base]
 
 
 def proportional(u: np.ndarray, v: np.ndarray,
                  tol: float = TOL_MEMBERSHIP) -> bool:
     """Whether two normalized vectors agree up to a global complex phase."""
     return bool(abs(abs(np.vdot(u, v)) - 1.0) <= tol)
-
-
-def eigensystem_flip() -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-    """Closed-form eigen-decomposition of the coin flip.
-
-    The characteristic polynomial is lambda^2 - 1, so the eigenvalues are
-    +1 and -1 with eigenvectors |+> and |->.
-    """
-    return ((1.0, PLUS.copy()), (-1.0, MINUS.copy()))
 
 
 def fixed_by_flip_projective(psi: np.ndarray,

@@ -10,6 +10,7 @@ canonical order and are deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from time import perf_counter
@@ -18,13 +19,13 @@ from typing import Callable
 import numpy as np
 
 from . import dihedral, games, orbits, unitary
-from .config import Config
+from .config import TOL_RESIDUAL, Config
 from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
-                       closure, isometries, represent)
+                       PlanarIsometry, closure, isometries, represent)
 from .errors import FNotInGroup
 from .games import GameSpec, decide_extended_game
-from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO, act,
-                     win_probability)
+from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
+                     CoinState, win_probability)
 
 EXPECTED_PATHS = (
     (KET_ZERO, KET_PLUS, KET_ZERO),
@@ -163,34 +164,39 @@ def check_extended_games(cfg: Config):
 
 def check_flip_eigensystem(cfg: Config):
     f = unitary.matrix(FLIP)
-    max_residual = 0.0
-    pairs = unitary.eigensystem_flip()
-    for lam, vec in pairs:
-        residual = float(max(abs(c) for c in (f @ vec - lam * vec)))
-        max_residual = max(max_residual, residual)
-    ok = ([lam for lam, _ in pairs] == [1.0, -1.0]
-          and max_residual <= unitary.TOL_RESIDUAL
-          and all(max(abs(c) for c in vec - want) <= unitary.TOL_RESIDUAL
-                  for (_, vec), want in zip(pairs, (unitary.PLUS,
-                                                   unitary.MINUS))))
-    return ok, {"eigenvalues": [lam for lam, _ in pairs],
-                "maxResidual": max_residual}
+    pairs = ((1.0, unitary.PLUS), (-1.0, unitary.MINUS))
+    max_residual = max(float(max(abs(c) for c in (f @ vec - lam * vec)))
+                       for lam, vec in pairs)
+    return max_residual <= TOL_RESIDUAL, {
+        "eigenvalues": [lam for lam, _ in pairs], "maxResidual": max_residual}
+
+
+@functools.cache
+def _first_moves() -> tuple[tuple[PlanarIsometry, CoinState], ...]:
+    """Q's winning first moves in D_8, each with the state it sends |0> to,
+    read once off the exact search: every winning class gives its first
+    coset and the middle of its path."""
+    return tuple((move, cls.path[1])
+                 for cls in games.winning_classes(games.PQG, 8)
+                 for move in cls.cosets[0])
 
 
 def check_phase_families(cfg: Config):
-    # grid point i is e^{i theta_i} times base i mod 8; play classes each
-    # member by the state its base sends |0> to
-    expected = [act(base, KET_ZERO) for base in unitary.FIRST_MOVE_BASES]
+    # grid point i is e^{i theta_i} times first move i mod 8; play classes
+    # each member by the state its move sends |0> to
+    moves = _first_moves()
+    if len(moves) != 8:
+        return False, {"firstMoves": len(moves)}
     thetas = [(i * 2.0 * math.pi / 100.0 + 0.05) % (2.0 * math.pi)
               for i in range(100)]
-    bases = np.stack(list(unitary.BASE_MATRICES.values()))[np.arange(100) % 8]
+    bases = np.stack([unitary.matrix(m) for m, _ in moves])[np.arange(100) % 8]
     phases = np.array([cmath.exp(1j * theta) for theta in thetas])
     members = phases[:, None, None] * bases
     found = unitary.winning_states(members, cfg.tolerance)
     failures = 0
     worst = 0.0
     for i, (theta, state) in enumerate(zip(thetas, found)):
-        if state != expected[i % 8]:
+        if state != moves[i % 8][1]:
             failures += 1
             continue
         phase = cmath.phase(members[i, 0, 0] / bases[i, 0, 0])
@@ -209,10 +215,10 @@ def check_u2_sampling(cfg: Config):
         cfg.seed, cfg.samples, cfg.tolerance)
     # a winning first move is a measure-zero event: no sample may hit one.
     # So that zero hits means something, play must still class the winner
-    # [|+>, i|->], which no named base times a phase gives, and reject F
+    # [|+>, i|->], which no D_8 first move times a phase gives, and reject F
     probe = np.column_stack([unitary.PLUS, 1j * unitary.MINUS])
     ok = (unitary_hits == 0 and state_mismatches == 0
-          and max_residual <= unitary.TOL_RESIDUAL
+          and max_residual <= TOL_RESIDUAL
           and unitary.winning_state(probe, cfg.tolerance) == KET_PLUS
           and unitary.winning_state(unitary.matrix(FLIP),
                                     cfg.tolerance) is None)

@@ -232,6 +232,16 @@ def test_markdown_renders_the_json_payload(runner):
                 == as_markdown.stdout_bytes), argv
 
 
+def test_every_markdown_output_ends_in_one_newline(runner):
+    # an empty listing prints nothing; every other output ends its last line
+    enumerate_runs = [("enumerate", "--n", "8", "--turns", turns)
+                      for turns in ("QPQ", "QPQPQ")]
+    for argv in (*rendered_runs(), *enumerate_runs):
+        out = invoke(runner, *argv, "--format", "markdown").stdout
+        assert out == "" or (out.endswith("\n")
+                             and not out.endswith("\n\n")), argv
+
+
 def game_listing(command, fmt, target):
     return (command, "--n", "8", "--turns", "QPQPQ", "--initial", "0",
             "--target-q", target, "--format", fmt)

@@ -1,0 +1,52 @@
+"""Static guards on the source modules, read with ``ast``: no module
+imports a name it never reads, and the U(2) layer holds no D_8 move of its
+own, so a hand table of first moves cannot come back unnoticed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pennyflip"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(name: str) -> ast.Module:
+    return ast.parse((SRC / name).read_text(encoding="utf-8"))
+
+
+def imported_names(module: ast.Module) -> dict[str, set[str]]:
+    """The names each module-level import binds, by the last component of
+    the module they come from; ``from . import x`` binds module ``x``."""
+    bound: dict[str, set[str]] = {}
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.setdefault(alias.name, set()).add(
+                    alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                source = (node.module.rpartition(".")[2] if node.module
+                          else alias.name)
+                bound.setdefault(source, set()).add(alias.asname or alias.name)
+    return bound
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_read(name):
+    module = parse(name)
+    read = {node.id for node in ast.walk(module)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = {bound for names in imported_names(module).values()
+              for bound in names} - read
+    assert not unused, f"{name} never reads {sorted(unused)}"
+
+
+def test_unitary_takes_no_d8_move_of_its_own():
+    module = parse("unitary.py")
+    imports = imported_names(module)
+    assert not {"angles", "games", "orbits"} & set(imports)
+    assert imports["dihedral"] == {"FLIP", "PlanarIsometry"}
+    attributes = {node.attr for node in ast.walk(module)
+                  if isinstance(node, ast.Attribute)}
+    assert not {"rotor", "reflector"} & attributes

@@ -13,16 +13,19 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
 from pennyflip.errors import NotUnitary
 from pennyflip.orbits import orbit_of_basis
 from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, act
-from pennyflip.unitary import (BASE_MATRICES, BLOCK, FIRST_MOVE_BASES, MINUS,
-                               PLUS, TOL_MEMBERSHIP, draw, eigensystem_flip,
+from pennyflip.unitary import (BLOCK, MINUS, PLUS, TOL_MEMBERSHIP, draw,
                                fixed_by_flip_projective, is_unitary, matrix,
-                               phase_family, proportional, sample_state,
-                               sample_unitary, screen, screen_unitaries,
-                               unitarity_residual, unitarity_residuals,
-                               winning_state, winning_states)
+                               proportional, sample_state, sample_unitary,
+                               screen, screen_unitaries, unitarity_residual,
+                               unitarity_residuals, winning_state,
+                               winning_states)
 
 R2 = PlanarIsometry.rotor(Angle(1, 4))
 KET0 = np.array([1.0, 0.0], dtype=complex)
+#: Q's eight winning first moves in D_8: the isometries that send |0> to
+#: |+> or |->, read off the exact action.
+FIRST_MOVES = [p for p in isometries(8)
+               if act(p, KET_ZERO) in (KET_PLUS, KET_MINUS)]
 
 
 def wins_qpq(a1: np.ndarray, a2: np.ndarray) -> bool:
@@ -39,35 +42,43 @@ def embed(x) -> np.ndarray:
 
 class TestPhaseFamilies:
     def test_theta_zero_is_the_base(self):
-        assert np.allclose(phase_family(HADAMARD, 0.0), matrix(HADAMARD))
+        u = cmath.exp(0j) * matrix(HADAMARD)
+        assert u.tobytes() == matrix(HADAMARD).tobytes()
+        assert winning_state(u) == KET_PLUS
 
     def test_theta_pi_is_projectively_equivalent(self):
-        u = phase_family(HADAMARD, math.pi)
+        u = cmath.exp(1j * math.pi) * matrix(HADAMARD)
         assert np.allclose(u, -matrix(HADAMARD), atol=1e-12)
         assert proportional(u @ KET0, matrix(HADAMARD) @ KET0)
 
     def test_direct_multiplication_oracle(self):
+        # R2 is the rotation by pi/4, evaluated here without the exact layer
         theta = math.pi / 3
-        u = phase_family(R2, theta)
-        expected = cmath.exp(1j * theta) * np.array(R2.matrix(), dtype=complex)
+        u = cmath.exp(1j * theta) * matrix(R2)
+        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+        expected = cmath.exp(1j * theta) * np.array([[c, -s], [s, c]])
         assert np.max(np.abs(u - expected)) <= 1e-15
 
     def test_members_stay_unitary(self):
-        for base in FIRST_MOVE_BASES:
+        assert len(FIRST_MOVES) == 8
+        for base in FIRST_MOVES:
             for theta in (0.0, 0.3, math.pi, 5.1):
-                assert unitarity_residual(phase_family(base, theta)) <= 1e-12
+                u = cmath.exp(1j * theta) * matrix(base)
+                assert unitarity_residual(u) <= 1e-12
 
 
 class TestEigensystem:
     def test_flip_eigensystem_residuals(self):
         f = matrix(FLIP)
-        for value, vector in eigensystem_flip():
+        for value, vector in ((1.0, PLUS), (-1.0, MINUS)):
             assert np.max(np.abs(f @ vector - value * vector)) <= 1e-12
             assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
 
     def test_eigenvalues_are_plus_minus_one(self):
-        (v1, _), (v2, _) = eigensystem_flip()
-        assert (v1, v2) == (1.0, -1.0)
+        f = matrix(FLIP)
+        assert np.vdot(PLUS, f @ PLUS).real == pytest.approx(1.0, abs=1e-15)
+        assert np.vdot(MINUS, f @ MINUS).real == pytest.approx(-1.0, abs=1e-15)
+        assert abs(np.vdot(PLUS, MINUS)) <= 1e-15
 
     def test_matches_numpy_eigendecomposition(self):
         values = sorted(np.linalg.eigvalsh(matrix(FLIP)))
@@ -94,8 +105,8 @@ class TestClassifier:
 
     def test_phase_multiple_of_reflector(self):
         base = PlanarIsometry.reflector(Angle(5, 8))
-        assert winning_state(phase_family(base, math.pi / 5)) == act(
-            base, KET_ZERO)
+        u = cmath.exp(1j * math.pi / 5) * matrix(base)
+        assert winning_state(u) == act(base, KET_ZERO)
 
     def test_flip_is_not_a_winning_first_move(self):
         assert winning_state(matrix(FLIP)) is None
@@ -115,24 +126,17 @@ class TestClassifier:
             winning_state(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
 
     def test_theta_is_two_pi_periodic(self):
-        for base in FIRST_MOVE_BASES:
+        for base in FIRST_MOVES:
             for theta in (0.0, 0.4, math.pi, 5.1):
-                assert (winning_state(phase_family(base, theta))
-                        == winning_state(phase_family(base,
-                                                      theta + 2 * math.pi))
+                assert (winning_state(cmath.exp(1j * theta) * matrix(base))
+                        == winning_state(cmath.exp(1j * (theta + 2 * math.pi))
+                                         * matrix(base))
                         == act(base, KET_ZERO))
-
-    def test_base_matrices_are_the_bases_read_only(self):
-        assert list(BASE_MATRICES) == list(FIRST_MOVE_BASES)
-        for base, b in BASE_MATRICES.items():
-            assert b.tobytes() == matrix(base).tobytes()
-            with pytest.raises(ValueError):
-                b[0, 0] = 0.0
 
     def test_antipodal_pairs_negate(self):
         # the eight bases are four pairs b, -b, and play classes a pair alike
-        for base in FIRST_MOVE_BASES:
-            others = [o for o in FIRST_MOVE_BASES
+        for base in FIRST_MOVES:
+            others = [o for o in FIRST_MOVES
                       if np.max(np.abs(matrix(o) + matrix(base))) <= 1e-12]
             assert len(others) == 1
             assert act(others[0], KET_ZERO) == act(base, KET_ZERO)
@@ -296,8 +300,8 @@ class TestBatchedScreen:
            st.floats(0.0, 1e-5), st.sampled_from([TOL_MEMBERSHIP, 1e-6]),
            SEED_BASES)
     def test_never_drops_a_hit(self, thetas, eps, tol, seed):
-        planted = [phase_family(base, theta)
-                   for base, theta in zip(FIRST_MOVE_BASES, thetas)]
+        planted = [cmath.exp(1j * theta) * matrix(base)
+                   for base, theta in zip(FIRST_MOVES, thetas)]
         planted += [A1, rotated_hadamard(eps), rephased_hadamard(eps)]
         unitaries, _ = draw(rng(seed), 3 * len(planted))
         unitaries[::3] = planted
@@ -320,8 +324,8 @@ class TestWinningStates:
            st.floats(0.0, 1e-3),
            st.sampled_from([TOL_MEMBERSHIP, 1e-6, 0.5, 0.9]))
     def test_matches_the_per_matrix_oracle(self, seed, k, thetas, eps, tol):
-        planted = [phase_family(base, theta)
-                   for base, theta in zip(FIRST_MOVE_BASES, thetas)]
+        planted = [cmath.exp(1j * theta) * matrix(base)
+                   for base, theta in zip(FIRST_MOVES, thetas)]
         planted += [A1, rotated_hadamard(eps), rephased_hadamard(eps)]
         unitaries = np.concatenate([draw(rng(seed), k)[0], planted])
         unitaries = unitaries[rng(seed).permutation(len(unitaries))]

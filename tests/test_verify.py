@@ -6,6 +6,7 @@ import pytest
 
 from pennyflip import dihedral, games, orbits, unitary, verify
 from pennyflip.config import Config
+from pennyflip.dihedral import isometries
 from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, act
 
 
@@ -100,19 +101,56 @@ def test_phase_families_fail_without_the_minus_class(monkeypatch):
     assert verify.check_phase_families(Config())[0] is False
 
 
+#: Q's eight winning first moves in D_8 by name, for |+> and for |->.
+FIRST_MOVE_NAMES = {
+    KET_PLUS: {"H", "S_{5π/8}", "R_{2π/8}", "R_{10π/8}"},
+    KET_MINUS: {"S_{3π/8}", "S_{7π/8}", "R_{6π/8}", "R_{14π/8}"},
+}
+
+
+def test_phase_families_read_the_first_moves_off_the_search():
+    moves = verify._first_moves()
+    assert [state for _, state in moves] == [KET_PLUS] * 4 + [KET_MINUS] * 4
+    for state, names in FIRST_MOVE_NAMES.items():
+        assert {str(m) for m, s in moves if s == state} == names
+    assert all(act(m, KET_ZERO) == s for m, s in moves)
+
+
+@pytest.fixture
+def fresh_first_moves():
+    verify._first_moves.cache_clear()
+    yield
+    verify._first_moves.cache_clear()
+
+
+def test_phase_families_fail_on_a_short_search(monkeypatch,
+                                               fresh_first_moves):
+    # cut each class to its first member: two first moves, not eight
+    real = games.winning_classes
+    monkeypatch.setattr(games, "winning_classes", lambda spec, n: [
+        games.StrategyClass(c.path, tuple(cs[:1] for cs in c.cosets))
+        for c in real(spec, n)])
+    ok, details = verify.check_phase_families(Config())
+    assert ok is False and details == {"firstMoves": 2}
+
+
 def per_matrix_phase_families(tol):
     """The phase-families check one member at a time, by the per-matrix
-    ``winning_state``: the loop the batched check replaces."""
+    ``winning_state``: the loop the batched check replaces.  Its bases are
+    the isometries of D_8 that send |0> to |+>, then those that send it to
+    |->, in the order ``isometries`` lists them."""
+    bases = [p for state in (KET_PLUS, KET_MINUS) for p in isometries(8)
+             if act(p, KET_ZERO) == state]
     failures = 0
     worst = 0.0
     for i in range(100):
-        base = unitary.FIRST_MOVE_BASES[i % 8]
+        base = bases[i % 8]
         theta = (i * 2.0 * math.pi / 100.0 + 0.05) % (2.0 * math.pi)
-        u = unitary.phase_family(base, theta)
+        u = cmath.exp(1j * theta) * unitary.matrix(base)
         if unitary.winning_state(u, tol) != act(base, KET_ZERO):
             failures += 1
             continue
-        found = cmath.phase(u[0, 0] / unitary.BASE_MATRICES[base][0, 0])
+        found = cmath.phase(u[0, 0] / unitary.matrix(base)[0, 0])
         err = abs((found - theta + math.pi) % (2.0 * math.pi) - math.pi)
         worst = max(worst, err)
         if err > tol:
