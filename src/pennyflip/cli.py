@@ -6,11 +6,9 @@ error (e.g. asking for the flip in a group that lacks it).
 
 from __future__ import annotations
 
-import functools
+import argparse
 import sys
 from dataclasses import replace
-
-import click
 
 from . import games, orbits, reports
 from .angles import Angle
@@ -21,9 +19,6 @@ from .games import GameSpec
 from .states import CoinState
 
 _NAMED_ISOMETRIES = {str(p): p for p in (IDENTITY, FLIP, HADAMARD)}
-
-#: Group order parameter n: D_n needs n >= 3, and Config caps n the same way.
-_GROUP_ORDER = click.IntRange(3, N_MAX)
 
 
 def parse_isometry(token: str) -> PlanarIsometry:
@@ -41,173 +36,178 @@ def parse_isometry(token: str) -> PlanarIsometry:
     raise ValueError(f"cannot parse isometry {token!r}")
 
 
-def domain_errors_exit_3(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PennyflipError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-    return wrapper
+def _int_range(lo: int, hi: float = float("inf")):
+    def integer(text: str) -> int:
+        if lo <= (value := int(text)) <= hi:
+            return value
+        raise argparse.ArgumentTypeError(f"{value} is not in {lo}..{hi}")
+    return integer
 
 
-def _echo(payload, fmt: str, render) -> None:
+class _HelpFormatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        # prefix="" builds a subparser's prog, which takes no "Usage:"
+        super().add_usage(usage, actions, groups,
+                          "Usage: " if prefix is None else prefix)
+
+
+# No abbreviated options and no -h; subparsers inherit neither setting.
+_STYLE = {"formatter_class": _HelpFormatter, "allow_abbrev": False,
+          "add_help": False}
+_HELP = {"action": "help", "help": "Show this message and exit."}
+_parser = argparse.ArgumentParser(prog="pennyflip", **_STYLE, description=(
+    "Exact dihedral-group analysis of the quantum penny flip game."))
+_parser.add_argument("--help", **_HELP)
+_commands = _parser.add_subparsers(title="commands", metavar="COMMAND",
+                                   required=True)
+
+#: Options taking a value: the next token is the value, even ``-pi/4``.
+_VALUE_OPTIONS: set[str] = set()
+
+
+def _command(*options):
+    """Register the decorated function as the subcommand of its name, with
+    ``_`` as ``-``; each option is a flag and its ``add_argument`` keywords."""
+    def register(fn):
+        sub = _commands.add_parser(fn.__name__.replace("_", "-"), **_STYLE,
+                                   help=fn.__doc__, description=fn.__doc__)
+        for flag, kwargs in options:
+            if "action" not in kwargs:          # a flag pair takes no value
+                _VALUE_OPTIONS.add(flag)
+                if "default" in kwargs:         # shown in the help
+                    shown = f"{kwargs.get('help', '')} [default: %(default)s]"
+                    kwargs = dict(kwargs, help=shown.lstrip())
+            sub.add_argument(flag, **kwargs)
+        sub.add_argument("--help", **_HELP)
+        sub.set_defaults(command=fn, parser=sub)
+        return fn
+    return register
+
+
+_GROUP_ORDER = _int_range(3, N_MAX)   # D_n needs n >= 3; Config caps n too
+_N = ("--n", dict(type=_GROUP_ORDER, required=True))
+_STATE = ("--state", dict(default="0"))
+_FORMAT = ("--format", dict(dest="fmt", choices=["json", "markdown"],
+                            default="json", help="Output format."))
+_GAME = (("--initial", dict(default="0")), ("--target-q", dict()))
+_FLAG = dict(action=argparse.BooleanOptionalAction, default=False)
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one command line, ``sys.argv[1:]`` by default.  Every exit but a
+    command's success raises ``SystemExit``.  *standalone_mode* changes
+    nothing: it keeps callers of ``main(argv, standalone_mode=False)``."""
+    tokens, argv = iter(sys.argv[1:] if args is None else args), []
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_OPTIONS else None
+        argv.append(token if value is None else f"{token}={value}")
+    kwargs = vars(_parser.parse_args(argv))
+    run, parser = kwargs.pop("command"), kwargs.pop("parser")
+    try:
+        run(**kwargs)
+    except PennyflipError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _echo(payload, fmt: str = "json", render=None) -> None:
     """Print *payload* as JSON, or as its Markdown rendering *render*."""
     if fmt == "json":
-        click.echo(reports.dump_json(payload))
+        print(reports.dump_json(payload))
     else:
-        click.echo(render(payload), nl=False)
+        sys.stdout.write(render(payload))
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "markdown"]),
-    default="json", show_default=True, help="Output format.")
-
-
-@click.group()
-def main() -> None:
-    """Exact dihedral-group analysis of the quantum penny flip game."""
-
-
-@main.command()
-@click.option("--n", type=_GROUP_ORDER, required=True)
-@click.option("--state", "state_text", default="0", show_default=True)
-@format_option
-@domain_errors_exit_3
-def orbit(n: int, state_text: str, fmt: str) -> None:
+@_command(_N, _STATE, _FORMAT)
+def orbit(n: int, state: str, fmt: str) -> None:
     """States reachable from STATE under all of D_n."""
-    states = orbits.orbit(n, CoinState.parse(state_text))
+    states = orbits.orbit(n, CoinState.parse(state))
     _echo(reports.state_set_json(states), fmt, reports.names_markdown)
 
 
-@main.command()
-@click.option("--n", type=_GROUP_ORDER, required=True)
-@click.option("--state", "state_text", default="0", show_default=True)
-@format_option
-@domain_errors_exit_3
-def stabilizer(n: int, state_text: str, fmt: str) -> None:
+@_command(_N, _STATE, _FORMAT)
+def stabilizer(n: int, state: str, fmt: str) -> None:
     """Elements of D_n fixing STATE."""
-    elems = orbits.stabilizer(n, CoinState.parse(state_text))
+    elems = orbits.stabilizer(n, CoinState.parse(state))
     _echo(reports.element_set_json(elems), fmt, reports.names_markdown)
 
 
-@main.command("fixed-set")
-@click.option("--n", type=_GROUP_ORDER, required=True)
-@click.option("--elems", "elems_text", default="I,F", show_default=True,
-              help="Comma-separated isometries, e.g. I,F or S_0,R_π.")
-@format_option
-@domain_errors_exit_3
-def fixed_set(n: int, elems_text: str, fmt: str) -> None:
+@_command(_N, ("--elems", dict(default="I,F", help="Comma-separated "
+                               "isometries, e.g. I,F or S_0,R_π.")), _FORMAT)
+def fixed_set(n: int, elems: str, fmt: str) -> None:
     """States in the basis orbit fixed by every listed isometry."""
-    elems = [parse_isometry(tok) for tok in elems_text.split(",") if tok.strip()]
-    states = orbits.fixed_set(n, elems)
+    isometries = [parse_isometry(t) for t in elems.split(",") if t.strip()]
+    states = orbits.fixed_set(n, isometries)
     _echo(reports.state_set_json(states), fmt, reports.names_markdown)
 
 
 def _game_spec(turns: str, initial: str, target_q: str | None) -> GameSpec:
+    """The game named by ``--turns``, ``--initial`` and ``--target-q``."""
     init = CoinState.parse(initial)
     target = CoinState.parse(target_q) if target_q is not None else init
     return GameSpec.from_string(turns, init, target)
 
 
-@main.command()
-@click.option("--n", type=_GROUP_ORDER, required=True)
-@click.option("--turns", default="QPQ", show_default=True)
-@click.option("--initial", default="0", show_default=True)
-@click.option("--target-q", default=None)
-@format_option
-@domain_errors_exit_3
-def enumerate(n: int, turns: str, initial: str, target_q: str | None,
-              fmt: str) -> None:
+@_command(_N, ("--turns", dict(default="QPQ")), *_GAME, _FORMAT)
+def enumerate(n: int, fmt: str, **game) -> None:
     """Exhaustively enumerate and classify Q's winning strategies in D_n."""
-    spec = _game_spec(turns, initial, target_q)
+    spec = _game_spec(**game)
     classes = games.winning_classes(spec, n)
     _echo(reports.game_report(spec, None, classes), fmt,
           lambda _: reports.table_winning_classes(classes, spec.turns))
 
 
-@main.command()
-@click.option("--n", type=_GROUP_ORDER, required=True)
-@click.option("--turns", default="QPQ", show_default=True)
-@click.option("--initial", default="0", show_default=True)
-@click.option("--target-q", default=None)
-@format_option
-@domain_errors_exit_3
-def classify(n: int, turns: str, initial: str, target_q: str | None,
-             fmt: str) -> None:
+@_command(_N, ("--turns", dict(default="QPQ")), *_GAME, _FORMAT)
+def classify(n: int, fmt: str, **game) -> None:
     """Equivalence classes of the winning strategies, with state paths."""
-    spec = _game_spec(turns, initial, target_q)
+    spec = _game_spec(**game)
     classes = games.winning_classes(spec, n)
     _echo([reports.class_json(c) for c in classes], fmt,
           reports.classes_markdown)
 
 
-@main.command()
-@click.option("--turns", required=True)
-@click.option("--initial", default="0", show_default=True)
-@click.option("--target-q", default=None)
-@click.option("--check/--no-check", default=False,
-              help="Cross-check against the finite brute-force search.")
-@click.option("--pool-n", type=_GROUP_ORDER, default=8, show_default=True)
-@format_option
-@domain_errors_exit_3
-def analyze(turns: str, initial: str, target_q: str | None, check: bool,
-            pool_n: int, fmt: str) -> None:
+@_command(("--turns", dict(required=True)), *_GAME,
+          ("--check", dict(_FLAG, help="Cross-check against the finite "
+                                       "brute-force search.")),
+          ("--pool-n", dict(type=_GROUP_ORDER, default=8)), _FORMAT)
+def analyze(check: bool, pool_n: int, fmt: str, **game) -> None:
     """Decide an extended alternating game."""
-    spec = _game_spec(turns, initial, target_q)
+    spec = _game_spec(**game)
     decision = games.decide_extended_game(spec)
     brute = games.brute_force_extended_check(spec, pool_n) if check else None
     _echo(reports.decision_json(spec, decision, brute), fmt,
           reports.decision_markdown)
 
 
-@main.command("sample-u2")
-@click.option("--samples", type=click.IntRange(min=0), default=10_000,
-              show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0,
-              show_default=True)
-@domain_errors_exit_3
+@_command(("--samples", dict(type=_int_range(0), default=10_000)),
+          ("--seed", dict(type=_int_range(0), default=0)))
 def sample_u2(samples: int, seed: int) -> None:
     """Sample unitaries and count winning first moves (a measure-zero event)."""
     from . import unitary
     hits, max_residual, _ = unitary.screen(seed, samples, states=False)
-    click.echo(reports.dump_json(
-        reports.sampling_json(samples, hits, max_residual)))
+    _echo(reports.sampling_json(samples, hits, max_residual))
 
 
-@main.command("verify-all")
-@click.option("--n-range", default=None, help="e.g. 3..64")
-@click.option("--max-rounds", type=int, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--tolerance", type=float, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None, help="key=value config file; flags win.")
-@click.option("--timings/--no-timings", default=False,
-              help="Include wall-clock timings (breaks byte determinism).")
-@format_option
-@domain_errors_exit_3
-def verify_all(n_range: str | None, max_rounds: int | None,
-               samples: int | None, seed: int | None,
-               tolerance: float | None, config_path: str | None,
-               timings: bool, fmt: str) -> None:
+@_command(("--n-range", dict(help="e.g. 3..64")),
+          ("--max-rounds", dict(type=int)), ("--samples", dict(type=int)),
+          ("--seed", dict(type=int)), ("--tolerance", dict(type=float)),
+          ("--config", dict(help="key=value config file; flags win.")),
+          ("--timings", dict(_FLAG, help="Include wall-clock timings (breaks "
+                                         "byte determinism).")), _FORMAT)
+def verify_all(n_range: str | None, config: str | None, timings: bool,
+               fmt: str, **flags) -> None:
     """Run the whole verification suite; exit 1 on any failure."""
     from . import verify
-    cfg = load_config_file(config_path) if config_path else default_config()
-    flags = {"max_rounds": max_rounds, "samples": samples, "seed": seed,
-             "tolerance": tolerance}
+    cfg = default_config() if config is None else load_config_file(config)
     updates = {k: v for k, v in flags.items() if v is not None}
     if n_range is not None:
         updates["n_min"], updates["n_max"] = parse_n_range(n_range)
-    if updates:
-        cfg = replace(cfg, **updates)
-    results = verify.run_all(cfg)
+    results = verify.run_all(replace(cfg, **updates))
     _echo(reports.check_rows(results, timings), fmt, reports.checks_markdown)
     if failing := verify.failing(results):
-        click.echo("failing checks: " + ", ".join(failing), err=True)
+        print("failing checks: " + ", ".join(failing), file=sys.stderr)
         sys.exit(1)
 
 

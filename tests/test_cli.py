@@ -1,13 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,9 +19,38 @@ from pennyflip.cli import main, parse_isometry
 from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    output = property(lambda self: self.stdout + self.stderr)
+    stdout_bytes = property(lambda self: self.stdout.encode())
+    stderr_bytes = property(lambda self: self.stderr.encode())
+
+
+class Runner:
+    """Runs a command line in process: stdout and stderr captured, the exit
+    code read off ``SystemExit``, and 1 for any other exception."""
+
+    def invoke(self, main, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(argv)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(
+                    exc.code is not None)
+            except Exception:
+                code = 1
+        return Result(code, out.getvalue(), err.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def invoke(runner, *args):
@@ -356,6 +387,14 @@ class TestGameCommands:
         assert result.exit_code == 0
         assert "no winning strategy for either player" in result.output
 
+    def test_last_check_flag_wins(self, runner):
+        game = ("analyze", "--turns", "QPQP")
+        checked = invoke(runner, *game, "--no-check", "--check")
+        unchecked = invoke(runner, *game, "--check", "--no-check")
+        assert checked.exit_code == unchecked.exit_code == 0
+        assert json.loads(checked.output)["bruteForceAgrees"] is True
+        assert "bruteForceAgrees" not in json.loads(unchecked.output)
+
     def test_analyze_with_brute_force_check(self, runner):
         result = invoke(runner, "analyze", "--turns", "QPQP", "--check")
         assert result.exit_code == 0
@@ -430,6 +469,12 @@ class TestSampleU2:
 class TestVerifyAll:
     ARGS = ("verify-all", "--n-range", "3..16", "--max-rounds", "4",
             "--samples", "200")
+
+    def test_missing_config_file_is_usage_error(self, runner, tmp_path):
+        result = invoke(runner, "verify-all", "--config",
+                        str(tmp_path / "absent.cfg"))
+        assert result.exit_code == 2
+        assert "absent.cfg" in result.stderr
 
     def test_reduced_run_passes(self, runner):
         result = invoke(runner, *self.ARGS)
@@ -513,6 +558,13 @@ class TestVerifyAll:
         rows = json.loads(result.output)
         assert any(r["elapsedMs"] > 0 for r in rows)
 
+    def test_last_timings_flag_wins(self, runner):
+        args = ("verify-all", "--n-range", "3..8", "--max-rounds", "3",
+                "--samples", "0", "--timings", "--no-timings")
+        result = invoke(runner, *args)
+        assert result.exit_code == 0
+        assert all(r["elapsedMs"] == 0 for r in json.loads(result.output))
+
 
 NAN_CFG = "<config file with tolerance=nan>"
 INF_CFG = "<config file with tolerance=inf>"
@@ -572,6 +624,22 @@ CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n",
                  id="verify-all-tolerance-below-residual-bound"),
     pytest.param(["verify-all", "--config", TINY_CFG], 2,
                  id="verify-all-tolerance-below-residual-bound-in-config"),
+    # options are never abbreviated, and a command is required
+    pytest.param(["analyze", "--turns", "QPQ", "--pool", "8"], 2,
+                 id="analyze-abbreviated-option"),
+    pytest.param(["orbit", "--n", "8", "--form", "json"], 2,
+                 id="orbit-abbreviated-option"),
+    pytest.param([], 2, id="no-command"),
+    pytest.param(["bogus"], 2, id="unknown-command"),
+    pytest.param(["orbit", "--n", "8", "-h"], 2, id="orbit-short-help"),
+    pytest.param(["orbit", "--n=8"], 0, id="orbit-n-equals"),
+    pytest.param(["analyze", "--turns", "QPQ", "--check", "--no-check"], 0,
+                 id="analyze-check-then-no-check"),
+    # the token after a value option is its value, even if it starts with -
+    pytest.param(["orbit", "--n", "8", "--state", "-pi/4"], 0,
+                 id="orbit-negative-state"),
+    pytest.param(["orbit", "--n", "8", "--state", "--format"], 2,
+                 id="orbit-state-named-like-an-option"),
 ])
 def test_invalid_input_exit_code(runner, tmp_path, argv, code):
     def arg(a):
@@ -604,13 +672,13 @@ def test_64_bit_edge_exit_code(runner, argv, code):
 
 
 #: Runs each argument as one command line in a single process, then fails
-#: if anything it ran imported numpy.
+#: if anything it ran imported numpy, or if click was imported at all.
 NUMPY_PROBE = """
 import sys
 from pennyflip.cli import main
 for line in sys.argv[1:]:
     main(line.split(), standalone_mode=False)
-sys.exit("numpy" in sys.modules)
+sys.exit(", ".join(m for m in ("numpy", "click") if m in sys.modules) or None)
 """
 
 
@@ -623,3 +691,40 @@ def test_exact_commands_do_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *commands],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+#: Every option of each command, named independently of the parser.
+COMMAND_OPTIONS = {
+    "orbit": ["--n", "--state", "--format"],
+    "stabilizer": ["--n", "--state", "--format"],
+    "fixed-set": ["--n", "--elems", "--format"],
+    "enumerate": ["--n", "--turns", "--initial", "--target-q", "--format"],
+    "classify": ["--n", "--turns", "--initial", "--target-q", "--format"],
+    "analyze": ["--turns", "--initial", "--target-q", "--check", "--no-check",
+                "--pool-n", "--format"],
+    "sample-u2": ["--samples", "--seed"],
+    "verify-all": ["--n-range", "--max-rounds", "--samples", "--seed",
+                   "--tolerance", "--config", "--timings", "--no-timings",
+                   "--format"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_OPTIONS])
+def test_help_names_every_option(runner, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    result = invoke(runner, *argv)
+    assert result.exit_code == 0
+    usage = " ".join(["Usage: pennyflip", *argv[:-1]])
+    assert result.stdout.startswith(usage + " ")
+    assert result.stdout.count("Usage:") == 1
+    names = (COMMAND_OPTIONS if command is None
+             else COMMAND_OPTIONS[command])
+    for name in ["--help", *names]:
+        assert name in result.stdout, name
+
+
+def test_help_shows_defaults(runner):
+    out = invoke(runner, "analyze", "--help").stdout
+    assert "[default: 0]" in out and "[default: 8]" in out
+    assert "[default: json]" in out and "[default: False]" not in out
+    assert "[default: 10000]" in invoke(runner, "sample-u2", "--help").stdout
