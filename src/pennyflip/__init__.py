@@ -1,7 +1,7 @@
 """Exact dihedral-group analysis of the quantum penny flip game."""
 
 from .angles import Angle
-from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement, Kind,
+from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                        PlanarIsometry, closure, contains_isometry, elements,
                        isometries, represent, verify_presentation)
 from .errors import (ExactArithmeticOverflow, FNotInGroup, LengthMismatch,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Angle",
-    "FLIP", "HADAMARD", "IDENTITY", "DihedralElement", "Kind",
+    "FLIP", "HADAMARD", "IDENTITY", "DihedralElement",
     "PlanarIsometry", "closure", "contains_isometry", "elements",
     "isometries", "represent", "verify_presentation",
     "ExactArithmeticOverflow", "FNotInGroup",

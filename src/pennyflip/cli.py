@@ -11,30 +11,11 @@ import sys
 from dataclasses import replace
 
 from . import games, orbits, reports
-from .angles import Angle
 from .config import N_MAX, default_config, load_config_file, parse_n_range
-from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
+from .dihedral import PlanarIsometry
 from .errors import PennyflipError
 from .games import GameSpec
 from .states import CoinState
-
-_NAMED_ISOMETRIES = {str(p): p for p in (IDENTITY, FLIP, HADAMARD)}
-
-
-def parse_isometry(token: str) -> PlanarIsometry:
-    token = token.strip()
-    named = _NAMED_ISOMETRIES.get(token.upper() if len(token) == 1 else token)
-    if named is not None:
-        return named
-    kind, _, rest = token.partition("_")
-    angle_text = rest.strip().strip("{}")
-    if kind in ("R", "S") and angle_text:
-        angle = Angle.parse(angle_text)
-        if kind == "R":
-            return PlanarIsometry.rotor(angle)
-        return PlanarIsometry.reflector(angle)
-    raise ValueError(f"cannot parse isometry {token!r}")
-
 
 def _int_range(lo: int, hi: float = float("inf")):
     def integer(text: str) -> int:
@@ -138,7 +119,7 @@ def stabilizer(n: int, state: str, fmt: str) -> None:
                                "isometries, e.g. I,F or S_0,R_π.")), _FORMAT)
 def fixed_set(n: int, elems: str, fmt: str) -> None:
     """States in the basis orbit fixed by every listed isometry."""
-    isometries = [parse_isometry(t) for t in elems.split(",") if t.strip()]
+    isometries = [PlanarIsometry.parse(t) for t in elems.split(",") if t.strip()]
     states = orbits.fixed_set(n, isometries)
     _echo(reports.state_set_json(states), fmt, reports.names_markdown)
 

@@ -5,12 +5,12 @@ are kept symbolically as rotors/reflectors carrying an exact angle, so all
 products and membership tests are exact; elements act on integer state
 indices for orbits and game search.  Floating matrices exist only for
 cross-checking and for the complex layer.  Membership in D_n, the canonical
-element order and the name of each isometry are decided here only.
+element order, and the name of each isometry and its parsing back from
+that name are decided here only.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,38 +73,43 @@ def elements(n: int) -> tuple[DihedralElement, ...]:
                  for reflect in (False, True) for k in range(n))
 
 
-class Kind(enum.Enum):
-    ROTOR = "rotor"
-    REFLECTOR = "reflector"
-
-
 @dataclass(frozen=True)
 class PlanarIsometry:
-    """A rotor R_a or reflector S_b in exact angle form.
+    """A rotor R_a, or with ``reflect`` a reflector S_a, in exact angle form.
 
     The isometry owns the period of its angle and reduces the angle once,
     when built: a rotation angle into [0, 2*pi), a reflection axis
     inclination into [0, pi).  Any rational value may be passed in.
     """
 
-    kind: Kind
     angle: Angle
+    reflect: bool = False
 
     def __post_init__(self) -> None:
-        period = 2 if self.kind is Kind.ROTOR else 1
+        period = 1 if self.reflect else 2
         object.__setattr__(self, "angle", Angle(self.angle % period))
 
     @classmethod
     def rotor(cls, angle: Fraction) -> "PlanarIsometry":
-        return cls(Kind.ROTOR, angle)
+        return cls(angle)
 
     @classmethod
     def reflector(cls, angle: Fraction) -> "PlanarIsometry":
-        return cls(Kind.REFLECTOR, angle)
+        return cls(angle, True)
 
-    @property
-    def is_rotor(self) -> bool:
-        return self.kind is Kind.ROTOR
+    @classmethod
+    def parse(cls, text: str) -> "PlanarIsometry":
+        """Inverse of ``str``: a letter I, F or H in either case, or
+        ``R_a`` / ``S_a`` with the braces around the angle optional."""
+        token = text.strip()
+        named = _NAMED.get(token.upper() if len(token) == 1 else token)
+        if named is not None:
+            return named
+        letter, _, rest = token.partition("_")
+        angle_text = rest.strip().strip("{}")
+        if letter in ("R", "S") and angle_text:
+            return cls(Angle.parse(angle_text), letter == "S")
+        raise ValueError(f"cannot parse isometry {token!r}")
 
     def compose(self, other: "PlanarIsometry") -> "PlanarIsometry":
         """Exact product ``self @ other`` (apply *other* first).
@@ -116,21 +121,21 @@ class PlanarIsometry:
         matrix product serves only as a test oracle.
         """
         a, b = self.angle, other.angle
-        if self.is_rotor and other.is_rotor:
-            return PlanarIsometry.rotor(a + b)
-        if not self.is_rotor and not other.is_rotor:
-            return PlanarIsometry.rotor(2 * (a - b))
-        if self.is_rotor:
-            return PlanarIsometry.reflector(b + a / 2)
-        return PlanarIsometry.reflector(a - b / 2)
+        if self.reflect:
+            if other.reflect:
+                return PlanarIsometry(2 * (a - b))
+            return PlanarIsometry(a - b / 2, True)
+        if other.reflect:
+            return PlanarIsometry(b + a / 2, True)
+        return PlanarIsometry(a + b)
 
     def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Floating 2x2 matrix; evaluation boundary only."""
-        if self.is_rotor:
-            c, s = self.angle.cos_sin()
-            return ((c, -s), (s, c))
-        c, s = Angle(2 * self.angle).cos_sin()
-        return ((c, s), (s, -c))
+        if self.reflect:
+            c, s = Angle(2 * self.angle).cos_sin()
+            return ((c, s), (s, -c))
+        c, s = self.angle.cos_sin()
+        return ((c, -s), (s, c))
 
     def __str__(self) -> str:
         return self._name
@@ -142,7 +147,7 @@ class PlanarIsometry:
         name = _LETTERS.get(self)
         if name is not None:
             return name
-        letter = "R" if self.is_rotor else "S"
+        letter = "S" if self.reflect else "R"
         m = self.angle * 8
         if m.denominator != 1:
             return f"{letter}_{{{self.angle}}}"
@@ -157,6 +162,7 @@ FLIP = PlanarIsometry.reflector(Angle(1, 4))
 #: The Hadamard transform, a reflection about the line at pi/8.
 HADAMARD = PlanarIsometry.reflector(Angle(1, 8))
 _LETTERS = {IDENTITY: "I", FLIP: "F", HADAMARD: "H"}
+_NAMED = {name: p for p, name in _LETTERS.items()}
 
 
 def represent(g: DihedralElement) -> PlanarIsometry:
@@ -173,10 +179,10 @@ def isometries(n: int) -> list[PlanarIsometry]:
 
 def element_for_isometry(n: int, p: PlanarIsometry) -> DihedralElement | None:
     """The unique element of D_n represented by *p*, or None if absent."""
-    k = p.angle * n / 2 if p.is_rotor else p.angle * n
+    k = p.angle * n if p.reflect else p.angle * n / 2
     if k.denominator != 1:
         return None
-    return DihedralElement(n, int(k) % n, not p.is_rotor)
+    return DihedralElement(n, int(k) % n, p.reflect)
 
 
 def contains_isometry(n: int, p: PlanarIsometry) -> bool:
@@ -195,18 +201,15 @@ def require(n: int, ps: Iterable[PlanarIsometry]) -> None:
 
 
 def closure(generators: Iterable[PlanarIsometry]) -> set[PlanarIsometry]:
-    """All finite compositions of the generators (exact BFS)."""
+    """All finite products of the generators: the fixpoint of multiplying
+    each new element on the right by each generator.  Every angle here is
+    rational, so every isometry has finite order and the inverses are
+    products of the generators too."""
     found = set(generators)
-    frontier = list(found)
+    gens, frontier = tuple(found), found
     while frontier:
-        fresh = []
-        for p in frontier:
-            for q in list(found):
-                for prod in (p.compose(q), q.compose(p)):
-                    if prod not in found:
-                        found.add(prod)
-                        fresh.append(prod)
-        frontier = fresh
+        frontier = {p.compose(g) for p in frontier for g in gens} - found
+        found |= frontier
     return found
 
 
@@ -220,19 +223,12 @@ def satisfies_relations(s: PlanarIsometry, t: PlanarIsometry, n: int) -> bool:
 
 
 def verify_presentation(n: int) -> bool:
-    """Check that two reflections with axes pi/n apart present D_n.
-
-    For n = 8 the reflections are the coin flip and the Hadamard transform,
-    whose axes at pi/4 and pi/8 generate D_8 only; otherwise the pair S_0
-    and S_{pi/n} is used.  Verifies the relations and that the closure of
-    {s, t} is the image of D_n.
-    """
+    """Check that the reflections S_0 and S_{pi/n}, whose axes lie pi/n
+    apart, present D_n: they satisfy the relations and their closure is the
+    image of D_n."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if n == 8:
-        s, t = FLIP, HADAMARD
-    else:
-        s, t = (PlanarIsometry.reflector(Angle(0)),
-                PlanarIsometry.reflector(Angle(1, n)))
+    s, t = (PlanarIsometry.reflector(Angle(0)),
+            PlanarIsometry.reflector(Angle(1, n)))
     return (satisfies_relations(s, t, n)
             and closure({s, t}) == set(isometries(n)))

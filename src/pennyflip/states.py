@@ -89,9 +89,9 @@ _NAMES = {
 
 def act(p: PlanarIsometry, x: CoinState) -> CoinState:
     """Apply an isometry to a projective state."""
-    if p.is_rotor:
-        return CoinState(x.phi + p.angle)
-    return CoinState(2 * p.angle - x.phi)
+    if p.reflect:
+        return CoinState(2 * p.angle - x.phi)
+    return CoinState(x.phi + p.angle)
 
 
 def win_probability(final: CoinState, target: CoinState) -> float:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pennyflip.angles import Angle
-from pennyflip.dihedral import IDENTITY, Kind, PlanarIsometry
+from pennyflip.dihedral import IDENTITY, PlanarIsometry
 from pennyflip.errors import ExactArithmeticOverflow
 from pennyflip.states import CoinState
 
@@ -88,8 +88,8 @@ def test_normalization_modes():
 
 
 def test_direct_construction_is_canonical():
-    assert PlanarIsometry(Kind.ROTOR, Angle(9, 4)) == rotor(Angle(1, 4))
-    assert PlanarIsometry(Kind.REFLECTOR, Angle(5, 4)) == reflector(Angle(1, 4))
+    assert PlanarIsometry(Angle(9, 4)) == rotor(Angle(1, 4))
+    assert PlanarIsometry(Angle(5, 4), reflect=True) == reflector(Angle(1, 4))
     assert CoinState(Angle(5, 4)) == CoinState.of(1, 4)
 
 

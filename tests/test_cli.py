@@ -10,13 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from pennyflip import games, reports, unitary
-from pennyflip.angles import Angle
-from pennyflip.cli import main, parse_isometry
-from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
+from pennyflip.cli import main
+from pennyflip.dihedral import HADAMARD
 
 
 @dataclass
@@ -55,28 +52,6 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args))
-
-
-class TestParseIsometry:
-    def test_named(self):
-        assert parse_isometry("I") == IDENTITY
-        assert parse_isometry("F") == FLIP
-        assert parse_isometry("H") == HADAMARD
-
-    def test_angled(self):
-        assert parse_isometry("R_{2/8·π}") == PlanarIsometry.rotor(Angle(1, 4))
-        assert parse_isometry("S_5/8·π") == PlanarIsometry.reflector(Angle(5, 8))
-
-    def test_garbage(self):
-        with pytest.raises(ValueError):
-            parse_isometry("Z_9")
-
-    @given(st.sampled_from([PlanarIsometry.rotor, PlanarIsometry.reflector]),
-           st.integers(min_value=-200, max_value=200),
-           st.integers(min_value=1, max_value=64))
-    def test_str_roundtrip(self, build, numerator, denominator):
-        p = build(Angle(numerator, denominator))
-        assert parse_isometry(str(p)) == p
 
 
 class TestOrbitCommands:

@@ -1,14 +1,21 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pennyflip.angles import Angle
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
-                                PlanarIsometry, contains_isometry,
+                                PlanarIsometry, closure, contains_isometry,
                                 element_for_isometry, elements, isometries,
-                                represent, verify_presentation)
+                                represent, satisfies_relations,
+                                verify_presentation)
 from pennyflip.errors import FNotInGroup, MismatchedGroup
 from pennyflip.games import (PQG, GameSpec, brute_force_extended_check,
                              synthesize_by_intermediate_states,
@@ -151,9 +158,96 @@ def test_entry_points_name_the_missing_move(call, message):
     assert str(excinfo.value) == message
 
 
+class TestParseIsometry:
+    def test_named(self):
+        assert PlanarIsometry.parse("I") == IDENTITY
+        assert PlanarIsometry.parse("F") == FLIP
+        assert PlanarIsometry.parse("H") == HADAMARD
+        assert PlanarIsometry.parse("i") == IDENTITY
+        assert PlanarIsometry.parse("f") == FLIP
+        assert PlanarIsometry.parse("h") == HADAMARD
+
+    def test_angled(self):
+        assert (PlanarIsometry.parse("R_{2/8·π}")
+                == PlanarIsometry.rotor(Angle(1, 4)))
+        assert (PlanarIsometry.parse("S_5/8·π")
+                == PlanarIsometry.reflector(Angle(5, 8)))
+
+    def test_garbage(self):
+        for token in ("Z_9", "R_", "S_{}", "r_pi"):
+            with pytest.raises(ValueError):
+                PlanarIsometry.parse(token)
+
+    @given(st.sampled_from([PlanarIsometry.rotor, PlanarIsometry.reflector]),
+           st.integers(min_value=-200, max_value=200),
+           st.integers(min_value=1, max_value=64))
+    def test_str_roundtrip(self, build, numerator, denominator):
+        p = build(Angle(numerator, denominator))
+        assert PlanarIsometry.parse(str(p)) == p
+
+    def test_str_roundtrip_on_every_group(self):
+        for n in range(3, 65):
+            for p in isometries(n):
+                assert PlanarIsometry.parse(str(p)) == p
+
+
+def bfs_closure(generators):
+    """Two-sided BFS: multiply every new element by every element found,
+    on both sides, until nothing new appears.  The oracle of ``closure``."""
+    found = set(generators)
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for q in list(found):
+                for prod in (p.compose(q), q.compose(p)):
+                    if prod not in found:
+                        found.add(prod)
+                        fresh.append(prod)
+        frontier = fresh
+    return found
+
+
+@st.composite
+def generator_sets(draw):
+    """One to three isometries of one D_n, n <= 24, at times rotors only."""
+    n = draw(st.integers(min_value=3, max_value=24))
+    pool = isometries(n)
+    if draw(st.booleans()):
+        pool = pool[:n]                 # the rotations come first
+    return draw(st.sets(st.sampled_from(pool), min_size=1, max_size=3))
+
+
+@example({FLIP, HADAMARD})
+@example({PlanarIsometry.rotor(Angle(1, 4)),
+          PlanarIsometry.rotor(Angle(1, 6))})
+@given(generator_sets())
+def test_closure_matches_bfs(generators):
+    assert closure(generators) == bfs_closure(generators)
+
+
+#: Prints what a set of isometries hashes and iterates by.
+HASH_PROBE = """
+from pennyflip.dihedral import FLIP, HADAMARD, closure
+print(hash(FLIP), [str(p) for p in closure({FLIP, HADAMARD})])
+"""
+
+
+def test_isometry_hashes_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = [subprocess.run(
+        [sys.executable, "-c", HASH_PROBE], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        timeout=60, check=True).stdout for seed in ("1", "2")]
+    assert outputs[0] == outputs[1]
+
+
 class TestPresentation:
     def test_flip_hadamard_present_d8(self):
+        # verify_presentation uses S_0 and S_{pi/8}; F and H lie pi/8 apart too
         assert verify_presentation(8)
+        assert satisfies_relations(FLIP, HADAMARD, 8)
+        assert closure({FLIP, HADAMARD}) == set(isometries(8))
 
     def test_adjacent_axes_present_small_n(self):
         for n in (3, 5, 6, 12, 16, 24, 32):

@@ -85,6 +85,11 @@ class TestWinningStrategies:
         assert verify_characteristic_properties(PQG, q_strategy(S7, S7))
         assert not verify_characteristic_properties(PQG, q_strategy(FLIP, FLIP))
 
+    def test_characteristic_properties_check_the_length(self):
+        # the same domain error as play-out, not a failed unpacking
+        with pytest.raises(LengthMismatch):
+            verify_characteristic_properties(PQG, q_strategy(HADAMARD))
+
     def test_every_winner_has_characteristic_properties(self):
         for sigma in winners(PQG, 8):
             assert verify_characteristic_properties(PQG, sigma)

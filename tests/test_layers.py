@@ -1,6 +1,7 @@
 """Static guards on the source modules, read with ``ast``: no module
-imports a name it never reads, and the U(2) layer holds no D_8 move of its
-own, so a hand table of first moves cannot come back unnoticed."""
+imports a name it never reads, the U(2) layer holds no D_8 move of its
+own, so a hand table of first moves cannot come back unnoticed, and the CLI
+builds no isometry itself, so a second isometry grammar cannot either."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,16 @@ def test_unitary_takes_no_d8_move_of_its_own():
     imports = imported_names(module)
     assert not {"angles", "games", "orbits"} & set(imports)
     assert imports["dihedral"] == {"FLIP", "PlanarIsometry"}
+    attributes = {node.attr for node in ast.walk(module)
+                  if isinstance(node, ast.Attribute)}
+    assert not {"rotor", "reflector"} & attributes
+
+
+def test_cli_parses_isometries_only_through_dihedral():
+    module = parse("cli.py")
+    imports = imported_names(module)
+    assert "angles" not in imports
+    assert imports["dihedral"] == {"PlanarIsometry"}
     attributes = {node.attr for node in ast.walk(module)
                   if isinstance(node, ast.Attribute)}
     assert not {"rotor", "reflector"} & attributes

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import pennyflip
 from pennyflip import verify
 from pennyflip.angles import Angle
-from pennyflip.cli import parse_isometry
 from pennyflip.config import N_MAX
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 PlanarIsometry, elements, isometries,
@@ -77,7 +76,7 @@ class TestNaming:
         assert list(sections) == list(expected)
         for header, ps in expected.items():
             assert [str(p) for p in ps] == sections[header], header
-            assert [parse_isometry(str(p)) for p in ps] == list(ps), header
+            assert [PlanarIsometry.parse(str(p)) for p in ps] == list(ps), header
 
     # sorting strategies by their names compares them move by move only
     # while no isometry name is a proper prefix of another
