@@ -100,15 +100,17 @@ class PlanarIsometry:
     @classmethod
     def parse(cls, text: str) -> "PlanarIsometry":
         """Inverse of ``str``: a letter I, F or H in either case, or
-        ``R_a`` / ``S_a`` with the braces around the angle optional."""
+        ``R_a`` / ``S_a`` with one pair of braces around the angle optional."""
         token = text.strip()
         named = _NAMED.get(token.upper() if len(token) == 1 else token)
         if named is not None:
             return named
         letter, _, rest = token.partition("_")
-        angle_text = rest.strip().strip("{}")
-        if letter in ("R", "S") and angle_text:
-            return cls(Angle.parse(angle_text), letter == "S")
+        rest = rest.strip()
+        if rest[:1] == "{" and rest[-1:] == "}":
+            rest = rest[1:-1]
+        if letter in ("R", "S") and rest:
+            return cls(Angle.parse(rest), letter == "S")
         raise ValueError(f"cannot parse isometry {token!r}")
 
     def compose(self, other: "PlanarIsometry") -> "PlanarIsometry":

@@ -429,16 +429,19 @@ class TestSampleU2:
 
     def test_counts_a_winning_first_move(self, runner, monkeypatch):
         hadamard = unitary.matrix(HADAMARD)
-        real = unitary.draw
+        real = unitary.screen
+        calls = []
 
-        def planted(rng, count, states):
-            assert states is False      # sample-u2 builds no states
-            return (np.broadcast_to(hadamard, (count, 2, 2)),
-                    real(rng, count, states)[1])
-        monkeypatch.setattr(unitary, "draw", planted)
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(unitary, "draw", lambda rng, count:
+                            np.broadcast_to(hadamard, (count, 2, 2)))
+        monkeypatch.setattr(unitary, "screen", spy)
         result = invoke(runner, "sample-u2", "--samples", "50")
         assert result.exit_code == 0
         assert json.loads(result.output)["hits"] == 50
+        assert calls == [{"states": False}]     # sample-u2 skips the flip test
 
 
 class TestVerifyAll:
@@ -557,6 +560,8 @@ CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n",
                  id="orbit-zero-denominator"),
     pytest.param(["fixed-set", "--n", "8", "--elems", "R_{1/0pi}"], 2,
                  id="fixed-set-zero-denominator"),
+    pytest.param(["fixed-set", "--n", "8", "--elems", "R_{1/4·π"], 2,
+                 id="fixed-set-unbalanced-brace"),
     pytest.param(["orbit", "--n", "12", "--state",
                   "cos(1/6·π)|0⟩+sin(1/3·π)|1⟩"], 2,
                  id="orbit-state-angles-differ"),

@@ -174,7 +174,9 @@ class TestParseIsometry:
                 == PlanarIsometry.reflector(Angle(5, 8)))
 
     def test_garbage(self):
-        for token in ("Z_9", "R_", "S_{}", "r_pi"):
+        # braces are one pair around the whole angle, or none
+        for token in ("Z_9", "R_", "S_{}", "r_pi", "R_{1/4·π", "R_1/4π}",
+                      "R_{{1/4π}}", "S_}1/8π{"):
             with pytest.raises(ValueError):
                 PlanarIsometry.parse(token)
 
