@@ -3,16 +3,17 @@
 Covers game specifications, play-out, classification, intermediate-state
 synthesis for the three-round game, and the closed-form decision procedure
 for arbitrary alternating games, which one search on state indices of Z_2n
-checks.  Where the subset construction of Andronikos et al., Mathematics
-6(2), 2018 follows the set of states reachable under the opponent's
-choices, the search follows single states, because a winning set never
-holds more than one.  A loop back from the target finds, per turn, the
-states from which the owner still forces it (:func:`_wins`), which decides
-a game of any length in time linear in its rounds.  Listing alone is
-bounded: a loop forward extends each of Q's winning lines through those
-states, and each class comes out whole, as a state path and a product of
-stabilizer cosets (:func:`winning_classes`); :func:`classify_strategies`,
-a ``Fraction`` replay, stays as its oracle.
+checks.  The subset construction of Andronikos et al., Mathematics 6(2),
+2018 follows the set of states reachable under the opponent's choices:
+:func:`_reachable` walks it forward for one fixed strategy, deciding sure
+wins and best replies with no lemma of the search.  The search follows
+single states, as a winning set never holds more than one: a loop back from
+the target finds, per turn, the states from which the owner still forces it
+(:func:`_wins`), deciding a game of any length in time linear in its rounds.
+Listing alone is bounded: a loop forward extends each of Q's winning lines
+through those states, and each class comes out whole, as a state path and a
+product of stabilizer cosets (:func:`winning_classes`);
+:func:`classify_strategies`, a ``Fraction`` replay, stays as its oracle.
 """
 
 from __future__ import annotations
@@ -135,15 +136,22 @@ def play_out(spec: GameSpec, sigma_q: Strategy, sigma_p: Strategy) -> CoinState:
     return state
 
 
-def picard_strategies(spec: GameSpec) -> Iterable[Strategy]:
-    for moves in itertools.product(PICARD_POOL, repeat=spec.turn_count("P")):
-        yield Strategy("P", moves)
+def _reachable(spec: GameSpec, sigma: Strategy,
+               pool: Sequence[PlanarIsometry]) -> set[CoinState]:
+    """The final states of *sigma* over every reply from *pool*: exact for
+    any pool, as play is deterministic and each turn's choice free."""
+    _check_lengths(spec, sigma)
+    moves = iter(sigma.moves)
+    reached = {spec.initial}
+    for t in spec.turns:
+        step = (next(moves),) if t == sigma.owner else pool
+        reached = {act(g, x) for g in step for x in reached}
+    return reached
 
 
 def is_winning_strategy(spec: GameSpec, sigma_q: Strategy) -> bool:
     """True iff the final state is exactly Q's target for every classical reply."""
-    return all(play_out(spec, sigma_q, sp) == spec.target_q
-               for sp in picard_strategies(spec))
+    return _reachable(spec, sigma_q, PICARD_POOL) == {spec.target_q}
 
 
 def verify_characteristic_properties(spec: GameSpec, sigma_q: Strategy) -> bool:
@@ -152,10 +160,9 @@ def verify_characteristic_properties(spec: GameSpec, sigma_q: Strategy) -> bool:
     target (the pair wins), and A1 sends it into the fixed set of the flip."""
     if spec.turns != ("Q", "P", "Q"):
         raise ValueError("characteristic properties apply to the QPQ game only")
-    if not is_winning_strategy(spec, sigma_q):
-        return False
+    winning = is_winning_strategy(spec, sigma_q)    # checks the length
     mid = act(sigma_q.moves[0], spec.initial)
-    return act(FLIP, mid) == mid
+    return winning and act(FLIP, mid) == mid
 
 
 def state_path(sigma: Strategy, initial: CoinState) -> tuple[CoinState, ...]:
@@ -257,24 +264,16 @@ def classify_strategies(strategies: Iterable[Strategy], initial: CoinState
 def is_dominant(spec: GameSpec, sigma: Strategy,
                 own_pool: Sequence[PlanarIsometry],
                 opp_pool: Sequence[PlanarIsometry] = PICARD_POOL) -> bool:
-    """Whether *sigma* does at least as well as every alternative against
-    every opponent strategy, by win probability over the full cross product."""
-    owner = sigma.owner
-    opponent = "P" if owner == "Q" else "Q"
-    target = spec.target_q if owner == "Q" else spec.target_p
-    own_count = spec.turn_count(owner)
-    opp_count = spec.turn_count(opponent)
-
-    def prob(own: Strategy, opp: Strategy) -> float:
-        sq, sp = (own, opp) if owner == "Q" else (opp, own)
-        return win_probability(play_out(spec, sq, sp), target)
-
-    alternatives = [Strategy(owner, moves)
-                    for moves in itertools.product(own_pool, repeat=own_count)]
-    for opp_moves in itertools.product(opp_pool, repeat=opp_count):
-        opp = Strategy(opponent, opp_moves)
-        p_sigma = prob(sigma, opp)
-        if any(prob(alt, opp) > p_sigma for alt in alternatives):
+    """Whether no alternative from *own_pool* beats *sigma*'s win
+    probability against any opponent strategy from *opp_pool*."""
+    opponent, target = (("P", spec.target_q) if sigma.owner == "Q"
+                        else ("Q", spec.target_p))
+    for moves in itertools.product(opp_pool, repeat=spec.turn_count(opponent)):
+        opp = Strategy(opponent, moves)
+        pair = (sigma, opp) if opponent == "P" else (opp, sigma)
+        p_sigma = win_probability(play_out(spec, *pair), target)
+        if any(win_probability(x, target) > p_sigma
+               for x in _reachable(spec, opp, own_pool)):
             return False
     return True
 

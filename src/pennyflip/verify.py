@@ -156,6 +156,7 @@ def check_extended_games(cfg: Config):
         sigma = decided.strategy
         if decided.q_wins and not (
                 games.is_winning_strategy(spec, sigma)
+                and games.is_winning_strategy(spec, brute.strategy)
                 and sigma.moves[0] == HADAMARD
                 and sigma.moves[-1] in (HADAMARD, FLIP.compose(HADAMARD))):
             failures.append(label + " (witness)")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy, _pool,
                              verify_characteristic_properties,
                              winning_classes)
 from pennyflip.states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
-                             act)
+                             act, win_probability)
 
 S7 = PlanarIsometry.reflector(Angle(7, 8))
 R2 = PlanarIsometry.rotor(Angle(1, 4))
@@ -93,6 +94,15 @@ class TestWinningStrategies:
     def test_every_winner_has_characteristic_properties(self):
         for sigma in winners(PQG, 8):
             assert verify_characteristic_properties(PQG, sigma)
+
+    @pytest.mark.parametrize("turns", ["QPQ", "PQP", "QPQP", "PQPQ"])
+    def test_walk_matches_every_reply_in_d8(self, turns):
+        for spec in all_specs(turns):
+            for moves in itertools.product(
+                    isometries(8), repeat=spec.turn_count("Q")):
+                sigma = Strategy("Q", moves)
+                assert (is_winning_strategy(spec, sigma)
+                        == plays_every_reply(spec, sigma)), (spec, sigma)
 
 
 class TestEnumeration:
@@ -257,6 +267,26 @@ class TestDominance:
             assert not is_dominant(PQG, sigma, PICARD_POOL,
                                    opp_pool=isometries(4))
 
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("turns", ["QPQ", "PQP"])
+    def test_best_reply_matches_the_cross_product(self, turns, n):
+        # Q plays D_n against the classical pool, and the classical player
+        # the classical pool against D_n; only Q's sure winners dominate,
+        # 32 per initial/target pair of QPQ in D_8
+        pools = {"Q": (isometries(n), PICARD_POOL),
+                 "P": (PICARD_POOL, isometries(n))}
+        dominant = 0
+        for spec in all_specs(turns):
+            for owner, (own, opp) in pools.items():
+                for moves in itertools.product(
+                        own, repeat=spec.turn_count(owner)):
+                    sigma = Strategy(owner, moves)
+                    got = is_dominant(spec, sigma, own, opp)
+                    assert got == dominates_by_scan(spec, sigma, own, opp), (
+                        spec, sigma)
+                    dominant += got
+        assert dominant == (128 if (turns, n) == ("QPQ", 8) else 0)
+
 
 class TestSynthesis:
     def test_d8_builds_the_32_winners(self):
@@ -288,7 +318,7 @@ def product_scan(spec, n):
     lazily, in product order."""
     strategies = (Strategy("Q", moves) for moves in itertools.product(
         isometries(n), repeat=spec.turn_count("Q")))
-    return (sigma for sigma in strategies if is_winning_strategy(spec, sigma))
+    return (sigma for sigma in strategies if plays_every_reply(spec, sigma))
 
 
 def all_specs(turns):
@@ -310,6 +340,42 @@ def forces_target(spec, sigma):
         elif act(FLIP, state) != state:
             return False
     return state == spec.target_q
+
+
+def plays_every_reply(spec, sigma_q):
+    """Independent oracle for :func:`is_winning_strategy`: play out every
+    classical strategy, the whole product of the classical pool."""
+    return all(
+        play_out(spec, sigma_q, Strategy("P", pm)) == spec.target_q
+        for pm in itertools.product(PICARD_POOL, repeat=spec.turn_count("P")))
+
+
+def payoff(spec, own, opp):
+    """The win probability of *own*'s owner when *own* meets *opp*."""
+    sq, sp = (own, opp) if own.owner == "Q" else (opp, own)
+    target = spec.target_q if own.owner == "Q" else spec.target_p
+    return win_probability(play_out(spec, sq, sp), target)
+
+
+@functools.cache
+def best_payoffs(spec, owner, own_pool, opp_pool):
+    """Each opponent strategy with the owner's best payoff against it over
+    the owner's whole move-tuple product: the cross product, played out
+    once per game and pair of pools."""
+    opponent = "P" if owner == "Q" else "Q"
+    return [(opp, max(payoff(spec, Strategy(owner, moves), opp)
+                      for moves in itertools.product(
+                          own_pool, repeat=spec.turn_count(owner))))
+            for opp in (Strategy(opponent, moves) for moves in
+                        itertools.product(opp_pool,
+                                          repeat=spec.turn_count(opponent)))]
+
+
+def dominates_by_scan(spec, sigma, own_pool, opp_pool):
+    """Independent oracle for :func:`is_dominant`: against every opponent
+    strategy, *sigma* does as well as the best of the full cross product."""
+    return all(payoff(spec, sigma, opp) >= best for opp, best in best_payoffs(
+        spec, sigma.owner, tuple(own_pool), tuple(opp_pool)))
 
 
 def literal_brute_force(spec, n=8):
@@ -397,15 +463,16 @@ class TestExtendedGames:
         for turns in alternating_turn_sequences(rounds, rounds):
             for spec in all_specs("".join(turns)):
                 decided = decide_extended_game(spec)
+                witnesses = {decided.strategy}
                 for n in (8, 1024):
                     brute = brute_force_extended_check(spec, n)
                     assert ((brute.q_wins, brute.picard_wins)
                             == (decided.q_wins, decided.picard_wins))
                     assert (brute.strategy is None) == (decided.strategy is None)
-                    for sigma in filter(None, (brute.strategy,
-                                               decided.strategy)):
-                        assert forces_target(spec, sigma)
-                        assert rounds > 13 or is_winning_strategy(spec, sigma)
+                    witnesses.add(brute.strategy)
+                for sigma in filter(None, witnesses):
+                    assert forces_target(spec, sigma)
+                    assert is_winning_strategy(spec, sigma)
 
     def test_win_sets_are_shared_at_any_length(self):
         # one reference per turn to a few sets, not one set per turn

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,23 @@ def test_check_fails_when_its_helper_is_wrong(monkeypatch, module, helper,
     assert check(Config())[0] is True
     monkeypatch.setattr(module, helper, lambda *args: wrong)
     assert check(Config())[0] is False
+
+
+def test_extended_games_replay_the_brute_force_witness(monkeypatch):
+    # a last move bent to I leaves every decision as it was, so only a
+    # replay of brute force's own witness can see that it no longer wins
+    real = games.brute_force_extended_check
+
+    def bent(spec, n=8):
+        decision = real(spec, n)
+        if decision.strategy is None:
+            return decision
+        moves = (*decision.strategy.moves[:-1], dihedral.IDENTITY)
+        return replace(decision, strategy=games.Strategy("Q", moves))
+    monkeypatch.setattr(games, "brute_force_extended_check", bent)
+    ok, details = verify.check_extended_games(Config())
+    assert ok is False and details["failures"]
+    assert all(f.endswith(" (witness)") for f in details["failures"])
 
 
 def test_orbit_structure_fails_without_the_reflection_coset(monkeypatch):
