@@ -38,6 +38,13 @@ _EIGHTH_TABLE = {
 }
 
 
+def pi_text(p: int, q: int) -> str:
+    """``str(Angle(p, q))`` for p/q in lowest terms, without building it."""
+    if q == 1:
+        return "0" if p == 0 else "π" if p == 1 else f"{p}·π"
+    return f"{p}/{q}·π"
+
+
 class Angle(Fraction):
     """A rational multiple of pi, in lowest terms."""
 
@@ -72,11 +79,7 @@ class Angle(Fraction):
     # -- text --------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.numerator == 0:
-            return "0"
-        if self.denominator == 1:
-            return "π" if self.numerator == 1 else f"{self.numerator}·π"
-        return f"{self.numerator}/{self.denominator}·π"
+        return pi_text(*self.as_integer_ratio())
 
     def __format__(self, spec: str) -> str:
         # Fraction's own __format__ (Python 3.13+) would drop the π.

@@ -8,8 +8,8 @@ reflections.  A stabilizer solves k*step = c (mod N), step = 2N/n, for
 k in [0, n): c = 0 for the rotations r^k and c = 2j for the reflections
 r^k s.  Each solution is kept only if :meth:`DihedralElement.act` fixes j,
 so the action still decides it and |orbit|*|stabilizer| = 2n stays a check.
-Fixed sets are taken over the basis orbit's indices; a :class:`CoinState`
-is built only for an index that is returned.
+States are built only at the end, by :meth:`CoinState.at`, one per index
+returned; ``probability-identities`` reads :func:`basis_indices` only.
 """
 
 from __future__ import annotations
@@ -53,16 +53,17 @@ def _on_grid(n: int, x: CoinState) -> tuple[int, int]:
 def orbit(n: int, x: CoinState) -> tuple[CoinState, ...]:
     """States reachable from *x* under all 2n elements, in ascending angle order."""
     j, size = _on_grid(n, x)
-    return tuple(CoinState.of(i, size) for i in sorted(index_orbit(n, j, size)))
+    return tuple(CoinState.at(i, size) for i in sorted(index_orbit(n, j, size)))
 
 
-def _basis_indices(n: int) -> list[int]:
+def basis_indices(n: int) -> list[int]:
+    """The union of the |0> and |1> orbits as ascending indices on Z_2n."""
     return sorted(index_orbit(n, 0, 2 * n) | index_orbit(n, n, 2 * n))
 
 
 def orbit_of_basis(n: int) -> tuple[CoinState, ...]:
     """Union of the |0> and |1> orbits."""
-    return tuple(CoinState.of(j, 2 * n) for j in _basis_indices(n))
+    return tuple(CoinState.at(j, 2 * n) for j in basis_indices(n))
 
 
 def stabilizer(n: int, x: CoinState) -> tuple[DihedralElement, ...]:
@@ -75,5 +76,5 @@ def fixed_set(n: int, ps: Sequence[PlanarIsometry]) -> tuple[CoinState, ...]:
     lie in D_n (the flip needs 4 | n), else :class:`FNotInGroup` is raised."""
     dihedral.require(n, ps)
     gs = [dihedral.element_for_isometry(n, p) for p in ps]
-    return tuple(CoinState.of(j, 2 * n) for j in _basis_indices(n)
+    return tuple(CoinState.at(j, 2 * n) for j in basis_indices(n)
                  if all(g.act(j, 2 * n) == j for g in gs))

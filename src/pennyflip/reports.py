@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
+from .angles import pi_text
 from .dihedral import DihedralElement, represent
 from .games import Decision, GameSpec, StrategyClass
-from .states import CoinState
+from .states import CoinState, state_text
 
 SCHEMA_VERSION = "1"
 
@@ -21,7 +22,8 @@ SCHEMA_VERSION = "1"
 # -- JSON payloads ---------------------------------------------------------
 
 def state_set_json(states: Iterable[CoinState]) -> list[dict]:
-    return [{"phi": str(s.phi), "name": str(s)} for s in states]
+    terms = (s.phi.as_integer_ratio() for s in states)
+    return [{"phi": pi_text(p, q), "name": state_text(p, q)} for p, q in terms]
 
 
 def element_set_json(elems: Iterable[DihedralElement]) -> list[dict]:

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .angles import INT_MAX, Angle
+from .angles import INT_MAX, Angle, pi_text
 from .dihedral import PlanarIsometry
 from .errors import ExactArithmeticOverflow
 
@@ -36,27 +36,33 @@ class CoinState:
     def of(cls, numerator: int, denominator: int = 1) -> "CoinState":
         return cls(Angle(numerator, denominator))
 
+    @classmethod
+    def at(cls, j: int, size: int) -> "CoinState":
+        """``CoinState.of(j, size)`` for a grid index 0 <= j < size, built
+        with one gcd and without Fraction's constructor or __post_init__,
+        the way Python 3.12's ``Fraction._from_coprime_ints`` builds."""
+        g = math.gcd(j, size)
+        if size // g > INT_MAX:
+            return cls.of(j, size)      # which raises ExactArithmeticOverflow
+        phi, x = object.__new__(Angle), object.__new__(cls)
+        phi._numerator, phi._denominator = j // g, size // g
+        object.__setattr__(x, "phi", phi)
+        return x
+
     def index(self, size: int) -> int:
         """The j with ``CoinState.of(j, size) == self``; size must be a
         multiple of phi's denominator."""
         return self.phi.numerator * (size // self.phi.denominator)
 
     def __str__(self) -> str:
-        # every named state is a multiple of pi/4; hashing any other state
-        # to find that out costs a Fraction hash
-        if self.phi.denominator <= 4:
-            named = _NAMES.get(self)
-            if named is not None:
-                return named
-        angle = str(self.phi)
-        return f"cos({angle})|0⟩+sin({angle})|1⟩"
+        return state_text(*self.phi.as_integer_ratio())
 
     @classmethod
     def parse(cls, text: str) -> "CoinState":
         """Parse a ket name, the ``cos(a)|0⟩+sin(a)|1⟩`` form that ``str``
         writes, or a bare angle ``a``."""
         text = text.strip()
-        for state, name in _NAMES.items():
+        for name, state in _KETS.items():
             if text in (name, name[1:-1]):  # with or without the ket decoration
                 return state
         m = _AMPLITUDES_RE.fullmatch(text)
@@ -79,12 +85,16 @@ KET_MINUS = CoinState.of(3, 4)
 
 BASIS = (KET_ZERO, KET_ONE)
 
-_NAMES = {
-    KET_ZERO: "|0⟩",
-    KET_PLUS: "|+⟩",
-    KET_ONE: "|1⟩",
-    KET_MINUS: "|−⟩",
-}
+_KETS = {"|0⟩": KET_ZERO, "|+⟩": KET_PLUS, "|1⟩": KET_ONE, "|−⟩": KET_MINUS}
+_NAMES = {x.phi.as_integer_ratio(): name for name, x in _KETS.items()}
+
+
+def state_text(p: int, q: int) -> str:
+    """``str(CoinState.of(p, q))`` for p/q in lowest terms in [0, 1)."""
+    if q <= 4 and (p, q) in _NAMES:
+        return _NAMES[p, q]
+    angle = pi_text(p, q)
+    return f"cos({angle})|0⟩+sin({angle})|1⟩"
 
 
 def act(p: PlanarIsometry, x: CoinState) -> CoinState:
@@ -95,17 +105,19 @@ def act(p: PlanarIsometry, x: CoinState) -> CoinState:
 
 
 def win_probability(final: CoinState, target: CoinState) -> float:
-    """cos^2 of the projective angle between *final* and *target*.
-
-    The difference mod pi is taken on integer numerators and denominators;
-    the differences that actually occur in game analysis (multiples of
-    pi/4) return literal 1.0, 0.5 or 0.0 rather than approximations.
-    """
+    """cos^2 of the projective angle between *final* and *target*."""
     a, b = final.phi.as_integer_ratio()
     c, d = target.phi.as_integer_ratio()
-    num = (a * d - c * b) % (b * d)     # the difference mod pi, over b*d
-    g = math.gcd(num, b * d)
-    den = b * d // g
+    return difference_probability(a * d - c * b, b * d)
+
+
+def difference_probability(num: int, den: int) -> float:
+    """cos^2 of the difference ``num/den·π`` (den > 0), reduced mod pi on
+    the integers; the differences that occur in game analysis (multiples
+    of pi/4) return literal 1.0, 0.5 or 0.0 rather than approximations."""
+    num %= den
+    g = math.gcd(num, den)
+    den //= g
     if den == 1:                        # difference 0 mod pi
         return 1.0
     if den == 2:                        # difference pi/2

@@ -25,7 +25,7 @@ from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
 from .errors import FNotInGroup
 from .games import GameSpec, decide_extended_game
 from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
-                     CoinState, win_probability)
+                     CoinState, difference_probability, win_probability)
 
 EXPECTED_PATHS = (
     (KET_ZERO, KET_PLUS, KET_ZERO),
@@ -245,12 +245,11 @@ def check_representation(cfg: Config):
 def check_probability_identities(cfg: Config):
     if win_probability(KET_PLUS, KET_ZERO) != 0.5:
         return False, {"halfExact": False}
-    worst = 0.0
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        for x in orbits.orbit_of_basis(n):
-            total = (win_probability(x, KET_ZERO)
-                     + win_probability(x, KET_ONE))
-            worst = max(worst, abs(total - 1.0))
+    # cos^2 to |0> plus cos^2 to |1>, at the indices 0 and n of Z_2n
+    worst = max((abs(difference_probability(j, 2 * n)
+                     + difference_probability(j - n, 2 * n) - 1.0)
+                 for n in range(cfg.n_min, cfg.n_max + 1)
+                 for j in orbits.basis_indices(n)), default=0.0)
     ok = (win_probability(KET_ZERO, KET_ZERO) == 1.0
           and win_probability(KET_ONE, KET_ZERO) == 0.0
           and worst <= 1e-12)

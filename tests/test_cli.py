@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pennyflip import games, reports, unitary
+from pennyflip import games, orbits, reports, unitary
+from pennyflip.angles import Angle
 from pennyflip.cli import main
 from pennyflip.dihedral import HADAMARD
+from pennyflip.states import CoinState
 
 
 @dataclass
@@ -82,6 +85,57 @@ class TestOrbitCommands:
         result = invoke(runner, "fixed-set", "--n", "7", "--elems", "I,F")
         assert result.exit_code == 3
         assert "D_7" in result.output
+
+
+def orbit_oracle(n, state):
+    """``orbit``'s stdout by format, rendered the slow way: each state
+    built by ``CoinState.of`` (Fraction's constructor), each row by
+    ``str``."""
+    x = CoinState.parse(state)
+    size = math.lcm(2 * n, x.phi.denominator)
+    states = [CoinState.of(i, size)
+              for i in sorted(orbits.index_orbit(n, x.index(size), size))]
+    rows = [{"phi": str(s.phi), "name": str(s)} for s in states]
+    return {"json": reports.dump_json(rows) + "\n",
+            "markdown": reports.names_markdown(rows)}
+
+
+def test_orbit_matches_the_slow_rendering(runner):
+    # j*pi/(4n) for j <= 8 meets every orbit on its grid (d divides 8);
+    # on the grids of j*pi/(2n+1), Z_2n(2n+1), most indices reduce
+    for n in range(3, 65):
+        states = [f"{j}/{m}*pi" for m in (4 * n, 2 * n + 1) for j in range(9)]
+        for state in states:
+            for fmt, stdout in orbit_oracle(n, state).items():
+                result = invoke(runner, "orbit", "--n", str(n), "--state",
+                                state, "--format", fmt)
+                assert (result.exit_code, result.stdout) == (0, stdout), (
+                    n, state, fmt)
+
+
+def angles_built(monkeypatch, run) -> int:
+    """How many times *run* calls ``Angle.__new__``, which normalises
+    through Fraction's constructor."""
+    built = []
+    new = Angle.__new__
+
+    def counting(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Angle, "__new__", staticmethod(counting))
+        run()
+    return len(built)
+
+
+def test_orbit_runs_no_fraction_constructor_per_state(runner, monkeypatch):
+    # the orbit of 5*pi/59 has 59 states in D_59 and D_118, 295 in D_590;
+    # each is built by CoinState.at, which skips Angle.__new__
+    counts = {n: angles_built(monkeypatch, lambda: invoke(
+        runner, "orbit", "--n", str(n), "--state", "5/59*pi"))
+        for n in (59, 118, 590)}
+    assert counts[59] == counts[118] == counts[590] <= 2, counts
 
 
 def orbit_cli_digest(runner, spec):
@@ -649,6 +703,14 @@ def test_64_bit_edge_exit_code(runner, argv, code):
     result = runner.invoke(main, argv)
     assert result.exit_code == code
     assert "Traceback" not in result.output
+
+
+def test_orbit_overflow_names_the_first_reduced_angle(runner):
+    result = invoke(runner, "orbit", "--n", "8", "--state",
+                    "1/9223372036854775807pi")
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        3, "", "error: angle 9223372036854775803/36893488147419103228 "
+               "exceeds 64-bit width\n")
 
 
 #: Runs each argument as one command line in a single process, then fails

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from pennyflip.angles import Angle
 from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, isometries
 from pennyflip.errors import ExactArithmeticOverflow
-from pennyflip.orbits import orbit_of_basis
+from pennyflip.orbits import basis_indices, orbit_of_basis
 from pennyflip.states import (KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
-                              CoinState, act, win_probability)
+                              CoinState, act, difference_probability,
+                              win_probability)
 
 
 def test_named_states():
@@ -166,6 +167,67 @@ class TestWinProbabilityOracle:
         for probability in (win_probability, win_probability_oracle):
             with pytest.raises(ExactArithmeticOverflow):
                 probability(final, target)
+
+
+class TestDifferenceCore:
+    """``difference_probability`` on index pairs, bit for bit against
+    ``win_probability`` on the states and against the Fraction oracle."""
+
+    @staticmethod
+    def assert_bit_equal(got, x, target):
+        assert got.hex() == win_probability(x, target).hex()
+        assert got.hex() == win_probability_oracle(x, target).hex()
+
+    def test_every_basis_orbit_state_up_to_128(self):
+        for n in range(3, 129):
+            size = 2 * n
+            for j in basis_indices(n):
+                x = CoinState.of(j, size)
+                self.assert_bit_equal(difference_probability(j, size),
+                                      x, KET_ZERO)
+                self.assert_bit_equal(
+                    difference_probability((j - n) % size, size), x, KET_ONE)
+
+    @pytest.mark.parametrize("p, q", [(1, 3), (2, 7), (5, 59), (7, 16),
+                                      (3, 1000), (1, 2**40 + 1)])
+    def test_off_grid_states(self, p, q):
+        x = CoinState.of(p, q)
+        self.assert_bit_equal(difference_probability(p, q), x, KET_ZERO)
+        # p/q - 1/2 = (2p - q)/(2q)
+        self.assert_bit_equal(difference_probability(2 * p - q, 2 * q),
+                              x, KET_ONE)
+
+
+def built(make, *args):
+    """The state *make* builds from *args*, with its Angle's type, terms,
+    hash and text, or the text of the overflow it raises."""
+    try:
+        x = make(*args)
+    except ExactArithmeticOverflow as exc:
+        return str(exc)
+    return x, type(x.phi), x.phi.as_integer_ratio(), hash(x), str(x)
+
+
+class TestGridIndexState:
+    """``CoinState.at`` skips Fraction's constructor; ``CoinState.of`` is
+    its oracle."""
+
+    def test_every_index_up_to_size_128(self):
+        for size in range(1, 129):
+            for j in range(size):
+                assert built(CoinState.at, j, size) == \
+                    built(CoinState.of, j, size), (j, size)
+
+    @given(st.integers(min_value=1, max_value=2**66).flatmap(
+        lambda size: st.tuples(st.integers(0, size - 1), st.just(size))))
+    def test_past_64_bits(self, args):
+        assert built(CoinState.at, *args) == built(CoinState.of, *args)
+
+    def test_its_angle_takes_part_in_arithmetic(self):
+        x, y = CoinState.at(3, 8), CoinState.of(3, 8)
+        assert act(HADAMARD, x) == act(HADAMARD, y) == CoinState.of(7, 8)
+        assert x.phi + Angle(1, 8) == Angle(1, 2)
+        assert x.phi * 2 == Angle(3, 4)
 
 
 def reduced_by_hand(value) -> CoinState:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pennyflip import dihedral, games, orbits, unitary, verify
+from pennyflip.angles import Angle
 from pennyflip.config import Config
 from pennyflip.dihedral import isometries
 from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, act
@@ -185,16 +186,34 @@ def test_phase_families_match_the_per_matrix_loop(tol):
 
 def test_probability_identities_cover_n_above_64(monkeypatch):
     visited = []
-    real = orbits.orbit_of_basis
+    real = orbits.basis_indices
 
     def recording(n):
         visited.append(n)
         return real(n)
 
-    monkeypatch.setattr(orbits, "orbit_of_basis", recording)
+    monkeypatch.setattr(orbits, "basis_indices", recording)
     ok, _ = verify.check_probability_identities(Config(n_min=65, n_max=66))
     assert visited == [65, 66]
     assert ok is True
+
+
+def test_probability_identities_build_no_angle_per_state(monkeypatch):
+    # the basis orbit has 118 states at n = 59 and 590 at n = 590
+    built = []
+    new = Angle.__new__
+
+    def counting(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Angle, "__new__", staticmethod(counting))
+    counts = []
+    for n in (59, 590):
+        built.clear()
+        assert verify.check_probability_identities(Config(n_min=n, n_max=n))[0]
+        counts.append(len(built))
+    assert counts == [0, 0]
 
 
 def test_representation_checks_the_d8_relations(monkeypatch):
