@@ -4,11 +4,13 @@ The ``verify-all`` row envelope, the decision texts and the element keys are
 built here; a check's own ``details`` are its result.  Markdown renders the
 parsed JSON payload, except ``enumerate``'s table, which lists every class
 member.  All emitters are deterministic so reports compare byte for byte.
+``dump_json`` writes ``json.dumps``' indented form byte for byte, without
+running the standard library's pure-Python encoder.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring as _quote
 from typing import Iterable, Sequence
 
 from .angles import pi_text
@@ -86,7 +88,45 @@ def check_rows(results: Iterable[tuple], timings: bool = False) -> list[dict]:
 
 
 def dump_json(payload) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
+    """The text of ``json.dumps(payload, ensure_ascii=False, indent=2,
+    sort_keys=True)``; a key that is not a ``str`` raises ``TypeError``."""
+    out: list[str] = []
+    _emit(payload, out, "\n")
+    return "".join(out)
+
+
+#: Each leaf type's text, in the order ``json`` tests for them.
+_LEAVES = {str: _quote, type(None): lambda _: "null",
+           bool: lambda b: "true" if b else "false", int: int.__repr__,
+           float: lambda x: "NaN" if x != x
+           else float.__repr__(x).replace("inf", "Infinity")}
+#: The types written; a subclass is written as the first one it is.
+_KINDS = dict.fromkeys((*_LEAVES, list, tuple, dict))
+
+
+def _emit(o, out: list[str], nl: str) -> None:
+    """Append *o* to *out*; *nl* is a newline and the indent of its line."""
+    kind = type(o)
+    if kind not in _KINDS:
+        kind = next((k for k in _KINDS if isinstance(o, k)), None)
+        if kind is None:
+            raise TypeError(f"{type(o).__name__} is not JSON serializable")
+    if kind in _LEAVES:
+        out.append(_LEAVES[kind](o))
+    elif not o:
+        out.append("{}" if kind is dict else "[]")
+    else:
+        inner, is_dict = nl + "  ", kind is dict
+        sep, comma = ("{" if is_dict else "[") + inner, "," + inner
+        for key in sorted(o) if is_dict else o:
+            value = o[key] if is_dict else key
+            head = f"{sep}{_quote(key)}: " if is_dict else sep
+            leaf = _LEAVES.get(type(value))     # a leaf is written in place
+            out.append(head if leaf is None else head + leaf(value))
+            if leaf is None:
+                _emit(value, out, inner)
+            sep = comma
+        out.append(nl + ("}" if is_dict else "]"))
 
 
 # -- Markdown renderings ---------------------------------------------------

@@ -257,6 +257,36 @@ def test_markdown_commands_match_golden(runner):
     assert markdown_cli_digest(runner, spec) == spec["sha256"]
 
 
+def test_no_command_runs_the_pure_python_json_encoder(runner, monkeypatch):
+    # json.dumps(..., indent=2) runs the standard library's pure-Python
+    # encoder; reports.dump_json writes the same bytes without it.  The
+    # exact commands must print their goldens; sample-u2 and verify-all,
+    # whose floats vary with the BLAS kernel, what json.dumps prints for
+    # the same payload
+    def banned(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    golden = Path(__file__).parent / "golden"
+    monkeypatch.delenv("PENNYFLIP_CONFIG", raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(json.encoder, "_make_iterencode", banned)
+        patch.setattr(json.JSONEncoder, "iterencode", banned)
+        for name, digest in (("orbit_cli.json", orbit_cli_digest),
+                             ("game_cli.json", game_cli_digest)):
+            spec = json.loads((golden / name).read_text())
+            assert digest(runner, spec) == spec["sha256"], name
+        for command in ("enumerate", "classify"):
+            result = invoke(runner, *game_listing(command, "json", "0"))
+            assert result.stdout_bytes == listing_golden(command, "json", "0")
+        floats = [invoke(runner, "sample-u2", "--samples", "1000"),
+                  invoke(runner, "verify-all")]
+    for result in floats:
+        assert result.exit_code == 0
+        assert result.stdout == json.dumps(
+            json.loads(result.stdout), ensure_ascii=False, indent=2,
+            sort_keys=True) + "\n"
+
+
 #: The Markdown renderer of each command's JSON payload.
 RENDERERS = {"orbit": reports.names_markdown,
              "stabilizer": reports.names_markdown,

@@ -1,7 +1,10 @@
 import ast
 import json
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +159,61 @@ class TestJson:
             {"n": 8, "k": 5, "reflect": True, "name": "S_{5π/8}"},
             {"n": 12, "k": 7, "reflect": False, "name": "R_{7/6·π}"},
         ]
+
+
+def stdlib_json(payload):
+    """The text ``dump_json`` must equal, from the standard library."""
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
+
+
+#: Text with JSON's escapes, control characters, U+2028, a ket bracket and
+#: text outside the Basic Multilingual Plane.
+TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028⟩𝜋😀'),
+                         st.characters()), max_size=6)
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]))
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                   FLOATS, FLOATS.map(np.float64), TEXT)
+TREES = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(TEXT, kids, max_size=4)), max_leaves=16)
+
+
+@st.composite
+def deep_trees(draw):
+    """A tree at the bottom of a chain of four to six containers, each
+    with drawn siblings, so that empty and full ones sit at every depth."""
+    tree = draw(TREES)
+    for kind in draw(st.lists(st.sampled_from([dict, list, tuple]),
+                              min_size=4, max_size=6)):
+        if kind is dict:
+            tree = {**draw(st.dictionaries(TEXT, TREES, max_size=1)),
+                    draw(TEXT): tree}
+        else:
+            tree = kind([*draw(st.lists(TREES, max_size=1)), tree])
+    return tree
+
+
+class TestDumpJson:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(TREES, deep_trees()))
+    def test_matches_the_standard_library(self, payload):
+        assert dump_json(payload) == stdlib_json(payload)
+
+    @pytest.mark.parametrize("payload", [
+        [], {}, (), "", 0, -0.0, math.nan, np.float64(-math.inf),
+        [[], {}, [()]], {"a": {"b": [{"c": ({},)}]}}, True, None])
+    def test_edge_rows(self, payload):
+        assert dump_json(payload) == stdlib_json(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {1: "a"}, {"a": {None: 1}}, {"a": 1, 2: "b"}, {1, 2}, [{"a": {1}}],
+        {"a": b"bytes"}, np.int64(3)],
+        ids=["int-key", "none-key", "mixed-keys", "set", "nested-set",
+             "bytes", "numpy-int"])
+    def test_unsupported_raises_type_error(self, payload):
+        with pytest.raises(TypeError):
+            dump_json(payload)
 
 
 class TestDecisionTexts:
