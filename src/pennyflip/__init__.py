@@ -5,15 +5,14 @@ from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                        PlanarIsometry, closure, contains_isometry, elements,
                        isometries, represent, verify_presentation)
 from .errors import (ExactArithmeticOverflow, FNotInGroup, LengthMismatch,
-                     MismatchedGroup, NotUnitary, PennyflipError,
-                     SearchBudgetExceeded)
+                     NotUnitary, PennyflipError, SearchBudgetExceeded)
 from .games import (PICARD_POOL, PQG, Decision, GameSpec, Strategy,
                     StrategyClass, brute_force_extended_check,
                     classify_strategies, decide_extended_game, is_dominant,
                     is_winning_strategy, play_out, state_path,
                     synthesize_by_intermediate_states,
                     verify_characteristic_properties, winning_classes)
-from .orbits import fixed_set, orbit, orbit_of_basis, stabilizer
+from .orbits import fixed_set, orbit, stabilizer
 from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO, CoinState,
                      act, win_probability)
 
@@ -25,14 +24,14 @@ __all__ = [
     "PlanarIsometry", "closure", "contains_isometry", "elements",
     "isometries", "represent", "verify_presentation",
     "ExactArithmeticOverflow", "FNotInGroup",
-    "LengthMismatch", "MismatchedGroup", "NotUnitary",
+    "LengthMismatch", "NotUnitary",
     "PennyflipError", "SearchBudgetExceeded",
     "PICARD_POOL", "PQG", "Decision", "GameSpec", "Strategy",
     "StrategyClass", "brute_force_extended_check", "classify_strategies",
     "decide_extended_game", "is_dominant", "is_winning_strategy", "play_out",
     "state_path", "synthesize_by_intermediate_states",
     "verify_characteristic_properties", "winning_classes",
-    "fixed_set", "orbit", "orbit_of_basis", "stabilizer",
+    "fixed_set", "orbit", "stabilizer",
     "BASIS", "KET_MINUS", "KET_ONE", "KET_PLUS", "KET_ZERO", "CoinState",
     "act", "win_probability",
     "__version__",

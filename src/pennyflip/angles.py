@@ -60,10 +60,6 @@ class Angle(Fraction):
 
     # -- evaluation --------------------------------------------------------
 
-    @property
-    def radians(self) -> float:
-        return float(self) * math.pi
-
     def cos_sin(self) -> tuple[float, float]:
         """Cosine and sine of the angle.
 
@@ -73,7 +69,7 @@ class Angle(Fraction):
         """
         if self.denominator in (1, 2, 4):
             return _EIGHTH_TABLE[self.numerator * 4 // self.denominator % 8]
-        r = self.radians
+        r = float(self) * math.pi
         return math.cos(r), math.sin(r)
 
     # -- text --------------------------------------------------------------

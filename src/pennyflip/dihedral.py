@@ -1,23 +1,22 @@
 """The dihedral group D_n and its exact planar matrix representation.
 
-Elements are kept in the normal form ``r^k s^l``; their 2x2 matrix images
-are kept symbolically as rotors/reflectors carrying an exact angle, so all
-products and membership tests are exact; elements act on integer state
-indices for orbits and game search.  Floating matrices exist only for
-cross-checking and for the complex layer.  Membership in D_n, the canonical
-element order, and the name of each isometry and its parsing back from
-that name are decided here only.
+Elements are kept in the normal form ``r^k s^l`` and only act, on integer
+state indices for orbits and game search; they are never multiplied.  Their
+2x2 matrix images are kept symbolically as rotors/reflectors carrying an
+exact angle, so isometry products and membership tests are exact.  Floating
+matrices exist only for cross-checking and for the complex layer.
+Membership in D_n, the canonical element order, and the name of each
+isometry and its parsing back from that name are decided here only.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .angles import Angle
-from .errors import FNotInGroup, MismatchedGroup
+from .errors import FNotInGroup
 
 
 @dataclass(frozen=True)
@@ -33,24 +32,6 @@ class DihedralElement:
             raise ValueError(f"dihedral order parameter must be >= 3, got {self.n}")
         if not 0 <= self.k < self.n:
             raise ValueError(f"rotation exponent {self.k} out of range [0, {self.n})")
-
-    @classmethod
-    def rotation(cls, n: int, k: int) -> "DihedralElement":
-        return cls(n, k % n, False)
-
-    @classmethod
-    def reflection(cls, n: int, k: int) -> "DihedralElement":
-        return cls(n, k % n, True)
-
-    def compose(self, other: "DihedralElement") -> "DihedralElement":
-        """Normal-form product under r^n = 1, s^2 = 1, s r = r^-1 s."""
-        if self.n != other.n:
-            raise MismatchedGroup(f"cannot compose D_{self.n} with D_{other.n}")
-        if self.reflect:
-            # r^k s r^m s^l = r^(k - m) s^(1 + l)
-            return DihedralElement(self.n, (self.k - other.k) % self.n,
-                                   not other.reflect)
-        return DihedralElement(self.n, (self.k + other.k) % self.n, other.reflect)
 
     def act(self, j: int, size: int) -> int:
         """Act on the index j of the state j*pi/size, with step = 2*size/n an
@@ -88,14 +69,6 @@ class PlanarIsometry:
     def __post_init__(self) -> None:
         period = 1 if self.reflect else 2
         object.__setattr__(self, "angle", Angle(self.angle % period))
-
-    @classmethod
-    def rotor(cls, angle: Fraction) -> "PlanarIsometry":
-        return cls(angle)
-
-    @classmethod
-    def reflector(cls, angle: Fraction) -> "PlanarIsometry":
-        return cls(angle, True)
 
     @classmethod
     def parse(cls, text: str) -> "PlanarIsometry":
@@ -158,11 +131,11 @@ class PlanarIsometry:
         return f"{letter}_{{{m}π/8}}"
 
 
-IDENTITY = PlanarIsometry.rotor(Angle(0))
+IDENTITY = PlanarIsometry(Angle(0))
 #: The coin flip, a reflection about the line at pi/4.
-FLIP = PlanarIsometry.reflector(Angle(1, 4))
+FLIP = PlanarIsometry(Angle(1, 4), True)
 #: The Hadamard transform, a reflection about the line at pi/8.
-HADAMARD = PlanarIsometry.reflector(Angle(1, 8))
+HADAMARD = PlanarIsometry(Angle(1, 8), True)
 _LETTERS = {IDENTITY: "I", FLIP: "F", HADAMARD: "H"}
 _NAMED = {name: p for p, name in _LETTERS.items()}
 
@@ -170,8 +143,8 @@ _NAMED = {name: p for p, name in _LETTERS.items()}
 def represent(g: DihedralElement) -> PlanarIsometry:
     """Standard representation: r^k -> R_{2*pi*k/n}, r^k s -> S_{pi*k/n}."""
     if g.reflect:
-        return PlanarIsometry.reflector(Angle(g.k, g.n))
-    return PlanarIsometry.rotor(Angle(2 * g.k, g.n))
+        return PlanarIsometry(Angle(g.k, g.n), True)
+    return PlanarIsometry(Angle(2 * g.k, g.n))
 
 
 def isometries(n: int) -> list[PlanarIsometry]:
@@ -230,7 +203,6 @@ def verify_presentation(n: int) -> bool:
     image of D_n."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    s, t = (PlanarIsometry.reflector(Angle(0)),
-            PlanarIsometry.reflector(Angle(1, n)))
+    s, t = PlanarIsometry(Angle(0), True), PlanarIsometry(Angle(1, n), True)
     return (satisfies_relations(s, t, n)
             and closure({s, t}) == set(isometries(n)))

@@ -9,10 +9,6 @@ class ExactArithmeticOverflow(PennyflipError):
     """A rational angle exceeded the configured integer width."""
 
 
-class MismatchedGroup(PennyflipError):
-    """Binary operation on elements of different dihedral groups."""
-
-
 class FNotInGroup(PennyflipError):
     """A move, such as the coin flip, is not an element of the given D_n."""
 

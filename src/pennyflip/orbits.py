@@ -61,11 +61,6 @@ def basis_indices(n: int) -> list[int]:
     return sorted(index_orbit(n, 0, 2 * n) | index_orbit(n, n, 2 * n))
 
 
-def orbit_of_basis(n: int) -> tuple[CoinState, ...]:
-    """Union of the |0> and |1> orbits."""
-    return tuple(CoinState.at(j, 2 * n) for j in basis_indices(n))
-
-
 def stabilizer(n: int, x: CoinState) -> tuple[DihedralElement, ...]:
     """Elements whose action fixes *x* projectively, in canonical order."""
     return index_stabilizer(n, *_on_grid(n, x))

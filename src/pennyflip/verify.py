@@ -19,9 +19,10 @@ from typing import Callable
 import numpy as np
 
 from . import dihedral, games, orbits, unitary
+from .angles import Angle
 from .config import TOL_RESIDUAL, Config
 from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
-                       PlanarIsometry, closure, isometries, represent)
+                       PlanarIsometry, closure, isometries)
 from .errors import FNotInGroup
 from .games import GameSpec, decide_extended_game
 from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
@@ -125,11 +126,12 @@ def check_orbit_structure(cfg: Config):
 
 
 def check_stabilizers_d8(cfg: Config):
-    rot = DihedralElement.rotation
-    ref = DihedralElement.reflection
     # {I, R_pi, S_0, S_{4pi/8}} and {I, R_pi, F, S_{6pi/8}} as elements of D_8
-    expected_basis = {rot(8, 0), rot(8, 4), ref(8, 0), ref(8, 4)}
-    expected_diag = {rot(8, 0), rot(8, 4), ref(8, 2), ref(8, 6)}
+    rotations = {DihedralElement(8, 0), DihedralElement(8, 4)}
+    expected_basis = rotations | {DihedralElement(8, 0, True),
+                                  DihedralElement(8, 4, True)}
+    expected_diag = rotations | {DihedralElement(8, 2, True),
+                                 DihedralElement(8, 6, True)}
     got = {str(x): set(orbits.stabilizer(8, x))
            for x in (KET_ZERO, KET_ONE, KET_PLUS, KET_MINUS)}
     ok = (got["|0⟩"] == expected_basis and got["|1⟩"] == expected_basis
@@ -228,14 +230,32 @@ def check_u2_sampling(cfg: Config):
                 "maxResidual": max_residual}
 
 
+def _presented(n: int) -> tuple[bool, list[str]]:
+    """Whether ``represent`` is the faithful homomorphism D_n -> O(2) that
+    r -> R = R_{2pi/n}, s -> S = S_0 gives, and the elements it sends
+    elsewhere.  R^n = S^2 = (SR)^2 = I, so by von Dyck's theorem that map
+    extends to a homomorphism, which sends r^k to R^k and r^k s to R^k S;
+    it is faithful when these 2n images are distinct."""
+    rotor, mirror = PlanarIsometry(Angle(2, n)), PlanarIsometry(Angle(0), True)
+    forced = [IDENTITY]
+    for _ in range(n - 1):
+        forced.append(forced[-1].compose(rotor))
+    forced += [p.compose(mirror) for p in forced]
+    images = isometries(n)
+    failures = [f"D_{n}: {g}" for g, image, want
+                in zip(dihedral.elements(n), images, forced) if image != want]
+    ok = (not failures and len(set(images)) == 2 * n
+          and dihedral.satisfies_relations(mirror, mirror.compose(rotor), n))
+    return ok, failures
+
+
 def check_representation(cfg: Config):
-    failures = [f"D_{n}: {g} * {h}" for n in (8, 12, 16)
-                for g in dihedral.elements(n) for h in dihedral.elements(n)
-                if represent(g.compose(h)) != represent(g).compose(represent(h))]
+    presented = [_presented(n) for n in (8, 12, 16)]
+    failures = [f for _, fs in presented for f in fs]
     # the presentation of D_8 by F and H: the relations and this closure
     generated = closure({FLIP, HADAMARD})
     closure_ok = (len(generated) == 16 and generated == set(isometries(8)))
-    ok = (not failures and closure_ok
+    ok = (all(ok for ok, _ in presented) and closure_ok
           and dihedral.satisfies_relations(FLIP, HADAMARD, 8)
           and all(dihedral.verify_presentation(n) for n in (12, 16)))
     return ok, {"pairFailures": failures[:5], "closureSize": len(generated),

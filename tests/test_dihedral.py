@@ -10,13 +10,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pennyflip import dihedral, verify
 from pennyflip.angles import Angle
+from pennyflip.config import Config
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 PlanarIsometry, closure, contains_isometry,
                                 element_for_isometry, elements, isometries,
                                 represent, satisfies_relations,
                                 verify_presentation)
-from pennyflip.errors import FNotInGroup, MismatchedGroup
+from pennyflip.errors import FNotInGroup
 from pennyflip.games import (PQG, GameSpec, brute_force_extended_check,
                              synthesize_by_intermediate_states,
                              winning_classes)
@@ -24,11 +26,21 @@ from pennyflip.orbits import fixed_set
 
 
 def rot(n, k):
-    return DihedralElement.rotation(n, k)
+    return DihedralElement(n, k % n)
 
 
 def ref(n, k):
-    return DihedralElement.reflection(n, k)
+    return DihedralElement(n, k % n, True)
+
+
+def compose(g, h):
+    """The normal-form product of two elements of one D_n, under r^n = 1,
+    s^2 = 1 and s r = r^-1 s: r^k s * r^m s^l = r^(k - m) s^(1 + l).  The
+    library never multiplies elements; this is the oracle's product."""
+    assert g.n == h.n
+    if g.reflect:
+        return DihedralElement(g.n, (g.k - h.k) % g.n, not h.reflect)
+    return DihedralElement(g.n, (g.k + h.k) % g.n, h.reflect)
 
 
 def inverse(g):
@@ -39,27 +51,23 @@ def inverse(g):
 class TestElements:
     def test_flip_times_hadamard_is_r(self):
         # F is r^2 s and H is r s in D_8; their product is the rotation r
-        assert ref(8, 2).compose(ref(8, 1)) == rot(8, 1)
+        assert compose(ref(8, 2), ref(8, 1)) == rot(8, 1)
 
     def test_identity_law(self):
         e = rot(8, 0)
         for g in elements(8):
-            assert e.compose(g) == g
-            assert g.compose(e) == g
+            assert compose(e, g) == g
+            assert compose(g, e) == g
 
     def test_reflections_are_involutions(self):
         for n in (3, 8, 12):
             for k in range(n):
-                assert ref(n, k).compose(ref(n, k)) == rot(n, 0)
+                assert compose(ref(n, k), ref(n, k)) == rot(n, 0)
                 assert inverse(ref(n, k)) == ref(n, k)
 
     def test_rotation_inverse(self):
         assert inverse(rot(8, 3)) == rot(8, 5)
         assert inverse(rot(8, 0)) == rot(8, 0)
-
-    def test_mismatched_group(self):
-        with pytest.raises(MismatchedGroup):
-            rot(8, 1).compose(rot(12, 1))
 
     def test_enumeration_is_2n_distinct(self):
         for n in (3, 8, 16):
@@ -71,7 +79,7 @@ class TestElements:
             e = rot(n, 0)
             gs = list(elements(n))
             for g in gs:
-                assert g.compose(inverse(g)) == e
+                assert compose(g, inverse(g)) == e
         # closure + associativity on random triples for a few n
         rng = random.Random(0)
         for n in (8, 12, 16):
@@ -79,8 +87,8 @@ class TestElements:
             gset = set(gs)
             for _ in range(10_000):
                 a, b, c = (rng.choice(gs) for _ in range(3))
-                assert a.compose(b) in gset
-                assert a.compose(b).compose(c) == a.compose(b.compose(c))
+                assert compose(a, b) in gset
+                assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
 def matmul_oracle(p: PlanarIsometry, q: PlanarIsometry) -> np.ndarray:
@@ -89,15 +97,15 @@ def matmul_oracle(p: PlanarIsometry, q: PlanarIsometry) -> np.ndarray:
 
 class TestIsometries:
     def test_named_constants(self):
-        assert IDENTITY == PlanarIsometry.rotor(Angle(0))
-        assert FLIP == PlanarIsometry.reflector(Angle(1, 4))
-        assert HADAMARD == PlanarIsometry.reflector(Angle(1, 8))
+        assert IDENTITY == PlanarIsometry(Angle(0))
+        assert FLIP == PlanarIsometry(Angle(1, 4), True)
+        assert HADAMARD == PlanarIsometry(Angle(1, 8), True)
 
     def test_flip_hadamard_product_is_eighth_rotation(self):
-        assert FLIP.compose(HADAMARD) == PlanarIsometry.rotor(Angle(1, 4))
+        assert FLIP.compose(HADAMARD) == PlanarIsometry(Angle(1, 4))
 
     def test_rotor_identity_neutral(self):
-        p = PlanarIsometry.rotor(Angle(2, 7))
+        p = PlanarIsometry(Angle(2, 7))
         assert p.compose(IDENTITY) == p
 
     def test_hadamard_squared_is_identity(self):
@@ -116,8 +124,8 @@ class TestIsometries:
         assert str(IDENTITY) == "I"
         assert str(FLIP) == "F"
         assert str(HADAMARD) == "H"
-        assert str(PlanarIsometry.rotor(Angle(1, 4))) == "R_{2π/8}"
-        assert str(PlanarIsometry.rotor(Angle(1, 6))) == "R_{1/6·π}"
+        assert str(PlanarIsometry(Angle(1, 4))) == "R_{2π/8}"
+        assert str(PlanarIsometry(Angle(1, 6))) == "R_{1/6·π}"
 
 
 class TestRepresentation:
@@ -169,9 +177,9 @@ class TestParseIsometry:
 
     def test_angled(self):
         assert (PlanarIsometry.parse("R_{2/8·π}")
-                == PlanarIsometry.rotor(Angle(1, 4)))
+                == PlanarIsometry(Angle(1, 4)))
         assert (PlanarIsometry.parse("S_5/8·π")
-                == PlanarIsometry.reflector(Angle(5, 8)))
+                == PlanarIsometry(Angle(5, 8), True))
 
     def test_garbage(self):
         # braces are one pair around the whole angle, or none
@@ -180,11 +188,10 @@ class TestParseIsometry:
             with pytest.raises(ValueError):
                 PlanarIsometry.parse(token)
 
-    @given(st.sampled_from([PlanarIsometry.rotor, PlanarIsometry.reflector]),
-           st.integers(min_value=-200, max_value=200),
+    @given(st.booleans(), st.integers(min_value=-200, max_value=200),
            st.integers(min_value=1, max_value=64))
-    def test_str_roundtrip(self, build, numerator, denominator):
-        p = build(Angle(numerator, denominator))
+    def test_str_roundtrip(self, reflect, numerator, denominator):
+        p = PlanarIsometry(Angle(numerator, denominator), reflect)
         assert PlanarIsometry.parse(str(p)) == p
 
     def test_str_roundtrip_on_every_group(self):
@@ -221,8 +228,7 @@ def generator_sets(draw):
 
 
 @example({FLIP, HADAMARD})
-@example({PlanarIsometry.rotor(Angle(1, 4)),
-          PlanarIsometry.rotor(Angle(1, 6))})
+@example({PlanarIsometry(Angle(1, 4)), PlanarIsometry(Angle(1, 6))})
 @given(generator_sets())
 def test_closure_matches_bfs(generators):
     assert closure(generators) == bfs_closure(generators)
@@ -254,3 +260,47 @@ class TestPresentation:
     def test_adjacent_axes_present_small_n(self):
         for n in (3, 5, 6, 12, 16, 24, 32):
             assert verify_presentation(n)
+
+
+def pair_table(n):
+    """The pairs of D_n whose product ``represent`` does not send to the
+    product of their images, over all 4n^2 pairs: empty iff ``represent``
+    is a homomorphism.  The oracle of the presentation check."""
+    image = dihedral.represent
+    return [(g, h) for g in elements(n) for h in elements(n)
+            if image(compose(g, h)) != image(g).compose(image(h))]
+
+
+# Each breaks the standard representation r^k -> R_{2pi k/n},
+# r^k s -> S_{pi k/n} and is no homomorphism, so the pair table fails it.
+MUTANTS = {
+    "doubled-rotor": lambda g: (represent(g) if g.reflect
+                                else PlanarIsometry(Angle(4 * g.k, g.n))),
+    "rotor-off-by-one": lambda g: (represent(g) if g.reflect else
+                                   PlanarIsometry(Angle(2 * g.k + 2, g.n))),
+    "no-reflection-bit": lambda g: PlanarIsometry(Angle(2 * g.k, g.n)),
+}
+
+
+@pytest.mark.parametrize("mutant", [None, *MUTANTS])
+def test_presentation_check_agrees_with_the_pair_table(monkeypatch, mutant):
+    if mutant is not None:
+        monkeypatch.setattr(dihedral, "represent", MUTANTS[mutant])
+    standard = mutant is None
+    for n in range(3, 25):
+        assert verify._presented(n)[0] is standard
+        assert (not pair_table(n)) is standard
+    assert verify.check_representation(Config())[0] is standard
+
+
+def test_presentation_check_pins_the_standard_images(monkeypatch):
+    # r^k s -> S_{pi(k+1)/n} is a faithful homomorphism too, with the same
+    # image set, so only the pinned S = S_0 tells it from the standard one
+    monkeypatch.setattr(dihedral, "represent", lambda g: (
+        PlanarIsometry(Angle(g.k + 1, g.n), True) if g.reflect
+        else represent(g)))
+    assert not pair_table(8)
+    ok, details = verify.check_representation(Config())
+    assert ok is False
+    assert details["pairFailures"] == [
+        "D_8: s", "D_8: r s", "D_8: r^2 s", "D_8: r^3 s", "D_8: r^4 s"]

@@ -18,10 +18,11 @@ from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy, _pool,
                              winning_classes)
 from pennyflip.states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
                              act, win_probability)
+from test_dihedral import compose
 
-S7 = PlanarIsometry.reflector(Angle(7, 8))
-R2 = PlanarIsometry.rotor(Angle(1, 4))
-R14 = PlanarIsometry.rotor(Angle(7, 4))
+S7 = PlanarIsometry(Angle(7, 8), True)
+R2 = PlanarIsometry(Angle(1, 4))
+R14 = PlanarIsometry(Angle(7, 4))
 
 
 def q_strategy(*moves):
@@ -240,7 +241,7 @@ class TestCountLaw:
         for player in ("Q", "P"):
             pool = set(_pool(n, player))
             assert DihedralElement(n, 0) in pool
-            assert {a.compose(b) for a in pool for b in pool} == pool
+            assert {compose(a, b) for a in pool for b in pool} == pool
 
 
 def assert_coset_classes(spec, sizes):
@@ -298,8 +299,8 @@ class TestSynthesis:
         firsts = {s.moves[0] for s in synthesize_by_intermediate_states(PQG, 8)
                   if state_path(s, KET_ZERO)[1] == KET_PLUS}
         assert firsts == {HADAMARD, R2,
-                          PlanarIsometry.reflector(Angle(5, 8)),
-                          PlanarIsometry.rotor(Angle(5, 4))}
+                          PlanarIsometry(Angle(5, 8), True),
+                          PlanarIsometry(Angle(5, 4))}
 
     def test_d12_has_no_safe_intermediate(self):
         assert synthesize_by_intermediate_states(PQG, 12) == []

@@ -33,6 +33,15 @@ def imported_names(module: ast.Module) -> dict[str, set[str]]:
     return bound
 
 
+def constructor_calls(module: ast.Module) -> list[int]:
+    """The lines that build an isometry or an angle, ``PlanarIsometry(...)``
+    or ``Angle(...)``, by bare name or as an attribute."""
+    return [node.lineno for node in ast.walk(module)
+            if isinstance(node, ast.Call)
+            and {getattr(node.func, key, None) for key in ("id", "attr")}
+            & {"PlanarIsometry", "Angle"}]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_import_is_read(name):
     module = parse(name)
@@ -48,9 +57,7 @@ def test_unitary_takes_no_d8_move_of_its_own():
     imports = imported_names(module)
     assert not {"angles", "games", "orbits"} & set(imports)
     assert imports["dihedral"] == {"FLIP", "PlanarIsometry"}
-    attributes = {node.attr for node in ast.walk(module)
-                  if isinstance(node, ast.Attribute)}
-    assert not {"rotor", "reflector"} & attributes
+    assert not constructor_calls(module)
 
 
 def test_cli_parses_isometries_only_through_dihedral():
@@ -58,6 +65,4 @@ def test_cli_parses_isometries_only_through_dihedral():
     imports = imported_names(module)
     assert "angles" not in imports
     assert imports["dihedral"] == {"PlanarIsometry"}
-    attributes = {node.attr for node in ast.walk(module)
-                  if isinstance(node, ast.Attribute)}
-    assert not {"rotor", "reflector"} & attributes
+    assert not constructor_calls(module)

@@ -9,18 +9,23 @@ from pennyflip.config import N_MAX
 from pennyflip import dihedral
 from pennyflip.dihedral import FLIP, IDENTITY, DihedralElement, represent
 from pennyflip.errors import FNotInGroup
-from pennyflip.orbits import (fixed_set, index_orbit, index_stabilizer, orbit,
-                              orbit_of_basis, stabilizer)
+from pennyflip.orbits import (basis_indices, fixed_set, index_orbit,
+                              index_stabilizer, orbit, stabilizer)
 from pennyflip.states import (KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
                               CoinState, act)
+from test_dihedral import compose
 
 
 def rot(n, k):
-    return DihedralElement.rotation(n, k)
+    return DihedralElement(n, k % n)
 
 
 def ref(n, k):
-    return DihedralElement.reflection(n, k)
+    return DihedralElement(n, k % n, True)
+
+
+def basis_states(n):
+    return tuple(CoinState.at(j, 2 * n) for j in basis_indices(n))
 
 
 def bfs_orbit(n, x):
@@ -47,7 +52,7 @@ class TestOrbit:
 
     def test_d4_degenerates_to_coin_toss(self):
         assert orbit(4, KET_ZERO) == (KET_ZERO, KET_ONE)
-        assert orbit_of_basis(4) == (KET_ZERO, KET_ONE)
+        assert basis_indices(4) == [0, 4]
 
     def test_d12_orbit_angles(self):
         expected = tuple(CoinState.of(k, 6) for k in range(6))
@@ -59,7 +64,7 @@ class TestOrbit:
         assert orb0 == {CoinState.of(0), CoinState.of(1, 3), CoinState.of(2, 3)}
         assert orb1 == {CoinState.of(1, 2), CoinState.of(5, 6), CoinState.of(1, 6)}
         assert not orb0 & orb1
-        assert set(orbit_of_basis(6)) == orb0 | orb1
+        assert set(basis_states(6)) == orb0 | orb1
 
     def test_matches_bfs_closure(self):
         off_grid = (CoinState.of(1, 5), CoinState.of(1, 3), CoinState.of(2, 7))
@@ -146,13 +151,13 @@ class TestStabilizer:
 
     def test_stabilizers_are_subgroups(self):
         for n in (6, 8, 12, 16):
-            for x in orbit_of_basis(n):
+            for x in basis_states(n):
                 stab = set(stabilizer(n, x))
                 for g in stab:
                     # r^k inverts to r^-k; every reflection to itself
                     assert (g if g.reflect else rot(n, -g.k)) in stab
                     for h in stab:
-                        assert g.compose(h) in stab
+                        assert compose(g, h) in stab
 
 
 class TestFixedSet:
@@ -160,7 +165,7 @@ class TestFixedSet:
         assert fixed_set(8, [IDENTITY, FLIP]) == (KET_PLUS, KET_MINUS)
 
     def test_identity_fixes_everything(self):
-        assert fixed_set(8, [IDENTITY]) == orbit_of_basis(8)
+        assert fixed_set(8, [IDENTITY]) == basis_states(8)
 
     def test_d12_flip_fixes_nothing(self):
         assert fixed_set(12, [IDENTITY, FLIP]) == ()

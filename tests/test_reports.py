@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import math
 from pathlib import Path
@@ -32,7 +33,7 @@ def classes_d8():
     return winning_classes(PQG, 8)
 
 
-R, S = PlanarIsometry.rotor, PlanarIsometry.reflector
+R, S = PlanarIsometry, functools.partial(PlanarIsometry, reflect=True)
 #: The off-grid section of the names golden, in file order.
 OFF_GRID = (R(Angle(2, 7)), R(Angle(1, 3)), R(Angle(5, 12)), R(Angle(1, 16)),
             R(Angle(31, 16)), S(Angle(1, 5)), S(Angle(2, 3)),
@@ -153,8 +154,8 @@ class TestJson:
         ]
 
     def test_element_keys(self):
-        rows = element_set_json([DihedralElement.reflection(8, 5),
-                                 DihedralElement.rotation(12, 7)])
+        rows = element_set_json([DihedralElement(8, 5, True),
+                                 DihedralElement(12, 7)])
         assert rows == [
             {"n": 8, "k": 5, "reflect": True, "name": "S_{5π/8}"},
             {"n": 12, "k": 7, "reflect": False, "name": "R_{7/6·π}"},

@@ -11,15 +11,15 @@ from pennyflip.angles import Angle
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
                                 isometries)
 from pennyflip.errors import NotUnitary
-from pennyflip.orbits import orbit_of_basis
-from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, act
+from pennyflip.orbits import basis_indices
+from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, CoinState, act
 from pennyflip.unitary import (BLOCK, MINUS, PLUS, TOL_MEMBERSHIP, draw,
                                fixed_by_flip_projective, is_unitary, matrix,
                                proportional, sample_unitary, screen,
                                unitarity_residual, unitarity_residuals,
                                winning_state, winning_states)
 
-R2 = PlanarIsometry.rotor(Angle(1, 4))
+R2 = PlanarIsometry(Angle(1, 4))
 KET0 = np.array([1.0, 0.0], dtype=complex)
 #: Q's eight winning first moves in D_8: the isometries that send |0> to
 #: |+> or |->, read off the exact action.
@@ -103,7 +103,7 @@ class TestClassifier:
         assert wins_qpq(matrix(HADAMARD), matrix(HADAMARD))
 
     def test_phase_multiple_of_reflector(self):
-        base = PlanarIsometry.reflector(Angle(5, 8))
+        base = PlanarIsometry(Angle(5, 8), True)
         u = cmath.exp(1j * math.pi / 5) * matrix(base)
         assert winning_state(u) == act(base, KET_ZERO)
 
@@ -337,7 +337,7 @@ class TestWinningStates:
 class TestExactComplexBridge:
     def test_action_agrees_with_matrix_vector_product(self):
         for p in isometries(8):
-            for x in orbit_of_basis(8):
+            for x in (CoinState.at(j, 16) for j in basis_indices(8)):
                 exact = embed(act(p, x))
                 numeric = matrix(p) @ embed(x)
                 # equality is projective: the exact image may differ by sign
