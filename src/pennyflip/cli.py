@@ -1,7 +1,9 @@
 """Command-line surface; ``_echo`` prints each command's ``reports`` payload.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
-error (e.g. asking for the flip in a group that lacks it).
+argparse declares the grammar and writes every help page and usage error;
+``_read`` reads a valid line off its command's option table.  Exit codes:
+0 success, 1 verification failure, 2 usage error, 3 domain error (e.g.
+asking for the flip in a group that lacks it).
 """
 
 from __future__ import annotations
@@ -44,25 +46,61 @@ _commands = _parser.add_subparsers(title="commands", metavar="COMMAND",
 
 #: Options taking a value: the next token is the value, even ``-pi/4``.
 _VALUE_OPTIONS: set[str] = set()
+#: Per command: each option string's action, and a bare line's keywords.
+_TABLES: dict[str, tuple[dict[str, argparse.Action], dict]] = {}
 
 
 def _command(*options):
     """Register the decorated function as the subcommand of its name, with
     ``_`` as ``-``; each option is a flag and its ``add_argument`` keywords."""
     def register(fn):
-        sub = _commands.add_parser(fn.__name__.replace("_", "-"), **_STYLE,
-                                   help=fn.__doc__, description=fn.__doc__)
+        name = fn.__name__.replace("_", "-")
+        sub = _commands.add_parser(name, **_STYLE, help=fn.__doc__,
+                                   description=fn.__doc__)
+        table, defaults = {}, {"command": fn, "parser": sub}
         for flag, kwargs in options:
             if "action" not in kwargs:          # a flag pair takes no value
                 _VALUE_OPTIONS.add(flag)
                 if "default" in kwargs:         # shown in the help
                     shown = f"{kwargs.get('help', '')} [default: %(default)s]"
                     kwargs = dict(kwargs, help=shown.lstrip())
-            sub.add_argument(flag, **kwargs)
+            action = sub.add_argument(flag, **kwargs)
+            table.update(dict.fromkeys(action.option_strings, action))
+            defaults[action.dest] = action.default
         sub.add_argument("--help", **_HELP)
         sub.set_defaults(command=fn, parser=sub)
+        _TABLES[name] = table, defaults
         return fn
     return register
+
+
+def _read(argv: list[str]) -> dict | None:
+    """``vars(_parser.parse_args(argv))`` for a command followed only by
+    ``--option=value`` (a value other than ``--``) and bare ``--flag`` or
+    ``--no-flag`` tokens; None for any other line, which argparse reads."""
+    table, kwargs = _TABLES.get(argv[0] if argv else None, (None, None))
+    if table is None:
+        return None
+    kwargs, seen = dict(kwargs), set()
+    for token in argv[1:]:
+        flag, eq, text = token.partition("=")
+        action = table.get(flag)
+        if (action is None or bool(eq) != (flag in _VALUE_OPTIONS)
+                or text == "--"):
+            return None
+        value = flag == action.option_strings[0]
+        if eq:
+            try:
+                value = action.type(text) if action.type else text
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        kwargs[action.dest] = value
+        seen.add(action)
+    if any(a.required and a not in seen for a in table.values()):
+        return None
+    return kwargs
 
 
 _GROUP_ORDER = _int_range(3, N_MAX)   # D_n needs n >= 3; Config caps n too
@@ -82,8 +120,10 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
     for token in tokens:
         value = next(tokens, None) if token in _VALUE_OPTIONS else None
         argv.append(token if value is None else f"{token}={value}")
-    kwargs = vars(_parser.parse_args(argv))
+    kwargs = _read(argv) or vars(_parser.parse_args(argv))
     run, parser = kwargs.pop("command"), kwargs.pop("parser")
+    if [] in kwargs.values():       # argparse 3.11 reads --x=-- as x=[]
+        parser.error("-- is not a value")
     try:
         run(**kwargs)
     except PennyflipError as exc:

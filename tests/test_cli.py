@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pennyflip import games, orbits, reports, unitary
+from pennyflip import cli, games, orbits, reports, unitary
 from pennyflip.angles import Angle
 from pennyflip.cli import main
 from pennyflip.dihedral import HADAMARD
 from pennyflip.states import CoinState
+from test_reachability import COMMANDS, CONFIG
 
 
 @dataclass
@@ -31,8 +32,8 @@ class Result:
 
 
 class Runner:
-    """Runs a command line in process: stdout and stderr captured, the exit
-    code read off ``SystemExit``, and 1 for any other exception."""
+    """Runs a command line in process: stdout and stderr captured and the
+    exit code read off ``SystemExit``; any other exception propagates."""
 
     def invoke(self, main, argv):
         out, err = io.StringIO(), io.StringIO()
@@ -43,8 +44,6 @@ class Runner:
             except SystemExit as exc:
                 code = exc.code if isinstance(exc.code, int) else int(
                     exc.code is not None)
-            except Exception:
-                code = 1
         return Result(code, out.getvalue(), err.getvalue())
 
 
@@ -637,7 +636,7 @@ CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n",
 
 # Every invalid input exits with its contract code and no traceback:
 # 2 for usage errors, 3 for domain errors.
-@pytest.mark.parametrize("argv, code", [
+INVALID_INPUTS = [
     pytest.param(["enumerate", "--n", "7"], 3, id="enumerate-odd-n"),
     pytest.param(["analyze", "--turns", "QQQ"], 2, id="analyze-bad-turns"),
     pytest.param(["orbit", "--n", "8", "--state", "1/0pi"], 2,
@@ -704,7 +703,10 @@ CONFIG_FILES = {NAN_CFG: "tolerance=nan\n", INF_CFG: "tolerance=inf\n",
                  id="orbit-negative-state"),
     pytest.param(["orbit", "--n", "8", "--state", "--format"], 2,
                  id="orbit-state-named-like-an-option"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code", INVALID_INPUTS)
 def test_invalid_input_exit_code(runner, tmp_path, argv, code):
     def arg(a):
         if a not in CONFIG_FILES:
@@ -716,6 +718,115 @@ def test_invalid_input_exit_code(runner, tmp_path, argv, code):
     result = runner.invoke(main, [arg(a) for a in argv])
     assert result.exit_code == code
     assert "Traceback" not in result.output
+
+
+#: The config placeholders of the usage lines, as files in the working
+#: directory, so that no temporary path reaches stderr.
+USAGE_CONFIGS = {NAN_CFG: "nan.cfg", INF_CFG: "inf.cfg", TINY_CFG: "tiny.cfg",
+                 "{config}": "verify.cfg"}
+
+
+def usage_lines():
+    """Every row of ``INVALID_INPUTS``, then each exit-2 line of the
+    reachability guard that is not among them, placeholders renamed."""
+    lines = []
+    for argv in ([p.values[0] for p in INVALID_INPUTS]
+                 + [argv for code, argv in COMMANDS if code == 2]):
+        for placeholder, name in USAGE_CONFIGS.items():
+            argv = [a.replace(placeholder, name) for a in argv]
+        if argv not in lines:
+            lines.append(argv)
+    return lines
+
+
+def usage_cli_digest(runner, spec):
+    """sha256 over every line of *spec*, run in a directory holding its
+    config files: per run, its argv and exit code, then its stdout and its
+    stderr."""
+    for name, text in spec["configFiles"].items():
+        Path(name).write_text(text)
+    digest = hashlib.sha256()
+    for argv in spec["lines"]:
+        result = runner.invoke(main, argv)
+        digest.update(f"{' '.join(argv)} -> {result.exit_code}\n".encode())
+        digest.update(result.stdout_bytes)
+        digest.update(b"\0")
+        digest.update(result.stderr_bytes)
+    return digest.hexdigest()
+
+
+def test_usage_errors_match_golden(runner, tmp_path, monkeypatch):
+    # the bytes of every usage error, help text wrapped at 80 columns
+    spec = json.loads((Path(__file__).parent / "golden"
+                       / "usage_cli.json").read_text())
+    assert spec["lines"] == usage_lines()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert usage_cli_digest(runner, spec) == spec["sha256"]
+
+
+def joined(argv):
+    """The line ``main`` hands argparse: each value option joined to the
+    token after it by ``=``."""
+    tokens, line = iter(argv), []
+    for token in tokens:
+        value = next(tokens, None) if token in cli._VALUE_OPTIONS else None
+        line.append(token if value is None else f"{token}={value}")
+    return line
+
+
+def argparse_keywords(line):
+    """``vars(_parser.parse_args(line))``, or None if argparse ends the
+    line with help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser.parse_args(line))
+        except SystemExit:
+            return None
+
+
+class CountingRunner(Runner):
+    """A ``Runner`` that requires ``main`` to call ``_parser.parse_args``
+    once on a line that argparse ends with help or a usage error, and
+    never on any other line; ``lines`` counts the lines of each kind."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.lines = [], {True: 0, False: 0}
+        parse_args = cli._parser.parse_args
+        monkeypatch.setattr(cli._parser, "parse_args", lambda argv: (
+            self.calls.append(argv), parse_args(argv))[1])
+
+    def invoke(self, main, argv):
+        ends = argparse_keywords(joined(argv)) is None   # one counted call
+        before = len(self.calls)
+        result = super().invoke(main, argv)
+        assert len(self.calls) - before == ends, argv
+        assert not ends or result.exit_code == 2 or "--help" in argv, argv
+        self.lines[ends] += 1
+        return result
+
+
+def test_argparse_reads_only_help_and_usage_errors(tmp_path, monkeypatch):
+    # every golden line, the usage lines and the reachability guard's lines
+    runner = CountingRunner(monkeypatch)
+    golden = Path(__file__).parent / "golden"
+    for name, digest in [("orbit_cli.json", orbit_cli_digest),
+                         ("stabilizer_large_n.json", stabilizer_cli_digest),
+                         ("game_cli.json", game_cli_digest),
+                         ("markdown_cli.json", markdown_cli_digest),
+                         ("sample_u2_cli.json", sample_u2_digest)]:
+        spec = json.loads((golden / name).read_text())
+        assert digest(runner, spec) == spec["sha256"], name
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    spec = json.loads((golden / "usage_cli.json").read_text())
+    assert usage_cli_digest(runner, spec) == spec["sha256"]
+    Path("verify.cfg").write_text(CONFIG)
+    for code, argv in COMMANDS:
+        argv = [a.replace("{config}", "verify.cfg") for a in argv]
+        assert runner.invoke(main, argv).exit_code == code
+    assert runner.lines[True] >= 15 and runner.lines[False] >= 3000
 
 
 # States whose grid Z_N, N = lcm(2n, b), passes 2**63 before reduction: the

@@ -1,7 +1,8 @@
 """Static guards on the source modules, read with ``ast``: no module
 imports a name it never reads, the U(2) layer holds no D_8 move of its
 own, so a hand table of first moves cannot come back unnoticed, and the CLI
-builds no isometry itself, so a second isometry grammar cannot either."""
+builds no isometry itself, so a second isometry grammar cannot either; nor
+does the CLI read a private attribute, of argparse or anything else."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,13 @@ def test_cli_parses_isometries_only_through_dihedral():
     assert "angles" not in imports
     assert imports["dihedral"] == {"PlanarIsometry"}
     assert not constructor_calls(module)
+
+
+def test_cli_reads_only_public_attributes():
+    # the option tables rest on argparse's public API, which holds across
+    # Python versions; dunders such as __name__ are public
+    private = [(node.lineno, node.attr) for node in ast.walk(parse("cli.py"))
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not (node.attr.startswith("__")
+                        and node.attr.endswith("__"))]
+    assert not private, private

@@ -58,6 +58,9 @@ COMMANDS = [
     (3, ["analyze", "--turns", "QPQ", "--check", "--pool-n", "12"]),
 ]
 
+#: The file that ``{config}`` names.
+CONFIG = "n-range = 3..16\nsamples = 200\nseed = 7\n"
+
 #: Runs the command lines of argv[1] under a profiler; prints their exit
 #: codes and the (file, first line, name) of every code object called.
 CHILD = """
@@ -107,7 +110,7 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
 
 def test_every_function_runs_under_some_command(tmp_path):
     config = tmp_path / "verify.cfg"
-    config.write_text("n-range = 3..16\nsamples = 200\nseed = 7\n")
+    config.write_text(CONFIG)
     argvs = [[arg.replace("{config}", str(config)) for arg in argv]
              for _, argv in COMMANDS]
     child = subprocess.run(
