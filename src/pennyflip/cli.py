@@ -176,7 +176,9 @@ def enumerate(n: int, fmt: str, **game) -> None:
     """Exhaustively enumerate and classify Q's winning strategies in D_n."""
     spec = _game_spec(**game)
     classes = games.winning_classes(spec, n)
-    _echo(reports.game_report(spec, None, classes), fmt,
+    payload = (reports.game_report(spec, None, classes) if fmt == "json"
+               else None)       # the table reads the classes, not a payload
+    _echo(payload, fmt,
           lambda _: reports.table_winning_classes(classes, spec.turns))
 
 

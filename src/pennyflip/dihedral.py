@@ -3,8 +3,9 @@
 Elements are kept in the normal form ``r^k s^l`` and only act, on integer
 state indices for orbits and game search; they are never multiplied.  Their
 2x2 matrix images are kept symbolically as rotors/reflectors carrying an
-exact angle, so isometry products and membership tests are exact.  Floating
-matrices exist only for cross-checking and for the complex layer.
+exact angle, so products are exact.  An isometry reduces only an angle
+outside its period, and names and membership read its integer ratio.
+Floating matrices exist only for cross-checking and for the complex layer.
 Membership in D_n, the canonical element order, and the name of each
 isometry and its parsing back from that name are decided here only.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .angles import Angle
 from .errors import FNotInGroup
@@ -60,15 +61,18 @@ class PlanarIsometry:
 
     The isometry owns the period of its angle and reduces the angle once,
     when built: a rotation angle into [0, 2*pi), a reflection axis
-    inclination into [0, pi).  Any rational value may be passed in.
+    inclination into [0, pi).  Any rational value may be passed in; an
+    ``Angle`` already in its period, as :func:`represent` gives, stays.
     """
 
     angle: Angle
     reflect: bool = False
 
     def __post_init__(self) -> None:
-        period = 1 if self.reflect else 2
-        object.__setattr__(self, "angle", Angle(self.angle % period))
+        angle, period = self.angle, 1 if self.reflect else 2
+        if not (type(angle) is Angle
+                and 0 <= angle.numerator < period * angle.denominator):
+            object.__setattr__(self, "angle", Angle(angle % period))
 
     @classmethod
     def parse(cls, text: str) -> "PlanarIsometry":
@@ -119,14 +123,15 @@ class PlanarIsometry:
     def _name(self) -> str:
         """Octagon-style name, built once: I, F and H by letter, R_π and
         S_0, R_{mπ/8} / S_{mπ/8} on the eighth grid, else the exact angle."""
-        name = _LETTERS.get(self)
+        p, q = self.angle.as_integer_ratio()
+        name = _LETTERS.get((p, q, self.reflect))
         if name is not None:
             return name
         letter = "S" if self.reflect else "R"
-        m = self.angle * 8
-        if m.denominator != 1:
+        m, r = divmod(8 * p, q)
+        if r:
             return f"{letter}_{{{self.angle}}}"
-        if self.angle in (0, 1):
+        if m in (0, 8):
             return f"{letter}_{self.angle}"
         return f"{letter}_{{{m}π/8}}"
 
@@ -136,8 +141,9 @@ IDENTITY = PlanarIsometry(Angle(0))
 FLIP = PlanarIsometry(Angle(1, 4), True)
 #: The Hadamard transform, a reflection about the line at pi/8.
 HADAMARD = PlanarIsometry(Angle(1, 8), True)
-_LETTERS = {IDENTITY: "I", FLIP: "F", HADAMARD: "H"}
-_NAMED = {name: p for p, name in _LETTERS.items()}
+_NAMED = {"I": IDENTITY, "F": FLIP, "H": HADAMARD}
+_LETTERS = {(*p.angle.as_integer_ratio(), p.reflect): name
+            for name, p in _NAMED.items()}
 
 
 def represent(g: DihedralElement) -> PlanarIsometry:
@@ -154,10 +160,9 @@ def isometries(n: int) -> list[PlanarIsometry]:
 
 def element_for_isometry(n: int, p: PlanarIsometry) -> DihedralElement | None:
     """The unique element of D_n represented by *p*, or None if absent."""
-    k = p.angle * n if p.reflect else p.angle * n / 2
-    if k.denominator != 1:
-        return None
-    return DihedralElement(n, int(k) % n, p.reflect)
+    num, den = p.angle.as_integer_ratio()
+    k, r = divmod(num * n, den if p.reflect else 2 * den)
+    return None if r else DihedralElement(n, k, p.reflect)
 
 
 def contains_isometry(n: int, p: PlanarIsometry) -> bool:
@@ -168,11 +173,13 @@ def contains_isometry(n: int, p: PlanarIsometry) -> bool:
     return element_for_isometry(n, p) is not None
 
 
-def require(n: int, ps: Iterable[PlanarIsometry]) -> None:
-    """Raise :class:`FNotInGroup` naming the first of *ps* outside D_n."""
-    for p in ps:
-        if not contains_isometry(n, p):
-            raise FNotInGroup(f"{p} ∉ D_{n}")
+def require(n: int, ps: Sequence[PlanarIsometry]
+            ) -> tuple[DihedralElement, ...]:
+    """The elements *ps* represent; FNotInGroup names the first not in D_n."""
+    gs = tuple(element_for_isometry(n, p) for p in ps)
+    if None in gs:
+        raise FNotInGroup(f"{ps[gs.index(None)]} ∉ D_{n}")
+    return gs
 
 
 def closure(generators: Iterable[PlanarIsometry]) -> set[PlanarIsometry]:

@@ -33,6 +33,8 @@ from .states import BASIS, CoinState, act, win_probability
 
 #: The classical player's repertoire: leave the coin alone or flip it.
 PICARD_POOL: tuple[PlanarIsometry, ...] = (IDENTITY, FLIP)
+#: The witness's closing move when the initial state is not Q's target.
+_FLIPPED_HADAMARD = FLIP.compose(HADAMARD)
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ def state_path(sigma: Strategy, initial: CoinState) -> tuple[CoinState, ...]:
 def _pool(n: int, player: str) -> tuple[dihedral.DihedralElement, ...]:
     """The elements of D_n *player* may play, in product order."""
     return (dihedral.elements(n) if player == "Q" else
-            tuple(dihedral.element_for_isometry(n, p) for p in PICARD_POOL))
+            dihedral.require(n, PICARD_POOL))
 
 
 #: Pool elements that send one state to another, in pool order: a coset.
@@ -300,7 +302,7 @@ def decide_extended_game(spec: GameSpec) -> Decision:
     target) or the flipped Hadamard move (different)."""
     if spec.turns[0] == "Q" and spec.turns[-1] == "Q":
         closing = (HADAMARD if spec.initial == spec.target_q
-                   else FLIP.compose(HADAMARD))
+                   else _FLIPPED_HADAMARD)
         idle = (IDENTITY,) * (spec.turn_count("Q") - 2)
         return Decision(True, Strategy("Q", (HADAMARD, *idle, closing)))
     return Decision(False)

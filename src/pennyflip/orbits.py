@@ -69,7 +69,6 @@ def stabilizer(n: int, x: CoinState) -> tuple[DihedralElement, ...]:
 def fixed_set(n: int, ps: Sequence[PlanarIsometry]) -> tuple[CoinState, ...]:
     """States in the basis orbit fixed by every isometry in *ps*; each must
     lie in D_n (the flip needs 4 | n), else :class:`FNotInGroup` is raised."""
-    dihedral.require(n, ps)
-    gs = [dihedral.element_for_isometry(n, p) for p in ps]
+    gs = dihedral.require(n, ps)
     return tuple(CoinState.at(j, 2 * n) for j in basis_indices(n)
                  if all(g.act(j, 2 * n) == j for g in gs))

@@ -2,14 +2,15 @@
 
 The ``verify-all`` row envelope, the decision texts and the element keys are
 built here; a check's own ``details`` are its result.  Markdown renders the
-parsed JSON payload, except ``enumerate``'s table, which lists every class
-member.  All emitters are deterministic so reports compare byte for byte.
-``dump_json`` writes ``json.dumps``' indented form byte for byte, without
-running the standard library's pure-Python encoder.
+parsed JSON payload, except ``enumerate``'s table, which names each class's
+members from its cosets.  All emitters are deterministic so reports compare
+byte for byte.  ``dump_json`` writes ``json.dumps``' indented form byte for
+byte, without running the standard library's pure-Python encoder.
 """
 
 from __future__ import annotations
 
+import itertools
 from json.encoder import encode_basestring as _quote
 from typing import Iterable, Sequence
 
@@ -163,12 +164,15 @@ def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 def table_winning_classes(classes: Sequence[StrategyClass],
                           turns: Sequence[str]) -> str:
     """One row per class with all member strategies and the state after each
-    turn; the opponent's turns repeat the previous state of the class path."""
+    turn; the opponent's turns repeat the previous state of the class path.
+    Names are prefix-free: sorted members are the product of sorted cosets."""
     header = ["Strategies", "Initial state"] + [
         f"Round {i}" for i in range(1, len(turns) + 1)]
     rows = []
     for cls in classes:
-        cells = [", ".join(sorted(map(str, cls.members))),
+        names = [sorted(map(str, coset)) for coset in cls.cosets]
+        cells = [", ".join(f"({', '.join(moves)})"
+                           for moves in itertools.product(*names)),
                  str(cls.path[0])]
         step = 0
         for turn in turns:

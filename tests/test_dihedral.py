@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pennyflip import dihedral, verify
+from pennyflip import dihedral, games, verify
 from pennyflip.angles import Angle
 from pennyflip.config import Config
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
@@ -20,9 +21,11 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 verify_presentation)
 from pennyflip.errors import FNotInGroup
 from pennyflip.games import (PQG, GameSpec, brute_force_extended_check,
+                             decide_extended_game,
                              synthesize_by_intermediate_states,
                              winning_classes)
 from pennyflip.orbits import fixed_set
+from pennyflip.states import KET_ONE, KET_ZERO
 
 
 def rot(n, k):
@@ -149,6 +152,121 @@ class TestRepresentation:
     def test_element_for_isometry_inverts_represent(self):
         for g in elements(12):
             assert element_for_isometry(12, represent(g)) == g
+
+
+def reduced(angle, reflect):
+    """The angle every isometry held before the in-period fast path: the
+    value reduced ``% period`` by ``Fraction`` arithmetic."""
+    return Angle(angle % (1 if reflect else 2))
+
+
+def name_of(angle, reflect):
+    """The name read off ``angle * 8``, as before the integer ratio: I, F
+    and H by letter, R_π and S_0, the eighth grid, else the exact angle."""
+    letters = {(Angle(0), False): "I", (Angle(1, 4), True): "F",
+               (Angle(1, 8), True): "H"}
+    if (angle, reflect) in letters:
+        return letters[angle, reflect]
+    letter = "S" if reflect else "R"
+    m = angle * 8
+    if m.denominator != 1:
+        return f"{letter}_{{{angle}}}"
+    if angle in (0, 1):
+        return f"{letter}_{angle}"
+    return f"{letter}_{{{m}π/8}}"
+
+
+def element_of(n, angle, reflect):
+    """Membership read off ``angle * n``: r^k s at angle k/n·π, r^k at
+    2k/n·π, else None."""
+    k = angle * n if reflect else angle * n / 2
+    if k.denominator != 1:
+        return None
+    return DihedralElement(n, int(k) % n, reflect)
+
+
+@st.composite
+def any_angles(draw):
+    """A rational p/q, q up to 10^6, often negative or at or above every
+    period, whole turns of pi among them, as an ``Angle``, a plain
+    ``Fraction`` or, whole, an ``int``."""
+    den = draw(st.integers(min_value=1, max_value=10**6))
+    num = draw(st.one_of(st.integers(-3 * den, 3 * den),
+                         st.integers(-3, 3).map(lambda turns: turns * den)))
+    kind = draw(st.sampled_from([Angle, Fraction, int]))
+    return num // den if kind is int else kind(num, den)
+
+
+@example(Angle(2), False, 8)
+@example(Angle(1), True, 8)
+@example(Fraction(3, 8), True, 8)
+@given(any_angles(), st.booleans(), st.integers(min_value=3, max_value=1024))
+def test_isometry_matches_the_fraction_forms(angle, reflect, n):
+    p, expected = PlanarIsometry(angle, reflect), reduced(angle, reflect)
+    assert type(p.angle) is Angle and p.reflect is reflect
+    assert p.angle.as_integer_ratio() == expected.as_integer_ratio()
+    assert str(p) == name_of(expected, reflect)
+    for m in {n, expected.denominator}:     # D_q holds S_{p/q·π}
+        if 3 <= m <= 1024:
+            assert element_for_isometry(m, p) == element_of(m, expected,
+                                                            reflect)
+
+
+def fractions_built(monkeypatch, call) -> int:
+    """How many ``Fraction``s, ``Angle``s among them, *call* builds."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        call()
+    return len(built)
+
+
+# An isometry of D_n is built, named and placed in D_n on integers: each
+# count is of the Fractions one call builds, inputs built beforehand.
+class TestFractionWork:
+    def test_represent_builds_its_one_angle(self, monkeypatch):
+        for g in (*elements(8), *elements(12)[5::6], ref(1024, 1000)):
+            assert fractions_built(monkeypatch, lambda: represent(g)) == 1
+
+    def test_naming_an_isometry_in_its_period_builds_none(self, monkeypatch):
+        for angle, reflect in ((Angle(0), False), (Angle(1), False),
+                               (Angle(1, 4), True), (Angle(1, 8), True),
+                               (Angle(0), True), (Angle(7, 4), False),
+                               (Angle(3, 8), True), (Angle(5, 12), True),
+                               (Angle(13, 7), False)):
+            assert fractions_built(monkeypatch, lambda: str(
+                PlanarIsometry(angle, reflect))) == 0
+
+    def test_placing_an_isometry_builds_none(self, monkeypatch):
+        for n in (6, 8, 12, 1024):
+            for p in (FLIP, HADAMARD, IDENTITY, *isometries(24)[::5]):
+                assert fractions_built(
+                    monkeypatch, lambda: element_for_isometry(n, p)) == 0
+        assert fractions_built(
+            monkeypatch, lambda: fixed_set(16, (HADAMARD, FLIP))) == 0
+
+    def test_decision_builds_none(self, monkeypatch):
+        for target in (KET_ZERO, KET_ONE):
+            spec = GameSpec.from_string("QPQPQ", KET_ZERO, target)
+            assert fractions_built(
+                monkeypatch, lambda: decide_extended_game(spec)) == 0
+
+    @pytest.mark.parametrize("turns, n", [("QPQPQ", 16), ("QPQ", 8),
+                                          ("QPQPQPQ", 1024), ("PQPQ", 8)])
+    def test_brute_force_builds_one_per_witness_move(self, monkeypatch,
+                                                    turns, n):
+        games._pool.cache_clear()
+        games._images.cache_clear()
+        spec = GameSpec.from_string(turns, KET_ZERO, KET_ONE)
+        moves = (spec.turn_count("Q") if turns[0] == turns[-1] == "Q"
+                 else 0)
+        assert fractions_built(
+            monkeypatch, lambda: brute_force_extended_check(spec, n)) == moves
 
 
 # Every entry point that needs a move in D_n asks the one membership guard,
