@@ -14,7 +14,7 @@ from .games import (PICARD_POOL, PQG, Decision, GameSpec, Strategy,
                     verify_characteristic_properties, winning_classes)
 from .orbits import fixed_set, orbit, stabilizer
 from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO, CoinState,
-                     act, win_probability)
+                     win_probability)
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,6 @@ __all__ = [
     "verify_characteristic_properties", "winning_classes",
     "fixed_set", "orbit", "stabilizer",
     "BASIS", "KET_MINUS", "KET_ONE", "KET_PLUS", "KET_ZERO", "CoinState",
-    "act", "win_probability",
+    "win_probability",
     "__version__",
 ]

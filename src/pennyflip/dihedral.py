@@ -108,6 +108,12 @@ class PlanarIsometry:
             return PlanarIsometry(b + a / 2, True)
         return PlanarIsometry(a + b)
 
+    def act(self, j: int, size: int) -> int:
+        """Act on the index j of j*pi/size by the angle a = p/q, q | size:
+        R_a sends j to j + a*size and S_a to 2a*size - j, mod size."""
+        shift = self.angle.numerator * size // self.angle.denominator
+        return (2 * shift - j if self.reflect else j + shift) % size
+
     def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Floating 2x2 matrix; evaluation boundary only."""
         if self.reflect:

@@ -12,8 +12,8 @@ the target finds, per turn, the states from which the owner still forces it
 (:func:`_wins`), deciding a game of any length in time linear in its rounds.
 Listing alone is bounded: a loop forward extends each of Q's winning lines
 through those states, and each class comes out whole, as a state path and a
-product of stabilizer cosets (:func:`winning_classes`);
-:func:`classify_strategies`, a ``Fraction`` replay, stays as its oracle.
+product of stabilizer cosets (:func:`winning_classes`); the oracle,
+:func:`classify_strategies`, replays each path on indices (:func:`_walk`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .config import ROUNDS_MAX
 from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
 from .errors import LengthMismatch, SearchBudgetExceeded
 from .orbits import fixed_set
-from .states import BASIS, CoinState, act, win_probability
+from .states import BASIS, CoinState, win_probability
 
 #: The classical player's repertoire: leave the coin alone or flip it.
 PICARD_POOL: tuple[PlanarIsometry, ...] = (IDENTITY, FLIP)
@@ -127,15 +127,25 @@ def _check_lengths(spec: GameSpec, sigma: Strategy) -> None:
             f"{len(sigma.moves)} moves")
 
 
+def _walk(initial: CoinState, choices: Sequence[Sequence[PlanarIsometry]],
+          trail: bool = False) -> list[set[CoinState]]:
+    """Play from *initial*, turn i taking any move of ``choices[i]``, on one
+    grid Z_N holding every state: the final set, or with *trail* each set."""
+    size = math.lcm(2, initial.phi.denominator,
+                    *(g.angle.denominator for step in choices for g in step))
+    reached = [{initial.index(size)}]
+    for step in choices:
+        reached.append({g.act(j, size) for g in step for j in reached[-1]})
+    return [{CoinState.at(j, size) for j in js}
+            for js in (reached if trail else reached[-1:])]
+
+
 def play_out(spec: GameSpec, sigma_q: Strategy, sigma_p: Strategy) -> CoinState:
     """Final coin state after both players apply their moves in turn order."""
     _check_lengths(spec, sigma_q)
     _check_lengths(spec, sigma_p)
     its = {"Q": iter(sigma_q.moves), "P": iter(sigma_p.moves)}
-    state = spec.initial
-    for t in spec.turns:
-        state = act(next(its[t]), state)
-    return state
+    return _walk(spec.initial, [(next(its[t]),) for t in spec.turns])[0].pop()
 
 
 def _reachable(spec: GameSpec, sigma: Strategy,
@@ -144,11 +154,8 @@ def _reachable(spec: GameSpec, sigma: Strategy,
     any pool, as play is deterministic and each turn's choice free."""
     _check_lengths(spec, sigma)
     moves = iter(sigma.moves)
-    reached = {spec.initial}
-    for t in spec.turns:
-        step = (next(moves),) if t == sigma.owner else pool
-        reached = {act(g, x) for g in step for x in reached}
-    return reached
+    return _walk(spec.initial, [(next(moves),) if t == sigma.owner else pool
+                                for t in spec.turns])[0]
 
 
 def is_winning_strategy(spec: GameSpec, sigma_q: Strategy) -> bool:
@@ -159,20 +166,18 @@ def is_winning_strategy(spec: GameSpec, sigma_q: Strategy) -> bool:
 def verify_characteristic_properties(spec: GameSpec, sigma_q: Strategy) -> bool:
     """The two conditions every winning pair (A1, A2) of the three-round
     game satisfies: A2*I*A1 and A2*F*A1 both send the initial state to Q's
-    target (the pair wins), and A1 sends it into the fixed set of the flip."""
+    target (the pair wins), and A1 sends it to a state both I and F keep."""
     if spec.turns != ("Q", "P", "Q"):
         raise ValueError("characteristic properties apply to the QPQ game only")
     winning = is_winning_strategy(spec, sigma_q)    # checks the length
-    mid = act(sigma_q.moves[0], spec.initial)
-    return winning and act(FLIP, mid) == mid
+    return winning and len(_walk(spec.initial,
+                                 [sigma_q.moves[:1], PICARD_POOL])[0]) == 1
 
 
 def state_path(sigma: Strategy, initial: CoinState) -> tuple[CoinState, ...]:
     """The states produced by composing the owner's moves alone."""
-    path = [initial]
-    for move in sigma.moves:
-        path.append(act(move, path[-1]))
-    return tuple(path)
+    return tuple(x for (x,) in _walk(initial, [(m,) for m in sigma.moves],
+                                     trail=True))
 
 
 @functools.lru_cache(maxsize=8)
@@ -287,10 +292,12 @@ def synthesize_by_intermediate_states(spec: GameSpec, n: int) -> list[Strategy]:
     :func:`fixed_set` raises when the flip is not in D_n."""
     if spec.turns != ("Q", "P", "Q"):
         raise ValueError("synthesis applies to the QPQ game only")
-    pool = dihedral.isometries(n)
-    return [Strategy("Q", (a1, a2)) for mid in fixed_set(n, PICARD_POOL)
-            for a1 in pool if act(a1, spec.initial) == mid
-            for a2 in pool if act(a2, mid) == spec.target_q]
+    pool, size = dihedral.isometries(n), 2 * n
+    start, target = spec.initial.index(size), spec.target_q.index(size)
+    return [Strategy("Q", (a1, a2))
+            for mid in (x.index(size) for x in fixed_set(n, PICARD_POOL))
+            for a1 in pool if a1.act(start, size) == mid
+            for a2 in pool if a2.act(mid, size) == target]
 
 
 def decide_extended_game(spec: GameSpec) -> Decision:

@@ -1,13 +1,13 @@
-"""Projective real qubit states and the dihedral action on them.
+"""Projective real qubit states, their grid indices and win probabilities.
 
 A coin state cos(phi)|0> + sin(phi)|1> is identified with its antipode, so
 the carrier is a single exact angle phi that lives mod pi, like a
 reflection axis.  :class:`CoinState` owns that period: it reduces phi into
 [0, pi) once, when built.  The whole dihedral action is real, which makes
 exactness free: a rotor adds its angle and a reflector sends phi to
-2*beta - phi, both as plain fractions that the new state reduces.  Orbits
-and game search act on grid indices instead (:meth:`CoinState.index`);
-:func:`act` serves play-out and is the oracle of that integer kernel.
+2*beta - phi.  The package acts on grid indices only: phi = j/N is index j
+of Z_N (:meth:`CoinState.index`, :meth:`CoinState.at`), moved by integer
+maps; the tests keep the ``Fraction`` action as their oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 
 from .angles import INT_MAX, Angle, pi_text
-from .dihedral import PlanarIsometry
 from .errors import ExactArithmeticOverflow
 
 
@@ -95,13 +94,6 @@ def state_text(p: int, q: int) -> str:
         return _NAMES[p, q]
     angle = pi_text(p, q)
     return f"cos({angle})|0⟩+sin({angle})|1⟩"
-
-
-def act(p: PlanarIsometry, x: CoinState) -> CoinState:
-    """Apply an isometry to a projective state."""
-    if p.reflect:
-        return CoinState(2 * p.angle - x.phi)
-    return CoinState(x.phi + p.angle)
 
 
 def win_probability(final: CoinState, target: CoinState) -> float:

@@ -31,9 +31,9 @@ whole-array numpy; the rows of one stream are the same however many are
 drawn at a time, so a window's result does not depend on ``BLOCK``.  Its
 state half tests the claim on U|0>, the first column the hit test reads:
 the flip fixes it up to phase exactly when U is a hit.  ``sample-u2``
-skips only that flip test.  ``sample_unitary``, which reads one row at a
-time, ``winning_state`` and ``fixed_by_flip_projective`` stay as the
-per-sample oracle ``screen`` matches bit for bit.
+skips only that flip test.  ``winning_state`` stays as the per-sample
+oracle ``screen`` matches bit for bit; the tests hold the rest of it, a
+sampler that reads one row at a time and the flip test on one state.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from .config import TOL_MEMBERSHIP
-from .dihedral import FLIP, PlanarIsometry
+from .dihedral import PlanarIsometry
 from .errors import NotUnitary
 from .states import KET_MINUS, KET_PLUS, CoinState
 
@@ -75,12 +75,6 @@ def proportional(u: np.ndarray, v: np.ndarray,
     return bool(abs(abs(np.vdot(u, v)) - 1.0) <= tol)
 
 
-def fixed_by_flip_projective(psi: np.ndarray,
-                             tol: float = TOL_MEMBERSHIP) -> bool:
-    """True iff the flip maps *psi* to a phase multiple of itself."""
-    return proportional(matrix(FLIP) @ psi, psi, tol)
-
-
 def winning_state(u: np.ndarray,
                   tol: float = TOL_MEMBERSHIP) -> CoinState | None:
     """The state a winning first move *u* sends |0> to, or None.
@@ -94,22 +88,6 @@ def winning_state(u: np.ndarray,
         if proportional(u[:, 0], ket, tol):
             return state
     return None
-
-
-def sample_unitary(rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed unitary from the next row of *rng*.
-
-    Four complex standard normals, first column normalized, second column
-    orthogonalized against the first and normalized (Gram-Schmidt of a
-    Ginibre draw), then the global phase w/|w| of a fifth complex normal.
-    """
-    row = rng.standard_normal(ROW)
-    z = (row[:4] + 1j * row[4:8]).reshape(2, 2)
-    c0 = z[:, 0] / np.linalg.norm(z[:, 0])
-    c1 = z[:, 1] - np.vdot(c0, z[:, 1]) * c0
-    c1 = c1 / np.linalg.norm(c1)
-    w = row[8:] / np.linalg.norm(row[8:])
-    return complex(w[0], w[1]) * np.column_stack([c0, c1])
 
 
 def unitarity_residual(u: np.ndarray) -> float:
@@ -170,8 +148,9 @@ def _proportional(u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
 
 
 def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The next *count* rows of *rng* as ``sample_unitary`` reads them,
-    stacked."""
+    """The Haar unitaries of the next *count* rows of *rng*, stacked: per
+    row, the first column of the Ginibre draw normalized, the second
+    orthogonalized against it and normalized, and the phase w/|w|."""
     rows = rng.standard_normal((count, ROW))
     z = (rows[:, :4] + 1j * rows[:, 4:8]).reshape(-1, 2, 2)
     c0 = z[:, :, 0] / _norm(z[:, :, 0])[:, None]

@@ -143,6 +143,7 @@ def check_stabilizers_d8(cfg: Config):
 def check_extended_games(cfg: Config):
     failures = []
     n_games = 0
+    closings = (HADAMARD, FLIP.compose(HADAMARD))
     for turns, initial, target_q in itertools.product(
             games.alternating_turn_sequences(2, cfg.max_rounds), BASIS, BASIS):
         spec = GameSpec.from_string("".join(turns), initial, target_q)
@@ -160,7 +161,7 @@ def check_extended_games(cfg: Config):
                 games.is_winning_strategy(spec, sigma)
                 and games.is_winning_strategy(spec, brute.strategy)
                 and sigma.moves[0] == HADAMARD
-                and sigma.moves[-1] in (HADAMARD, FLIP.compose(HADAMARD))):
+                and sigma.moves[-1] in closings):
             failures.append(label + " (witness)")
     return not failures, {"games": n_games, "failures": failures}
 

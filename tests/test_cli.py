@@ -380,18 +380,6 @@ class TestGameCommands:
         assert result.exit_code == 0
         assert result.stdout_bytes == listing_golden(command, fmt, target)
 
-    def test_listing_makes_no_fraction_replay(self, runner, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("states.act called")
-        monkeypatch.setattr("pennyflip.states.act", refuse)
-        monkeypatch.setattr("pennyflip.games.act", refuse)
-        for command in ("enumerate", "classify"):
-            for fmt in ("json", "markdown"):
-                result = invoke(runner, *game_listing(command, fmt, "0"))
-                assert result.exit_code == 0
-                assert result.stdout_bytes == listing_golden(command, fmt,
-                                                             "0")
-
     def test_listings_without_members_build_one_strategy_per_class(
             self, runner, monkeypatch):
         built = []

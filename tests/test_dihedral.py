@@ -20,9 +20,11 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 represent, satisfies_relations,
                                 verify_presentation)
 from pennyflip.errors import FNotInGroup
-from pennyflip.games import (PQG, GameSpec, brute_force_extended_check,
-                             decide_extended_game,
-                             synthesize_by_intermediate_states,
+from pennyflip.games import (PQG, GameSpec, Strategy,
+                             brute_force_extended_check, decide_extended_game,
+                             is_dominant, is_winning_strategy, play_out,
+                             state_path, synthesize_by_intermediate_states,
+                             verify_characteristic_properties,
                              winning_classes)
 from pennyflip.orbits import fixed_set
 from pennyflip.states import KET_ONE, KET_ZERO
@@ -226,6 +228,13 @@ def fractions_built(monkeypatch, call) -> int:
     return len(built)
 
 
+HH = Strategy("Q", (HADAMARD, HADAMARD))
+QPQPQ_01 = GameSpec.from_string("QPQPQ", KET_ZERO, KET_ONE)
+WITNESS_01 = decide_extended_game(QPQPQ_01).strategy
+R_THIRD = PlanarIsometry(Angle(1, 3))       # off the grid of D_8
+D8 = isometries(8)
+
+
 # An isometry of D_n is built, named and placed in D_n on integers: each
 # count is of the Fractions one call builds, inputs built beforehand.
 class TestFractionWork:
@@ -267,6 +276,24 @@ class TestFractionWork:
                  else 0)
         assert fractions_built(
             monkeypatch, lambda: brute_force_extended_check(spec, n)) == moves
+
+    # play walks indices of one grid Z_N, a state built only when returned
+    @pytest.mark.parametrize("call", [
+        lambda: play_out(PQG, HH, Strategy("P", (FLIP,))),
+        lambda: is_winning_strategy(QPQPQ_01, WITNESS_01),
+        lambda: state_path(Strategy("Q", (R_THIRD, HADAMARD)), KET_ZERO),
+        lambda: verify_characteristic_properties(PQG, HH),
+        lambda: is_dominant(PQG, HH, D8),
+    ], ids=["play_out", "is_winning_strategy", "state_path",
+            "verify_characteristic_properties", "is_dominant"])
+    def test_play_builds_none(self, monkeypatch, call):
+        assert fractions_built(monkeypatch, call) == 0
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_synthesis_builds_only_its_pool(self, monkeypatch, n):
+        # the 2n angles of isometries(n), one per represent
+        assert fractions_built(monkeypatch, lambda: (
+            synthesize_by_intermediate_states(PQG, n))) == 2 * n
 
 
 # Every entry point that needs a move in D_n asks the one membership guard,

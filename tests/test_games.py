@@ -3,11 +3,15 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pennyflip import games
 from pennyflip.angles import Angle
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 PlanarIsometry, isometries)
-from pennyflip.errors import FNotInGroup, LengthMismatch, SearchBudgetExceeded
+from pennyflip.errors import (ExactArithmeticOverflow, FNotInGroup,
+                              LengthMismatch, SearchBudgetExceeded)
 from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy, _pool,
                              _wins, alternating_turn_sequences,
                              brute_force_extended_check, classify_strategies,
@@ -17,8 +21,9 @@ from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy, _pool,
                              verify_characteristic_properties,
                              winning_classes)
 from pennyflip.states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
-                             act, win_probability)
+                             CoinState, win_probability)
 from test_dihedral import compose
+from test_states import act, image
 
 S7 = PlanarIsometry(Angle(7, 8), True)
 R2 = PlanarIsometry(Angle(1, 4))
@@ -327,6 +332,27 @@ def all_specs(turns):
             for initial in BASIS for target in BASIS]
 
 
+def fraction_walk(initial, choices, trail=False):
+    """The tests' own play-out, sharing no code with the package's index
+    walk: from *initial*, turn i may take any move of ``choices[i]``, by the
+    ``Fraction`` action on plain angles mod pi.  The set of final states,
+    or with *trail* the set before each turn and after the last; only these
+    become CoinStates, so only they are held to 64 bits."""
+    reached = [{initial.phi}]
+    for step in choices:
+        reached.append({image(g, phi) % 1 for g in step for phi in reached[-1]})
+    return [{CoinState(phi) for phi in phis}
+            for phis in (reached if trail else reached[-1:])]
+
+
+def fraction_play_out(spec, sigma_q, sigma_p):
+    """The final state of a play of both strategies, by the Fraction walk."""
+    its = {"Q": iter(sigma_q.moves), "P": iter(sigma_p.moves)}
+    [(final,)] = fraction_walk(spec.initial,
+                               [(next(its[t]),) for t in spec.turns])
+    return final
+
+
 def forces_target(spec, sigma):
     """Oracle for :func:`is_winning_strategy` in time linear in the rounds:
     a Q strategy wins iff, with the classical player idle, the coin is fixed
@@ -347,7 +373,7 @@ def plays_every_reply(spec, sigma_q):
     """Independent oracle for :func:`is_winning_strategy`: play out every
     classical strategy, the whole product of the classical pool."""
     return all(
-        play_out(spec, sigma_q, Strategy("P", pm)) == spec.target_q
+        fraction_play_out(spec, sigma_q, Strategy("P", pm)) == spec.target_q
         for pm in itertools.product(PICARD_POOL, repeat=spec.turn_count("P")))
 
 
@@ -355,7 +381,7 @@ def payoff(spec, own, opp):
     """The win probability of *own*'s owner when *own* meets *opp*."""
     sq, sp = (own, opp) if own.owner == "Q" else (opp, own)
     target = spec.target_q if own.owner == "Q" else spec.target_p
-    return win_probability(play_out(spec, sq, sp), target)
+    return win_probability(fraction_play_out(spec, sq, sp), target)
 
 
 @functools.cache
@@ -384,11 +410,13 @@ def literal_brute_force(spec, n=8):
     pool = isometries(n)
     qc, pc = spec.turn_count("Q"), spec.turn_count("P")
     q_wins = any(
-        all(play_out(spec, Strategy("Q", qm), Strategy("P", pm)) == spec.target_q
+        all(fraction_play_out(spec, Strategy("Q", qm), Strategy("P", pm))
+            == spec.target_q
             for pm in itertools.product(PICARD_POOL, repeat=pc))
         for qm in itertools.product(pool, repeat=qc))
     p_wins = any(
-        all(play_out(spec, Strategy("Q", qm), Strategy("P", pm)) == spec.target_p
+        all(fraction_play_out(spec, Strategy("Q", qm), Strategy("P", pm))
+            == spec.target_p
             for qm in itertools.product(pool, repeat=qc))
         for pm in itertools.product(PICARD_POOL, repeat=pc))
     return q_wins, p_wins
@@ -483,3 +511,171 @@ class TestExtendedGames:
     def test_pool_requires_eighth_roots(self):
         with pytest.raises(FNotInGroup):
             brute_force_extended_check(PQG, n=4)
+
+
+def fraction_reachable(spec, sigma, pool):
+    """The final states of *sigma* over every reply from *pool*, by the
+    Fraction walk."""
+    moves = iter(sigma.moves)
+    return fraction_walk(spec.initial, [(next(moves),) if t == sigma.owner
+                                        else pool for t in spec.turns])[0]
+
+
+def fraction_path(sigma, initial):
+    """The state path of *sigma*'s moves alone, by the Fraction walk."""
+    return tuple(x for (x,) in fraction_walk(
+        initial, [(m,) for m in sigma.moves], trail=True))
+
+
+def fraction_dominant(spec, sigma, own_pool, opp_pool):
+    """:func:`is_dominant`'s definition, every game played by the Fraction
+    walk."""
+    opponent, target = (("P", spec.target_q) if sigma.owner == "Q"
+                        else ("Q", spec.target_p))
+    for moves in itertools.product(opp_pool, repeat=spec.turn_count(opponent)):
+        opp = Strategy(opponent, moves)
+        pair = (sigma, opp) if opponent == "P" else (opp, sigma)
+        p_sigma = win_probability(fraction_play_out(spec, *pair), target)
+        if any(win_probability(x, target) > p_sigma
+               for x in fraction_reachable(spec, opp, own_pool)):
+            return False
+    return True
+
+
+def fraction_classes(strategies, initial):
+    """:func:`classify_strategies` over the Fraction walk's paths."""
+    groups = {}
+    for sigma in strategies:
+        groups.setdefault(fraction_path(sigma, initial), []).append(sigma)
+    return sorted(groups.items(), key=lambda item: [x.phi for x in item[0]])
+
+
+def fraction_characteristic(spec, sigma):
+    """The characteristic properties by the Fraction walk: the pair wins,
+    and the flip fixes the state its first move leaves."""
+    if fraction_reachable(spec, sigma, PICARD_POOL) != {spec.target_q}:
+        return False
+    mid = act(sigma.moves[0], spec.initial)
+    return act(FLIP, mid) == mid
+
+
+def outcome(call, *args):
+    """What *call* gives: its result, or the overflow it raises."""
+    try:
+        return call(*args)
+    except ExactArithmeticOverflow:
+        return ExactArithmeticOverflow
+
+
+#: Angles p/q·π with q up to 10^6, negative or at or past either period.
+ANGLES = st.integers(1, 10**6).flatmap(
+    lambda q: st.builds(Angle, st.integers(-3 * q, 3 * q), st.just(q)))
+#: Moves off every grid, or in D_8, where games are won.
+MOVES = st.one_of(st.sampled_from(isometries(8)),
+                  st.builds(PlanarIsometry, ANGLES, st.booleans()))
+#: Pools: the image of some D_n, or a few moves off any grid.
+POOLS = st.one_of(st.integers(3, 64).map(isometries),
+                  st.lists(MOVES, min_size=1, max_size=3))
+#: Initial states for a bare path, on or off the moves' grid.
+STATES = st.one_of(st.sampled_from(BASIS), st.just(CoinState.of(1, 3)),
+                   ANGLES.map(CoinState))
+
+
+@st.composite
+def specs(draw, turns=None):
+    """An alternating game of 2-12 rounds, or of *turns*, with any initial
+    and target basis states."""
+    if turns is None:
+        first = draw(st.sampled_from("QP"))
+        turns = "".join(
+            first if i % 2 == 0 else "PQ"[first == "P"]
+            for i in range(draw(st.integers(2, 12))))
+    return GameSpec.from_string(turns, draw(st.sampled_from(BASIS)),
+                                draw(st.sampled_from(BASIS)))
+
+
+def strategies(spec, owner, moves=MOVES):
+    k = spec.turn_count(owner)
+    return st.lists(moves, min_size=k, max_size=k).map(
+        lambda ms: Strategy(owner, tuple(ms)))
+
+
+class TestIndexWalk:
+    """The package plays on indices of one grid Z_N; the Fraction walk
+    above plays on angles.  Both must agree on every drawn game, with
+    moves and initial states off each other's grids, including the
+    overflow of a state returned wider than 64 bits."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_play_out(self, data):
+        spec = data.draw(specs())
+        sq, sp = (data.draw(strategies(spec, owner)) for owner in "QP")
+        assert (outcome(play_out, spec, sq, sp)
+                == outcome(fraction_play_out, spec, sq, sp))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_reachable_and_winning(self, data):
+        # Q's own winners too, which drawn moves seldom are
+        spec = data.draw(specs())
+        owner = data.draw(st.sampled_from("QP"))
+        witnesses = [brute_force_extended_check(spec, n).strategy
+                     for n in (8, 16)] if owner == "Q" else []
+        sigma = data.draw(st.one_of(
+            strategies(spec, owner), *map(st.just, filter(None, witnesses))))
+        pool = data.draw(POOLS)
+        assert (outcome(games._reachable, spec, sigma, pool)
+                == outcome(fraction_reachable, spec, sigma, pool))
+        if owner == "Q":
+            assert (outcome(is_winning_strategy, spec, sigma)
+                    == outcome(lambda: fraction_reachable(
+                        spec, sigma, PICARD_POOL) == {spec.target_q}))
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_dominance(self, data):
+        # pools small enough that the opponent's product stays short
+        spec = data.draw(specs())
+        owner = data.draw(st.sampled_from("QP"))
+        own = data.draw(st.one_of(st.integers(3, 8).map(isometries),
+                                  st.lists(MOVES, min_size=1, max_size=2)))
+        opp = data.draw(st.one_of(st.just(PICARD_POOL),
+                                  st.lists(MOVES, min_size=1, max_size=2)))
+        sigma = data.draw(strategies(spec, owner, st.sampled_from(own)))
+        assert (outcome(is_dominant, spec, sigma, own, opp)
+                == outcome(fraction_dominant, spec, sigma, own, opp))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_paths_and_classes(self, data):
+        # a few moves per example, so that paths meet and classes merge
+        initial = data.draw(STATES)
+        palette = data.draw(st.lists(MOVES, min_size=1, max_size=3))
+        sigmas = data.draw(st.lists(
+            st.lists(st.sampled_from(palette), max_size=12).map(
+                lambda ms: Strategy("Q", tuple(ms))), min_size=1, max_size=5))
+        for sigma in sigmas:
+            assert (outcome(state_path, sigma, initial)
+                    == outcome(fraction_path, sigma, initial))
+        assert (outcome(classify_strategies, sigmas, initial)
+                == outcome(fraction_classes, sigmas, initial))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_characteristic_properties(self, data):
+        spec = data.draw(specs("QPQ"))
+        sigma = data.draw(strategies(spec, "Q"))
+        assert (outcome(verify_characteristic_properties, spec, sigma)
+                == outcome(fraction_characteristic, spec, sigma))
+
+    def test_only_a_returned_state_is_held_to_64_bits(self):
+        # a + b needs 82 bits: play passes through it and comes back, but a
+        # path that returns it overflows
+        a = PlanarIsometry(Angle(1, 2**40))
+        b = PlanarIsometry(Angle(1, 3**26))
+        back_a, back_b = PlanarIsometry(-a.angle), PlanarIsometry(-b.angle)
+        assert play_out(GameSpec.from_string("QPQP"), q_strategy(a, back_a),
+                        p_strategy(b, back_b)) == KET_ZERO
+        with pytest.raises(ExactArithmeticOverflow):
+            state_path(q_strategy(a, b), KET_ZERO)

@@ -2,7 +2,9 @@
 imports a name it never reads, the U(2) layer holds no D_8 move of its
 own, so a hand table of first moves cannot come back unnoticed, and the CLI
 builds no isometry itself, so a second isometry grammar cannot either; nor
-does the CLI read a private attribute, of argparse or anything else."""
+does the CLI read a private attribute, of argparse or anything else.  One
+guard reads the imported package: it exports no ``Fraction`` state action,
+so a second action beside the integer maps cannot come back either."""
 
 import ast
 from pathlib import Path
@@ -57,8 +59,17 @@ def test_unitary_takes_no_d8_move_of_its_own():
     module = parse("unitary.py")
     imports = imported_names(module)
     assert not {"angles", "games", "orbits"} & set(imports)
-    assert imports["dihedral"] == {"FLIP", "PlanarIsometry"}
+    assert imports["dihedral"] == {"PlanarIsometry"}
     assert not constructor_calls(module)
+
+
+def test_the_fraction_state_action_is_the_tests_own():
+    # the package acts on states only as integer maps on grid indices; the
+    # Fraction action on a CoinState is the oracle in tests/test_states.py
+    import pennyflip
+    from pennyflip import games, states
+    assert not hasattr(states, "act") and not hasattr(games, "act")
+    assert "act" not in pennyflip.__all__
 
 
 def test_cli_parses_isometries_only_through_dihedral():

@@ -11,9 +11,9 @@ from pennyflip.dihedral import FLIP, IDENTITY, DihedralElement, represent
 from pennyflip.errors import FNotInGroup
 from pennyflip.orbits import (basis_indices, fixed_set, index_orbit,
                               index_stabilizer, orbit, stabilizer)
-from pennyflip.states import (KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
-                              CoinState, act)
+from pennyflip.states import KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO, CoinState
 from test_dihedral import compose
+from test_states import act
 
 
 def rot(n, k):
@@ -123,7 +123,7 @@ def test_index_stabilizer_matches_act_enumeration_off_grid(n, b, data):
 
 @given(st.integers(3, N_MAX), st.data())
 def test_integer_action_matches_fraction_oracle(n, data):
-    """DihedralElement.act on grid indices agrees with states.act."""
+    """DihedralElement.act on grid indices agrees with the Fraction act."""
     g = DihedralElement(n, data.draw(st.integers(0, n - 1)),
                         data.draw(st.booleans()))
     on_grid = CoinState.of(data.draw(st.integers(0, 2 * n - 1)), 2 * n)

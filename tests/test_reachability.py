@@ -19,11 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "pennyflip"
 
 #: Functions that only the tests reach, with the ROADMAP item removing each.
-ALLOWLIST = {
-    "unitary.sample_unitary": "item 6, the U(2) oracles move to tests/",
-    "unitary.fixed_by_flip_projective": "item 6, the U(2) oracles move to "
-                                        "tests/",
-}
+ALLOWLIST: dict[str, str] = {}
 
 #: Every command in both formats, a config file (``{config}``) and each
 #: exit code but 1, which only a failing check gives, with its code.

@@ -11,8 +11,21 @@ from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, isometries
 from pennyflip.errors import ExactArithmeticOverflow
 from pennyflip.orbits import basis_indices
 from pennyflip.states import (KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
-                              CoinState, act, difference_probability,
+                              CoinState, difference_probability,
                               win_probability)
+
+
+def image(p, phi):
+    """The angle a move sends *phi* to, a plain ``Fraction``: a rotor adds
+    its angle a, a reflector sends phi to 2a - phi."""
+    return 2 * p.angle - phi if p.reflect else phi + p.angle
+
+
+def act(p, x):
+    """The ``Fraction`` action on a projective state: the oracle of the
+    package's integer maps on grid indices, ``PlanarIsometry.act`` and
+    ``DihedralElement.act``."""
+    return CoinState(image(p, x.phi))
 
 
 def basis_states(n):

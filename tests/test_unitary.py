@@ -12,12 +12,12 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, PlanarIsometry,
                                 isometries)
 from pennyflip.errors import NotUnitary
 from pennyflip.orbits import basis_indices
-from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, CoinState, act
-from pennyflip.unitary import (BLOCK, MINUS, PLUS, TOL_MEMBERSHIP, draw,
-                               fixed_by_flip_projective, is_unitary, matrix,
-                               proportional, sample_unitary, screen,
+from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, CoinState
+from pennyflip.unitary import (BLOCK, MINUS, PLUS, ROW, TOL_MEMBERSHIP, draw,
+                               is_unitary, matrix, proportional, screen,
                                unitarity_residual, unitarity_residuals,
                                winning_state, winning_states)
+from test_states import act
 
 R2 = PlanarIsometry(Angle(1, 4))
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -25,6 +25,30 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 #: |+> or |->, read off the exact action.
 FIRST_MOVES = [p for p in isometries(8)
                if act(p, KET_ZERO) in (KET_PLUS, KET_MINUS)]
+
+
+def sample_unitary(rng: np.random.Generator) -> np.ndarray:
+    """The per-sample oracle of ``draw``: a Haar-distributed unitary from
+    the next row of *rng*.
+
+    Four complex standard normals, first column normalized, second column
+    orthogonalized against the first and normalized (Gram-Schmidt of a
+    Ginibre draw), then the global phase w/|w| of a fifth complex normal.
+    """
+    row = rng.standard_normal(ROW)
+    z = (row[:4] + 1j * row[4:8]).reshape(2, 2)
+    c0 = z[:, 0] / np.linalg.norm(z[:, 0])
+    c1 = z[:, 1] - np.vdot(c0, z[:, 1]) * c0
+    c1 = c1 / np.linalg.norm(c1)
+    w = row[8:] / np.linalg.norm(row[8:])
+    return complex(w[0], w[1]) * np.column_stack([c0, c1])
+
+
+def fixed_by_flip_projective(psi: np.ndarray,
+                             tol: float = TOL_MEMBERSHIP) -> bool:
+    """The per-sample oracle of ``screen``'s flip test: True iff the flip
+    maps *psi* to a phase multiple of itself."""
+    return proportional(matrix(FLIP) @ psi, psi, tol)
 
 
 def wins_qpq(a1: np.ndarray, a2: np.ndarray) -> bool:

@@ -9,7 +9,8 @@ from pennyflip import dihedral, games, orbits, unitary, verify
 from pennyflip.angles import Angle
 from pennyflip.config import Config
 from pennyflip.dihedral import isometries
-from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO, act
+from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO
+from test_states import act
 
 
 # Each row breaks one claim helper; the check that owns it must then fail.
