@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import games, orbits, reports
 from .config import N_MAX, default_config, load_config_file, parse_n_range
@@ -222,12 +221,13 @@ def sample_u2(samples: int, seed: int) -> None:
 def verify_all(n_range: str | None, config: str | None, timings: bool,
                fmt: str, **flags) -> None:
     """Run the whole verification suite; exit 1 on any failure."""
-    from . import verify
     cfg = default_config() if config is None else load_config_file(config)
     updates = {k: v for k, v in flags.items() if v is not None}
     if n_range is not None:
         updates["n_min"], updates["n_max"] = parse_n_range(n_range)
-    results = verify.run_all(replace(cfg, **updates))
+    cfg = cfg.replace(**updates)
+    from . import verify        # numpy loads only once the line is valid
+    results = verify.run_all(cfg)
     _echo(reports.check_rows(results, timings), fmt, reports.checks_markdown)
     if failing := verify.failing(results):
         print("failing checks: " + ", ".join(failing), file=sys.stderr)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from pathlib import Path
+
+from .values import Value, build
 
 ENV_CONFIG_PATH = "PENNYFLIP_CONFIG"
 
@@ -24,29 +26,32 @@ TOL_RESIDUAL = 1e-12
 _RANGE_RE = re.compile(r"^\s*(\d+)\s*\.\.\s*(\d+)\s*$")
 
 
-@dataclass(frozen=True)
-class Config:
-    n_min: int = 3
-    n_max: int = 64
-    max_rounds: int = 9
-    samples: int = 10_000
-    seed: int = 0
-    tolerance: float = TOL_MEMBERSHIP
+class Config(Value, namedtuple(
+        "Config", "n_min n_max max_rounds samples seed tolerance")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 3 <= self.n_min <= self.n_max <= N_MAX:
+    def __new__(cls, n_min: int = 3, n_max: int = 64, max_rounds: int = 9,
+                samples: int = 10_000, seed: int = 0,
+                tolerance: float = TOL_MEMBERSHIP):
+        if not 3 <= n_min <= n_max <= N_MAX:
             raise ValueError(
-                f"n range [{self.n_min}, {self.n_max}] outside [3, {N_MAX}]")
-        if not 2 <= self.max_rounds <= ROUNDS_MAX:
+                f"n range [{n_min}, {n_max}] outside [3, {N_MAX}]")
+        if not 2 <= max_rounds <= ROUNDS_MAX:
             raise ValueError(
-                f"max_rounds {self.max_rounds} outside [2, {ROUNDS_MAX}]")
-        if self.samples < 0 or self.seed < 0:
+                f"max_rounds {max_rounds} outside [2, {ROUNDS_MAX}]")
+        if samples < 0 or seed < 0:
             raise ValueError("samples and seed must be nonnegative")
         # below TOL_RESIDUAL the unitarity test fails samples u2-sampling
         # accepts; from 1 up every proportionality test passes; NaN fails too
-        if not TOL_RESIDUAL <= self.tolerance < 1:
-            raise ValueError(f"tolerance {self.tolerance} outside "
+        if not TOL_RESIDUAL <= tolerance < 1:
+            raise ValueError(f"tolerance {tolerance} outside "
                              f"[{TOL_RESIDUAL}, 1)")
+        return build(cls, (n_min, n_max, max_rounds, samples, seed,
+                           tolerance))
+
+    def replace(self, **changes) -> Config:
+        """This configuration with *changes*, checked as a new one is."""
+        return Config(**dict(self._asdict(), **changes))
 
 
 def parse_n_range(text: str) -> tuple[int, int]:
@@ -80,11 +85,11 @@ def load_config_file(path: str | Path) -> Config:
             field = key.replace("-", "_")
             if field == "n_range":
                 lo, hi = parse_n_range(value)
-                cfg = replace(cfg, n_min=lo, n_max=hi)
+                cfg = cfg.replace(n_min=lo, n_max=hi)
             elif field in ("max_rounds", "samples", "seed"):
-                cfg = replace(cfg, **{field: int(value)})
+                cfg = cfg.replace(**{field: int(value)})
             elif field == "tolerance":
-                cfg = replace(cfg, tolerance=float(value))
+                cfg = cfg.replace(tolerance=float(value))
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:

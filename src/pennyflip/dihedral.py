@@ -13,26 +13,26 @@ isometry and its parsing back from that name are decided here only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .angles import Angle
 from .errors import FNotInGroup
+from .values import Value, build
 
 
-@dataclass(frozen=True)
-class DihedralElement:
+class DihedralElement(Value, namedtuple("DihedralElement", "n k reflect")):
     """An element r^k s^l of D_n, with ``reflect`` standing for the s factor."""
 
-    n: int
-    k: int
-    reflect: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"dihedral order parameter must be >= 3, got {self.n}")
-        if not 0 <= self.k < self.n:
-            raise ValueError(f"rotation exponent {self.k} out of range [0, {self.n})")
+    def __new__(cls, n: int, k: int, reflect: bool = False):
+        if not 0 <= k < n >= 3:
+            if n < 3:
+                raise ValueError(
+                    f"dihedral order parameter must be >= 3, got {n}")
+            raise ValueError(f"rotation exponent {k} out of range [0, {n})")
+        return build(cls, (n, k, reflect))
 
     def act(self, j: int, size: int) -> int:
         """Act on the index j of the state j*pi/size, with step = 2*size/n an
@@ -55,8 +55,7 @@ def elements(n: int) -> tuple[DihedralElement, ...]:
                  for reflect in (False, True) for k in range(n))
 
 
-@dataclass(frozen=True)
-class PlanarIsometry:
+class PlanarIsometry(Value, namedtuple("PlanarIsometry", "angle reflect")):
     """A rotor R_a, or with ``reflect`` a reflector S_a, in exact angle form.
 
     The isometry owns the period of its angle and reduces the angle once,
@@ -65,14 +64,14 @@ class PlanarIsometry:
     ``Angle`` already in its period, as :func:`represent` gives, stays.
     """
 
-    angle: Angle
-    reflect: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        angle, period = self.angle, 1 if self.reflect else 2
+    def __new__(cls, angle: Angle, reflect: bool = False):
+        period = 1 if reflect else 2
         if not (type(angle) is Angle
                 and 0 <= angle.numerator < period * angle.denominator):
-            object.__setattr__(self, "angle", Angle(angle % period))
+            angle = Angle(angle % period)
+        return build(cls, (angle, reflect))
 
     @classmethod
     def parse(cls, text: str) -> "PlanarIsometry":
@@ -123,12 +122,8 @@ class PlanarIsometry:
         return ((c, -s), (s, c))
 
     def __str__(self) -> str:
-        return self._name
-
-    @functools.cached_property
-    def _name(self) -> str:
-        """Octagon-style name, built once: I, F and H by letter, R_π and
-        S_0, R_{mπ/8} / S_{mπ/8} on the eighth grid, else the exact angle."""
+        """Octagon-style name: I, F and H by letter, R_π and S_0,
+        R_{mπ/8} / S_{mπ/8} on the eighth grid, else the exact angle."""
         p, q = self.angle.as_integer_ratio()
         name = _LETTERS.get((p, q, self.reflect))
         if name is not None:

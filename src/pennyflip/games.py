@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 from . import dihedral
@@ -30,6 +30,7 @@ from .dihedral import FLIP, HADAMARD, IDENTITY, PlanarIsometry
 from .errors import LengthMismatch, SearchBudgetExceeded
 from .orbits import fixed_set
 from .states import BASIS, CoinState, win_probability
+from .values import Value, build
 
 #: The classical player's repertoire: leave the coin alone or flip it.
 PICARD_POOL: tuple[PlanarIsometry, ...] = (IDENTITY, FLIP)
@@ -37,28 +38,27 @@ PICARD_POOL: tuple[PlanarIsometry, ...] = (IDENTITY, FLIP)
 _FLIPPED_HADAMARD = FLIP.compose(HADAMARD)
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(Value, namedtuple("GameSpec",
+                                  "turns initial target_q target_p")):
     """An alternating turn sequence with initial and target basis states."""
 
-    turns: tuple[str, ...]
-    initial: CoinState
-    target_q: CoinState
-    target_p: CoinState
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.turns) < 2:
+    def __new__(cls, turns: tuple[str, ...], initial: CoinState,
+                target_q: CoinState, target_p: CoinState):
+        if len(turns) < 2:
             raise ValueError("a game needs at least 2 rounds")
-        if any(t not in ("P", "Q") for t in self.turns):
-            raise ValueError(f"turns must be over {{P, Q}}, got {self.turns}")
-        for a, b in itertools.pairwise(self.turns):
+        if any(t not in ("P", "Q") for t in turns):
+            raise ValueError(f"turns must be over {{P, Q}}, got {turns}")
+        for a, b in itertools.pairwise(turns):
             if a == b:
                 raise ValueError("players may not make consecutive moves")
-        for s in (self.initial, self.target_q, self.target_p):
+        for s in (initial, target_q, target_p):
             if s not in BASIS:
                 raise ValueError(f"{s} is not a basis state")
-        if self.target_q == self.target_p:
+        if target_q == target_p:
             raise ValueError("the two target states must differ")
+        return build(cls, (turns, initial, target_q, target_p))
 
     @classmethod
     def from_string(cls, turns: str, initial: CoinState = BASIS[0],
@@ -76,25 +76,21 @@ class GameSpec:
 PQG = GameSpec.from_string("QPQ")
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Value, namedtuple("Strategy", "owner moves")):
     """A fixed move sequence for one player, one move per owned turn."""
 
-    owner: str
-    moves: tuple[PlanarIsometry, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(m) for m in self.moves) + ")"
 
 
-@dataclass(frozen=True)
-class StrategyClass:
+class StrategyClass(Value, namedtuple("StrategyClass", "path cosets")):
     """A class of Q's winners sharing one state path: the product of its
     cosets, one tuple of the moves that take the coin along it per Q turn.
     Members are built lazily in product order; the first represents it."""
 
-    path: tuple[CoinState, ...]
-    cosets: tuple[tuple[PlanarIsometry, ...], ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -106,17 +102,15 @@ class StrategyClass:
                 for moves in itertools.product(*self.cosets))
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Value, namedtuple("Decision", "q_wins strategy picard_wins",
+                                  defaults=(None, False))):
     """Outcome of the extended-game analysis.
 
-    ``q_wins`` with a witness strategy, or no winning strategy for either
-    player; the classical player never has one.
+    ``q_wins`` with a witness ``strategy`` (or None), or no winning strategy
+    for either player; the classical player never has one (``picard_wins``).
     """
 
-    q_wins: bool
-    strategy: Strategy | None = None
-    picard_wins: bool = False
+    __slots__ = ()
 
 
 def _check_lengths(spec: GameSpec, sigma: Strategy) -> None:

@@ -5,13 +5,15 @@ built here; a check's own ``details`` are its result.  Markdown renders the
 parsed JSON payload, except ``enumerate``'s table, which names each class's
 members from its cosets.  All emitters are deterministic so reports compare
 byte for byte.  ``dump_json`` writes ``json.dumps``' indented form byte for
-byte, without running the standard library's pure-Python encoder.
+byte, without running the standard library's pure-Python encoder or
+importing the ``json`` package: strings are escaped by the C function that
+``json.encoder`` re-exports.
 """
 
 from __future__ import annotations
 
 import itertools
-from json.encoder import encode_basestring as _quote
+from _json import encode_basestring as _quote
 from typing import Iterable, Sequence
 
 from .angles import pi_text

@@ -14,22 +14,23 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .angles import INT_MAX, Angle, pi_text
 from .errors import ExactArithmeticOverflow
+from .values import Value, build
 
 
-@dataclass(frozen=True)
-class CoinState:
+class CoinState(Value, namedtuple("CoinState", "phi")):
     """A projective state; any rational phi is reduced into [0, pi)."""
 
-    phi: Angle
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        phi = self.phi      # an Angle in [0, 1), as each grid index gives, stays
+    def __new__(cls, phi: Angle):
+        # an Angle in [0, 1), as each grid index gives, stays
         if not (type(phi) is Angle and 0 <= phi.numerator < phi.denominator):
-            object.__setattr__(self, "phi", Angle(phi % 1))
+            phi = Angle(phi % 1)
+        return build(cls, (phi,))
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "CoinState":
@@ -38,15 +39,14 @@ class CoinState:
     @classmethod
     def at(cls, j: int, size: int) -> "CoinState":
         """``CoinState.of(j, size)`` for a grid index 0 <= j < size, built
-        with one gcd and without Fraction's constructor or __post_init__,
+        with one gcd and without Fraction's constructor or the reduction,
         the way Python 3.12's ``Fraction._from_coprime_ints`` builds."""
         g = math.gcd(j, size)
         if size // g > INT_MAX:
             return cls.of(j, size)      # which raises ExactArithmeticOverflow
-        phi, x = object.__new__(Angle), object.__new__(cls)
+        phi = object.__new__(Angle)
         phi._numerator, phi._denominator = j // g, size // g
-        object.__setattr__(x, "phi", phi)
-        return x
+        return build(cls, (phi,))
 
     def index(self, size: int) -> int:
         """The j with ``CoinState.of(j, size) == self``; size must be a

@@ -64,7 +64,8 @@ def check_winning_classes_d8(cfg: Config):
 
 
 def check_winning_classes_stable(cfg: Config):
-    base = {s.moves for s in _pqg_winners(8)[0]}
+    base = {s.moves for c in games.winning_classes(games.PQG, 8)
+            for s in c.members}
     details = {}
     ok = True
     for n in (16, 24, 32):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -6,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,43 +17,15 @@ from pennyflip.angles import Angle
 from pennyflip.cli import main
 from pennyflip.dihedral import HADAMARD
 from pennyflip.states import CoinState
+
+from cli_goldens import (Runner, game_cli_digest, invoke, orbit_cli_digest,
+                         stabilizer_cli_digest)
 from test_reachability import COMMANDS, CONFIG
-
-
-@dataclass
-class Result:
-    exit_code: int
-    stdout: str
-    stderr: str
-
-    output = property(lambda self: self.stdout + self.stderr)
-    stdout_bytes = property(lambda self: self.stdout.encode())
-    stderr_bytes = property(lambda self: self.stderr.encode())
-
-
-class Runner:
-    """Runs a command line in process: stdout and stderr captured and the
-    exit code read off ``SystemExit``; any other exception propagates."""
-
-    def invoke(self, main, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                main(argv)
-                code = 0
-            except SystemExit as exc:
-                code = exc.code if isinstance(exc.code, int) else int(
-                    exc.code is not None)
-        return Result(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture
 def runner():
     return Runner()
-
-
-def invoke(runner, *args):
-    return runner.invoke(main, list(args))
 
 
 class TestOrbitCommands:
@@ -137,49 +109,11 @@ def test_orbit_runs_no_fraction_constructor_per_state(runner, monkeypatch):
     assert counts[59] == counts[118] == counts[590] <= 2, counts
 
 
-def orbit_cli_digest(runner, spec):
-    """sha256 over every ``orbit``/``stabilizer``/``fixed-set`` run that
-    *spec* names: per run, its argv and exit code, then its stdout."""
-    digest = hashlib.sha256()
-    lo, hi = spec["nRange"]
-    runs = ([("orbit", "--state", s) for s in spec["states"]]
-            + [("stabilizer", "--state", s) for s in spec["states"]]
-            + [("fixed-set", "--elems", e) for e in spec["elems"]])
-    for n in range(lo, hi + 1):
-        for fmt in spec["formats"]:
-            for command, option, value in runs:
-                argv = [command, "--n", str(n), option, value,
-                        "--format", fmt]
-                result = invoke(runner, *argv)
-                digest.update(f"{' '.join(argv)} -> {result.exit_code}\n"
-                              .encode())
-                digest.update(result.stdout_bytes)
-    return digest.hexdigest()
-
-
 def test_orbit_commands_match_golden(runner):
     # stdout and exit codes of the orbit commands, pinned byte for byte
     spec = json.loads((Path(__file__).parent / "golden"
                        / "orbit_cli.json").read_text())
     assert orbit_cli_digest(runner, spec) == spec["sha256"]
-
-
-def stabilizer_cli_digest(runner, spec):
-    """sha256 over every ``stabilizer`` run that *spec* names, as in
-    :func:`orbit_cli_digest`; ``{2n}`` in a state stands for 2n, so
-    ``1/{2n}*pi`` is the index 1 of the basis grid Z_2n."""
-    digest = hashlib.sha256()
-    for n in spec["n"]:
-        states = [s.replace("{2n}", str(2 * n)) for s in spec["states"]]
-        for fmt in spec["formats"]:
-            for state in states + spec["extraStates"].get(str(n), []):
-                argv = ["stabilizer", "--n", str(n), "--state", state,
-                        "--format", fmt]
-                result = invoke(runner, *argv)
-                digest.update(f"{' '.join(argv)} -> {result.exit_code}\n"
-                              .encode())
-                digest.update(result.stdout_bytes)
-    return digest.hexdigest()
 
 
 def test_stabilizer_beyond_orbit_golden_matches(runner):
@@ -188,31 +122,6 @@ def test_stabilizer_beyond_orbit_golden_matches(runner):
     spec = json.loads((Path(__file__).parent / "golden"
                        / "stabilizer_large_n.json").read_text())
     assert stabilizer_cli_digest(runner, spec) == spec["sha256"]
-
-
-def game_cli_digest(runner, spec):
-    """sha256 over every ``enumerate``/``classify``/``analyze --check`` run
-    that *spec* names: per run, its argv and exit code, then its stdout and
-    its stderr."""
-    digest = hashlib.sha256()
-    lo, hi = spec["rounds"]
-    for n in spec["n"]:
-        for turns in games.alternating_turn_sequences(lo, hi):
-            for initial, target in spec["pairs"]:
-                game = ("--turns", "".join(turns), "--initial", initial,
-                        "--target-q", target)
-                for argv in (("enumerate", "--n", str(n), *game),
-                             ("classify", "--n", str(n), *game,
-                              "--format", "markdown"),
-                             ("analyze", *game, "--check",
-                              "--pool-n", str(n))):
-                    result = invoke(runner, *argv)
-                    digest.update(f"{' '.join(argv)} -> {result.exit_code}\n"
-                                  .encode())
-                    digest.update(result.stdout_bytes)
-                    digest.update(b"\0")
-                    digest.update(result.stderr_bytes)
-    return digest.hexdigest()
 
 
 def test_game_commands_match_golden(runner):
@@ -868,6 +777,61 @@ def test_exact_commands_do_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *commands],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+#: Runs each argument, its tokens joined by "\x1f", as one command line in
+#: a single process, and prints, per line, its exit code, its stderr and
+#: which of the modules it must not load are loaded; it imports nothing more.
+MODULES_PROBE = """
+import contextlib, io, sys
+from pennyflip.cli import main
+rows = []
+for line in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        try:
+            main(line.split("\\x1f") if line else [])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    rows.append((code, err.getvalue(), [
+        m for m in ("numpy", "dataclasses", "inspect", "json")
+        if m in sys.modules]))
+print(repr(rows))
+"""
+
+
+def test_numpy_free_commands_load_no_dataclasses_inspect_or_json(tmp_path):
+    # every line of the usage golden and of the reachability guard but
+    # sample-u2 and a verify-all that runs; verify-all reads its config and
+    # flags before it imports the numpy layer, so its usage errors need none
+    spec = json.loads((Path(__file__).parent / "golden"
+                       / "usage_cli.json").read_text())
+    for name, text in spec["configFiles"].items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "verify.cfg").write_text(CONFIG)
+    lines = spec["lines"] + [
+        [a.replace("{config}", "verify.cfg") for a in argv]
+        for code, argv in COMMANDS
+        if argv[:1] != ["sample-u2"]
+        and (argv[:1], code) != (["verify-all"], 0)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE,
+         *("\x1f".join(argv) for argv in lines)],
+        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), cwd=tmp_path,
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = ast.literal_eval(proc.stdout)
+    assert [(argv, loaded) for argv, (_, _, loaded) in zip(lines, rows)
+            if loaded] == []
+    usage = [(argv, code, err) for argv, (code, err, _) in zip(lines, rows)
+             if argv[:1] == ["verify-all"]]
+    assert len(usage) >= 10
+    for argv, code, err in usage:
+        assert (code, err.count("error:")) == (2, 1), (argv, err)
+        assert err.splitlines()[-1].startswith("pennyflip verify-all: error:")
 
 
 #: Every option of each command, named independently of the parser.

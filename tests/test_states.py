@@ -249,10 +249,8 @@ class TestGridIndexState:
 
 def reduced_by_hand(value) -> CoinState:
     """The state whose phi is the explicit reduction Angle(value % 1),
-    built without CoinState.__post_init__."""
-    x = object.__new__(CoinState)
-    object.__setattr__(x, "phi", Angle(Fraction(value) % 1))
-    return x
+    built without CoinState's own reduction."""
+    return tuple.__new__(CoinState, (Angle(Fraction(value) % 1),))
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**9)

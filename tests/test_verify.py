@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +49,8 @@ def test_extended_games_replay_the_brute_force_witness(monkeypatch):
         if decision.strategy is None:
             return decision
         moves = (*decision.strategy.moves[:-1], dihedral.IDENTITY)
-        return replace(decision, strategy=games.Strategy("Q", moves))
+        return games.Decision(decision.q_wins, games.Strategy("Q", moves),
+                              decision.picard_wins)
     monkeypatch.setattr(games, "brute_force_extended_check", bent)
     ok, details = verify.check_extended_games(Config())
     assert ok is False and details["failures"]
