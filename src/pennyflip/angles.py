@@ -49,6 +49,9 @@ class Angle(Fraction):
     """A rational multiple of pi, in lowest terms."""
 
     __slots__ = ()
+    # pickled as Angle(p, q): 3.10's Fraction pickles by str, which has a π
+    __reduce__ = object.__reduce__
+    __getnewargs__ = Fraction.as_integer_ratio
 
     def __new__(cls, numerator=0, denominator=None):
         self = super().__new__(cls, numerator, denominator)

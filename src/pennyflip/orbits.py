@@ -6,20 +6,23 @@ on N = 2n, with |0> at 0 and |1> at n.  An orbit is two cosets of dZ_N,
 d = gcd(2N/n, N): j + dZ_N from the rotations, -j + dZ_N from the
 reflections.  A stabilizer solves k*step = c (mod N), step = 2N/n, for
 k in [0, n): c = 0 for the rotations r^k and c = 2j for the reflections
-r^k s.  Each solution is kept only if :meth:`DihedralElement.act` fixes j,
-so the action still decides it and |orbit|*|stabilizer| = 2n stays a check.
-States are built only at the end, by :meth:`CoinState.at`, one per index
-returned; ``probability-identities`` reads :func:`basis_indices` only.
+r^k s; d and (step/d)^-1 mod N/d are found once per (n, N).  Each k < n is
+built without a range check and kept only if :meth:`DihedralElement.act`
+fixes j, so the action still decides it and |orbit|*|stabilizer| = 2n stays
+a check.  States are built only at the end, by :meth:`CoinState.at`, one
+per index returned; ``probability-identities`` reads :func:`basis_indices`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
 from . import dihedral
 from .dihedral import DihedralElement, PlanarIsometry
 from .states import CoinState
+from .values import build
 
 
 def index_orbit(n: int, j: int, size: int) -> set[int]:
@@ -28,20 +31,27 @@ def index_orbit(n: int, j: int, size: int) -> set[int]:
     return {*range(j % d, size, d), *range(-j % d, size, d)}
 
 
+@functools.lru_cache(maxsize=16)
+def _congruence(n: int, size: int) -> tuple[int, int, int]:
+    """d = gcd(step, size), the period size/d and (step/d)^-1 mod it."""
+    if n < 3:
+        DihedralElement(n, 0)           # raises D_n's ValueError
+    d = math.gcd(step := 2 * size // n, size)
+    return d, size // d, pow(step // d, -1, size // d)
+
+
 def index_stabilizer(n: int, j: int, size: int) -> tuple[DihedralElement, ...]:
     """Elements fixing the index *j* on Z_size, in canonical order: each k
     in [0, n) with k*step = c (mod size), c = 0 for r^k and 2j for r^k s,
     that :meth:`DihedralElement.act` confirms."""
-    step = 2 * size // n
-    d = math.gcd(step, size)
-    period = size // d
-    inverse = pow(step // d, -1, period)
+    d, period, inverse = _congruence(n, size)
     found = []
     for reflect, c in ((False, 0), (True, 2 * j)):
         if c % d == 0:
-            ks = range(c // d * inverse % period, n, period)
-            found += [g for g in (DihedralElement(n, k, reflect) for k in ks)
-                      if g.act(j, size) == j]
+            for k in range(c // d * inverse % period, n, period):
+                g = build(DihedralElement, (n, k, reflect))
+                if g.act(j, size) == j:
+                    found.append(g)
     return tuple(found)
 
 

@@ -5,13 +5,14 @@ built here; a check's own ``details`` are its result.  Markdown renders the
 parsed JSON payload, except ``enumerate``'s table, which names each class's
 members from its cosets.  All emitters are deterministic so reports compare
 byte for byte.  ``dump_json`` writes ``json.dumps``' indented form byte for
-byte, without running the standard library's pure-Python encoder or
-importing the ``json`` package: strings are escaped by the C function that
-``json.encoder`` re-exports.
+byte, without the standard library's pure-Python encoder or the ``json``
+package: strings are escaped by the C function ``json.encoder`` re-exports,
+and a dict's sorted, quoted keys are cached by its keys and indent.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from _json import encode_basestring as _quote
 from typing import Iterable, Sequence
@@ -27,8 +28,8 @@ SCHEMA_VERSION = "1"
 # -- JSON payloads ---------------------------------------------------------
 
 def state_set_json(states: Iterable[CoinState]) -> list[dict]:
-    terms = (s.phi.as_integer_ratio() for s in states)
-    return [{"phi": pi_text(p, q), "name": state_text(p, q)} for p, q in terms]
+    return [{"phi": (phi := pi_text(p, q)), "name": state_text(p, q, phi)}
+            for p, q in [s.phi.as_integer_ratio() for s in states]]
 
 
 def element_set_json(elems: Iterable[DihedralElement]) -> list[dict]:
@@ -107,6 +108,15 @@ _LEAVES = {str: _quote, type(None): lambda _: "null",
 _KINDS = dict.fromkeys((*_LEAVES, list, tuple, dict))
 
 
+@functools.lru_cache(maxsize=64)
+def _object_heads(keys: tuple, nl: str) -> tuple[tuple, str]:
+    """The sorted *keys*, each with the text before its value, and the
+    closing text of a dict at the indent *nl*."""
+    inner = nl + "  "
+    return tuple([(key, f"{',' if i else '{'}{inner}{_quote(key)}: ")
+                  for i, key in enumerate(sorted(keys))]), nl + "}"
+
+
 def _emit(o, out: list[str], nl: str) -> None:
     """Append *o* to *out*; *nl* is a newline and the indent of its line."""
     kind = type(o)
@@ -118,18 +128,25 @@ def _emit(o, out: list[str], nl: str) -> None:
         out.append(_LEAVES[kind](o))
     elif not o:
         out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        pairs, close = _object_heads(tuple(o), nl)
+        for key, head in pairs:
+            # a leaf is written in place, in one piece with its head
+            leaf = _LEAVES.get(type(value := o[key]))
+            out.append(head if leaf is None else head + leaf(value))
+            if leaf is None:
+                _emit(value, out, nl + "  ")
+        out.append(close)
     else:
-        inner, is_dict = nl + "  ", kind is dict
-        sep, comma = ("{" if is_dict else "[") + inner, "," + inner
-        for key in sorted(o) if is_dict else o:
-            value = o[key] if is_dict else key
-            head = f"{sep}{_quote(key)}: " if is_dict else sep
-            leaf = _LEAVES.get(type(value))     # a leaf is written in place
+        inner = nl + "  "
+        head, comma = "[" + inner, "," + inner
+        for value in o:
+            leaf = _LEAVES.get(type(value))
             out.append(head if leaf is None else head + leaf(value))
             if leaf is None:
                 _emit(value, out, inner)
-            sep = comma
-        out.append(nl + ("}" if is_dict else "]"))
+            head = comma
+        out.append(nl + "]")
 
 
 # -- Markdown renderings ---------------------------------------------------

@@ -88,11 +88,12 @@ _KETS = {"|0⟩": KET_ZERO, "|+⟩": KET_PLUS, "|1⟩": KET_ONE, "|−⟩": KET_
 _NAMES = {x.phi.as_integer_ratio(): name for name, x in _KETS.items()}
 
 
-def state_text(p: int, q: int) -> str:
-    """``str(CoinState.of(p, q))`` for p/q in lowest terms in [0, 1)."""
+def state_text(p: int, q: int, angle: str | None = None) -> str:
+    """``str(CoinState.of(p, q))`` for p/q in lowest terms in [0, 1);
+    *angle*, when given, is ``pi_text(p, q)``."""
     if q <= 4 and (p, q) in _NAMES:
         return _NAMES[p, q]
-    angle = pi_text(p, q)
+    angle = angle or pi_text(p, q)
     return f"cos({angle})|0⟩+sin({angle})|1⟩"
 
 

@@ -1,12 +1,15 @@
-"""Command lines run in process, and the digests of the goldens whose
-commands need no numpy: ``orbit_cli``, ``stabilizer_large_n`` and
-``game_cli``.  This module imports only the standard library and
-``pennyflip``, so that any CPython the package admits can replay them."""
+"""Command lines run in process, and the goldens whose commands need no
+numpy: the digests of ``orbit_cli``, ``stabilizer_large_n`` and
+``game_cli``, the lines of ``markdown_cli`` but its ``verify-all`` ones,
+and the eight n = 8 QPQPQ listings.  This module imports only the standard
+library and ``pennyflip``, so that any CPython the package admits can
+replay them."""
 
 import contextlib
 import hashlib
 import io
 from dataclasses import dataclass
+from pathlib import Path
 
 from pennyflip import games
 from pennyflip.cli import main
@@ -41,6 +44,42 @@ class Runner:
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args))
+
+
+#: The (command, format, target) of each pinned n = 8 QPQPQ listing.
+LISTINGS = [(command, fmt, target) for command in ("enumerate", "classify")
+            for fmt in ("json", "markdown") for target in ("0", "1")]
+
+
+def game_listing(command, fmt, target):
+    return (command, "--n", "8", "--turns", "QPQPQ", "--initial", "0",
+            "--target-q", target, "--format", fmt)
+
+
+def listing_golden(command, fmt, target):
+    """The pinned stdout of :func:`game_listing`, as rendered when the
+    listings classified winners by the ``Fraction`` replay of
+    :func:`pennyflip.games.classify_strategies`."""
+    ext = "json" if fmt == "json" else "md"
+    name = f"{command}_n8_QPQPQ_0to{target}.{ext}"
+    return (Path(__file__).parent / "golden" / name).read_bytes()
+
+
+def markdown_cli_lines(spec):
+    """The ``analyze --format markdown`` (with and without ``--check``) and
+    ``classify`` JSON lines of the ``markdown_cli`` *spec*, in digest order;
+    its ``verify-all`` lines, which need numpy, are not among them."""
+    lo, hi = spec["rounds"]
+    pool = ("--check", "--pool-n", str(spec["poolN"]))
+    runs = []
+    for turns in games.alternating_turn_sequences(lo, hi):
+        for initial, target in spec["pairs"]:
+            game = ("--turns", "".join(turns), "--initial", initial,
+                    "--target-q", target)
+            runs += [("analyze", *game, "--format", "markdown"),
+                     ("analyze", *game, *pool, "--format", "markdown")]
+            runs += [("classify", "--n", str(n), *game) for n in spec["n"]]
+    return runs
 
 
 def orbit_cli_digest(runner, spec):

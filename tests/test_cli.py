@@ -18,7 +18,8 @@ from pennyflip.cli import main
 from pennyflip.dihedral import HADAMARD
 from pennyflip.states import CoinState
 
-from cli_goldens import (Runner, game_cli_digest, invoke, orbit_cli_digest,
+from cli_goldens import (Runner, game_cli_digest, game_listing, invoke,
+                         listing_golden, markdown_cli_lines, orbit_cli_digest,
                          stabilizer_cli_digest)
 from test_reachability import COMMANDS, CONFIG
 
@@ -132,23 +133,13 @@ def test_game_commands_match_golden(runner):
 
 
 def markdown_cli_digest(runner, spec):
-    """sha256 over every ``analyze --format markdown`` (with and without
-    ``--check``), ``classify`` JSON and ``verify-all --format markdown`` run
-    that *spec* names: per run, its argv and exit code, then its stdout and
-    its stderr."""
+    """sha256 over every run of :func:`markdown_cli_lines` and every
+    ``verify-all --format markdown`` run that *spec* names: per run, its
+    argv and exit code, then its stdout and its stderr."""
     digest = hashlib.sha256()
-    lo, hi = spec["rounds"]
-    pool = ("--check", "--pool-n", str(spec["poolN"]))
-    runs = []
-    for turns in games.alternating_turn_sequences(lo, hi):
-        for initial, target in spec["pairs"]:
-            game = ("--turns", "".join(turns), "--initial", initial,
-                    "--target-q", target)
-            runs += [("analyze", *game, "--format", "markdown"),
-                     ("analyze", *game, *pool, "--format", "markdown")]
-            runs += [("classify", "--n", str(n), *game) for n in spec["n"]]
-    runs += [("verify-all", *args, "--format", "markdown")
-             for args in spec["verifyAll"]]
+    runs = markdown_cli_lines(spec) + [
+        ("verify-all", *args, "--format", "markdown")
+        for args in spec["verifyAll"]]
     for argv in runs:
         result = invoke(runner, *argv)
         digest.update(f"{' '.join(argv)} -> {result.exit_code}\n".encode())
@@ -238,20 +229,6 @@ def test_every_markdown_output_ends_in_one_newline(runner):
         out = invoke(runner, *argv, "--format", "markdown").stdout
         assert out == "" or (out.endswith("\n")
                              and not out.endswith("\n\n")), argv
-
-
-def game_listing(command, fmt, target):
-    return (command, "--n", "8", "--turns", "QPQPQ", "--initial", "0",
-            "--target-q", target, "--format", fmt)
-
-
-def listing_golden(command, fmt, target):
-    """The pinned stdout of :func:`game_listing`, as rendered when the
-    listings classified winners by the ``Fraction`` replay of
-    :func:`pennyflip.games.classify_strategies`."""
-    ext = "json" if fmt == "json" else "md"
-    name = f"{command}_n8_QPQPQ_0to{target}.{ext}"
-    return (Path(__file__).parent / "golden" / name).read_bytes()
 
 
 class TestGameCommands:

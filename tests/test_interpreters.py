@@ -13,12 +13,15 @@ others, without installing anything into them:
 Each one at or above the floor runs the package from ``src`` through
 ``PYTHONPATH`` and recomputes the digests of ``orbit_cli``,
 ``stabilizer_large_n`` and ``game_cli``, which must equal the goldens'.
-It runs the ``verify-all`` lines of ``usage_cli``, whose stdout, stderr and
-exit code must equal this interpreter's line by line, and checks that the
-value classes are tuples that compare within their class only and that
-``CoinState.at``'s write into ``Fraction``'s private slots builds the state
-``CoinState.of`` builds.  An interpreter below the floor must fail to
-import the package.
+The eight n = 8 QPQPQ listings of ``enumerate`` and ``classify`` must equal
+their golden files byte for byte.  It runs the ``verify-all`` lines of
+``usage_cli`` and the lines of ``markdown_cli`` but its ``verify-all`` ones,
+whose stdout, stderr and exit code must equal this interpreter's line by
+line, and checks that the value classes are tuples that compare within
+their class only, that each value and an ``Angle`` survive ``pickle`` and
+``copy.copy``, and that ``CoinState.at``'s write into ``Fraction``'s
+private slots builds the state ``CoinState.of`` builds.  An interpreter
+below the floor must fail to import the package.
 """
 
 import glob
@@ -32,12 +35,18 @@ from pathlib import Path
 
 import pytest
 
+from cli_goldens import LISTINGS, game_listing, listing_golden
+
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ROOT / "tests"
 GOLDEN = TESTS / "golden"
 FLOOR = tuple(map(int, re.search(
     r'requires-python\s*=\s*">=(\d+)\.(\d+)"',
     (ROOT / "pyproject.toml").read_text(encoding="utf-8")).groups()))
+
+#: Each pinned listing's (command, format, target), by its command line.
+LISTINGS_BY_LINE = {" ".join(game_listing(*listing)): listing
+                    for listing in LISTINGS}
 
 #: Prints its interpreter's version and real path.
 WHO = ("import os, sys; sys.stdout.write('%d.%d.%d %s' % (sys.version_info"
@@ -96,11 +105,11 @@ def when_none(params, what):
 #: Runs in the interpreter under test, in a directory holding the usage
 #: golden's config files; prints one JSON object.
 CHILD = """
-import copy, json, sys
+import copy, json, pickle, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import cli_goldens
-from cli_goldens import Runner
+from cli_goldens import LISTINGS, Runner, game_listing
 from pennyflip.angles import Angle
 from pennyflip.cli import main
 from pennyflip.config import Config
@@ -118,6 +127,12 @@ for name, digest in [("orbit_cli", cli_goldens.orbit_cli_digest),
 usage = json.loads((golden / "usage_cli.json").read_text(encoding="utf-8"))
 lines = {" ".join(argv): runner.invoke(main, argv)
          for argv in usage["lines"] if argv[:1] == ["verify-all"]}
+markdown = json.loads((golden / "markdown_cli.json").read_text(
+    encoding="utf-8"))
+lines.update((" ".join(argv), cli_goldens.invoke(runner, *argv))
+             for argv in cli_goldens.markdown_cli_lines(markdown))
+listings = {" ".join(game_listing(*listing)): cli_goldens.invoke(
+    runner, *game_listing(*listing)).stdout for listing in LISTINGS}
 
 values = [DihedralElement(8, 3, True), FLIP, KET_PLUS, PQG,
           Strategy("Q", (FLIP,)), StrategyClass((KET_PLUS,), ((FLIP,),)),
@@ -136,14 +151,25 @@ for x in values:
         faults.append(f"{kind} hashes or copies apart from its fields")
     if any(x == y for y in values if y is not x):
         faults.append(f"{kind} equals another class's value")
+for x in (*values, FLIP.angle):
+    kind = type(x).__name__
+    try:
+        again = [pickle.loads(pickle.dumps(x)), copy.copy(x)]
+    except Exception as exc:
+        faults.append(f"{kind} does not pickle or copy: {exc!r}")
+        continue
+    if any(type(y) is not type(x) or y != x or hash(y) != hash(x)
+           for y in again):
+        faults.append(f"{kind} comes back from pickle or copy as {again!r}")
 for size in range(1, 65):
     for j in range(size):
         x, y = CoinState.at(j, size), CoinState.of(j, size)
         if (x, hash(x), str(x), x.phi + Angle(1, 8)) != (
                 y, hash(y), str(y), y.phi + Angle(1, 8)):
             faults.append(f"CoinState.at({j}, {size}) is not CoinState.of")
-print(json.dumps({"digests": digests, "faults": faults, "usage": {
-    line: [r.exit_code, r.stdout, r.stderr] for line, r in lines.items()}}))
+print(json.dumps({"digests": digests, "faults": faults, "listings": listings,
+                  "usage": {line: [r.exit_code, r.stdout, r.stderr]
+                            for line, r in lines.items()}}))
 """
 
 
@@ -181,7 +207,11 @@ def test_goldens_replay_under(python, here, tmp_path):
     assert there["digests"] == {
         name: json.loads((GOLDEN / f"{name}.json").read_text(
             encoding="utf-8"))["sha256"] for name in there["digests"]}
-    assert len(there["usage"]) >= 10
+    assert len(there["listings"]) == 8
+    for line, stdout in there["listings"].items():
+        assert stdout.encode() == listing_golden(*LISTINGS_BY_LINE[line]), line
+    assert there["usage"].keys() == here["usage"].keys()
+    assert len(there["usage"]) >= 450
     for line, got in there["usage"].items():
         assert got == here["usage"][line], line
 

@@ -159,6 +159,16 @@ class TestStabilizer:
                     for h in stab:
                         assert compose(g, h) in stab
 
+    @pytest.mark.parametrize("n", [2, 1, 0, -3])
+    def test_below_three_raises_as_the_group_does(self, n):
+        # candidates are built without DihedralElement's checks, so the
+        # stabilizer keeps D_n's own n >= 3 check
+        with pytest.raises(ValueError) as group:
+            DihedralElement(n, 0)
+        with pytest.raises(ValueError) as found:
+            stabilizer(n, KET_ZERO)
+        assert str(found.value) == str(group.value)
+
 
 class TestFixedSet:
     def test_d8_flip_fixed_states(self):

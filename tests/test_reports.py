@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pennyflip
-from pennyflip import verify
+from pennyflip import reports, verify
 from pennyflip.angles import Angle
 from pennyflip.config import N_MAX
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
@@ -215,6 +215,37 @@ class TestDumpJson:
     def test_unsupported_raises_type_error(self, payload):
         with pytest.raises(TypeError):
             dump_json(payload)
+
+
+class TestObjectHeads:
+    """A dict's sorted keys, heads and closing text come from a cache keyed
+    on its keys in insertion order and its indent."""
+
+    def test_one_key_set_in_two_insertion_orders(self):
+        first = {"phi": "0", "name": "|0⟩", "k": 1}
+        second = dict(reversed(first.items()))
+        assert tuple(first) != tuple(second)
+        for payload in (first, second, [first, second], [second, first]):
+            assert dump_json(payload) == stdlib_json(payload)
+
+    def test_one_shape_at_two_depths(self):
+        row = {"b": 1, "a": [2, {"b": 3, "a": None}]}
+        payload = [row, {"row": row}, [[row]], row]
+        assert dump_json(payload) == stdlib_json(payload)
+
+    def test_more_shapes_than_the_cache_holds(self):
+        size = reports._object_heads.cache_info().maxsize
+        shapes = [{f"k{i}": i, f"j{i % 7}": [i], "a": {f"k{i}": None}}
+                  for i in range(2 * size + 3)]
+        for payload in (shapes, shapes[::-1], *shapes):
+            assert dump_json(payload) == stdlib_json(payload)
+
+    def test_a_non_string_key_raises_after_its_string_was_cached(self):
+        assert dump_json({"1": 0, "a": 1}) == stdlib_json({"1": 0, "a": 1})
+        for payload in ({1: 0, "a": 1}, {True: 0}, [{"a": 0}, {0: "a"}]):
+            for _ in range(2):
+                with pytest.raises(TypeError):
+                    dump_json(payload)
 
 
 class TestDecisionTexts:

@@ -17,7 +17,8 @@ After a change that moves a count on purpose, re-record the golden with::
 
     python3 tests/test_work_counts.py
 
-and list each moved count, with its reason, beside the change.
+which prints each moved row, recorded and now, on stderr; list each move,
+with its reason, beside the change.
 """
 
 import json
@@ -99,19 +100,28 @@ def work_counts(hashseed: str = "random") -> dict:
     return {"python": python_version(), **json.loads(child.stdout)}
 
 
+def moved(golden: dict, counts: dict) -> dict:
+    """Each row whose counts differ, or that only one side has, by name:
+    its recorded counts and its counts now (None where it is absent)."""
+    return {row: (golden.get(part, {}).get(row), counts[part].get(row))
+            for part in ("checks", "commands")
+            for row in {**golden.get(part, {}), **counts[part]}
+            if golden.get(part, {}).get(row) != counts[part].get(row)}
+
+
 @pytest.mark.parametrize("hashseed", ["0", "random"])
 def test_default_verify_all_does_the_recorded_work(hashseed):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     if golden["python"] != python_version():
         pytest.skip(f"counts recorded on CPython {golden['python']}")
     counts = work_counts(hashseed)
-    moved = {row: (golden[part].get(row), got)
-             for part in ("checks", "commands")
-             for row, got in counts[part].items()
-             if got != golden[part].get(row)}
-    assert counts == golden, f"moved (recorded, now): {moved}"
+    assert counts == golden, f"moved (recorded, now): {moved(golden, counts)}"
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(work_counts(), indent=2) + "\n",
-                      encoding="utf-8")
+    counts = work_counts()
+    recorded = (json.loads(GOLDEN.read_text(encoding="utf-8"))
+                if GOLDEN.exists() else {})
+    for row, (was, now) in moved(recorded, counts).items():
+        print(f"{row}: {was} -> {now}", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(counts, indent=2) + "\n", encoding="utf-8")
