@@ -13,9 +13,11 @@ trigonometric evaluation boundary.
 
 from __future__ import annotations
 
+import copyreg
 import math
 import re
 from fractions import Fraction
+from operator import methodcaller
 
 from .errors import ExactArithmeticOverflow
 
@@ -107,3 +109,6 @@ class Angle(Fraction):
         if not has_pi and num != 0:
             raise ValueError(f"cannot parse angle: {text!r}")
         return cls(num, int(m["den"] or 1))
+
+
+copyreg.pickle(Angle, methodcaller("__reduce_ex__", 2))  # protocols 0 and 1

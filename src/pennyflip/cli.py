@@ -1,4 +1,4 @@
-"""Command-line surface; ``_echo`` prints each command's ``reports`` payload.
+"""Command-line surface; each command prints the text ``reports`` writes.
 
 argparse declares the grammar and writes every help page and usage error;
 ``_read`` reads a valid line off its command's option table.  Exit codes:
@@ -144,14 +144,14 @@ def _echo(payload, fmt: str = "json", render=None) -> None:
 def orbit(n: int, state: str, fmt: str) -> None:
     """States reachable from STATE under all of D_n."""
     states = orbits.orbit(n, CoinState.parse(state))
-    _echo(reports.state_set_json(states), fmt, reports.names_markdown)
+    sys.stdout.write(reports.state_set_text(states, fmt))
 
 
 @_command(_N, _STATE, _FORMAT)
 def stabilizer(n: int, state: str, fmt: str) -> None:
     """Elements of D_n fixing STATE."""
     elems = orbits.stabilizer(n, CoinState.parse(state))
-    _echo(reports.element_set_json(elems), fmt, reports.names_markdown)
+    sys.stdout.write(reports.element_set_text(elems, fmt))
 
 
 @_command(_N, ("--elems", dict(default="I,F", help="Comma-separated "
@@ -160,7 +160,7 @@ def fixed_set(n: int, elems: str, fmt: str) -> None:
     """States in the basis orbit fixed by every listed isometry."""
     isometries = [PlanarIsometry.parse(t) for t in elems.split(",") if t.strip()]
     states = orbits.fixed_set(n, isometries)
-    _echo(reports.state_set_json(states), fmt, reports.names_markdown)
+    sys.stdout.write(reports.state_set_text(states, fmt))
 
 
 def _game_spec(turns: str, initial: str, target_q: str | None) -> GameSpec:

@@ -1,13 +1,13 @@
 """Every stdout key and text of the CLI, and its Markdown rendering.
 
 The ``verify-all`` row envelope, the decision texts and the element keys are
-built here; a check's own ``details`` are its result.  Markdown renders the
-parsed JSON payload, except ``enumerate``'s table, which names each class's
-members from its cosets.  All emitters are deterministic so reports compare
-byte for byte.  ``dump_json`` writes ``json.dumps``' indented form byte for
-byte, without the standard library's pure-Python encoder or the ``json``
+built here; a check's own ``details`` are its result.  A set of states or
+elements is written from its rows, one template per row shape; Markdown
+renders every other payload parsed, except ``enumerate``'s table, which names
+each class's members from its cosets.  Every emitter is deterministic and
+writes ``json.dumps``' indented form byte for byte, without the ``json``
 package: strings are escaped by the C function ``json.encoder`` re-exports,
-and a dict's sorted, quoted keys are cached by its keys and indent.
+and ``dump_json`` caches a dict's sorted, quoted keys by its keys and indent.
 """
 
 from __future__ import annotations
@@ -25,16 +25,28 @@ from .states import CoinState, state_text
 SCHEMA_VERSION = "1"
 
 
-# -- JSON payloads ---------------------------------------------------------
+# -- Row sets and JSON payloads -------------------------------------------
 
-def state_set_json(states: Iterable[CoinState]) -> list[dict]:
-    return [{"phi": (phi := pi_text(p, q)), "name": state_text(p, q, phi)}
+def state_set_text(states: Iterable[CoinState], fmt: str) -> str:
+    rows = [(state_text(p, q, phi := pi_text(p, q)), phi)
             for p, q in [s.phi.as_integer_ratio() for s in states]]
+    if fmt != "json":
+        return "{" + ", ".join([name for name, _ in rows]) + "}\n"
+    # each row's JSON in the list, keys sorted, by an f-string: % takes
+    # about three times as long to build these rows
+    texts = [f'\n  {{\n    "name": {_quote(name)},\n    "phi": {_quote(phi)}'
+             '\n  }' for name, phi in rows]
+    return "[" + ",".join(texts) + "\n]\n" if texts else "[]\n"
 
 
-def element_set_json(elems: Iterable[DihedralElement]) -> list[dict]:
-    return [{"n": g.n, "k": g.k, "reflect": g.reflect,
-             "name": str(represent(g))} for g in elems]
+def element_set_text(elems: Iterable[DihedralElement], fmt: str) -> str:
+    rows = [(g.k, g.n, str(represent(g)), g.reflect) for g in elems]
+    if fmt != "json":
+        return "{" + ", ".join([name for _, _, name, _ in rows]) + "}\n"
+    texts = [f'\n  {{\n    "k": {k:d},\n    "n": {n:d},\n    "name": '
+             f'{_quote(name)},\n    "reflect": '
+             f'{"true" if r else "false"}\n  }}' for k, n, name, r in rows]
+    return "[" + ",".join(texts) + "\n]\n" if texts else "[]\n"
 
 
 def class_json(cls: StrategyClass) -> dict:
@@ -150,10 +162,6 @@ def _emit(o, out: list[str], nl: str) -> None:
 
 
 # -- Markdown renderings ---------------------------------------------------
-
-def names_markdown(rows: Sequence[dict]) -> str:
-    return "{" + ", ".join(row["name"] for row in rows) + "}\n"
-
 
 def classes_markdown(classes: Sequence[dict]) -> str:
     return "".join(f"({', '.join(c['path'])}): {c['size']} strategies, "

@@ -22,6 +22,7 @@ from cli_goldens import (Runner, game_cli_digest, game_listing, invoke,
                          listing_golden, markdown_cli_lines, orbit_cli_digest,
                          stabilizer_cli_digest)
 from test_reachability import COMMANDS, CONFIG
+from test_reports import names_markdown
 
 
 @pytest.fixture
@@ -69,7 +70,7 @@ def orbit_oracle(n, state):
               for i in sorted(orbits.index_orbit(n, x.index(size), size))]
     rows = [{"phi": str(s.phi), "name": str(s)} for s in states]
     return {"json": reports.dump_json(rows) + "\n",
-            "markdown": reports.names_markdown(rows)}
+            "markdown": names_markdown(rows)}
 
 
 def test_orbit_matches_the_slow_rendering(runner):
@@ -83,6 +84,24 @@ def test_orbit_matches_the_slow_rendering(runner):
                                 state, "--format", fmt)
                 assert (result.exit_code, result.stdout) == (0, stdout), (
                     n, state, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--n", "12", "--state", "1/5*pi"),
+    ("fixed-set", "--n", "8", "--elems", "I,F"),
+    ("stabilizer", "--n", "8", "--state", "+")])
+def test_a_row_set_prints_what_its_orbits_function_returns(
+        runner, monkeypatch, argv):
+    # an item dropped by orbits.orbit, .fixed_set or .stabilizer drops its
+    # row, so a corrupted result shows in the output and is not rebuilt
+    clean = invoke(runner, *argv)
+    name = argv[0].replace("-", "_")
+    original = getattr(orbits, name)
+    monkeypatch.setattr(orbits, name, lambda n, x: original(n, x)[1:])
+    broken = invoke(runner, *argv)
+    assert clean.exit_code == broken.exit_code == 0
+    rows = json.loads(clean.stdout)
+    assert len(rows) >= 2 and json.loads(broken.stdout) == rows[1:]
 
 
 def angles_built(monkeypatch, run) -> int:
@@ -187,9 +206,9 @@ def test_no_command_runs_the_pure_python_json_encoder(runner, monkeypatch):
 
 
 #: The Markdown renderer of each command's JSON payload.
-RENDERERS = {"orbit": reports.names_markdown,
-             "stabilizer": reports.names_markdown,
-             "fixed-set": reports.names_markdown,
+RENDERERS = {"orbit": names_markdown,
+             "stabilizer": names_markdown,
+             "fixed-set": names_markdown,
              "classify": reports.classes_markdown,
              "analyze": reports.decision_markdown,
              "verify-all": reports.checks_markdown}

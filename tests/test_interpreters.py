@@ -18,10 +18,10 @@ their golden files byte for byte.  It runs the ``verify-all`` lines of
 ``usage_cli`` and the lines of ``markdown_cli`` but its ``verify-all`` ones,
 whose stdout, stderr and exit code must equal this interpreter's line by
 line, and checks that the value classes are tuples that compare within
-their class only, that each value and an ``Angle`` survive ``pickle`` and
-``copy.copy``, and that ``CoinState.at``'s write into ``Fraction``'s
-private slots builds the state ``CoinState.of`` builds.  An interpreter
-below the floor must fail to import the package.
+their class only, that each value and an ``Angle`` survive ``copy.copy``
+and ``pickle`` under every protocol, and that ``CoinState.at``'s write into
+``Fraction``'s private slots builds the state ``CoinState.of`` builds.  An
+interpreter below the floor must fail to import the package.
 """
 
 import glob
@@ -153,14 +153,16 @@ for x in values:
         faults.append(f"{kind} equals another class's value")
 for x in (*values, FLIP.angle):
     kind = type(x).__name__
-    try:
-        again = [pickle.loads(pickle.dumps(x)), copy.copy(x)]
-    except Exception as exc:
-        faults.append(f"{kind} does not pickle or copy: {exc!r}")
-        continue
-    if any(type(y) is not type(x) or y != x or hash(y) != hash(x)
-           for y in again):
-        faults.append(f"{kind} comes back from pickle or copy as {again!r}")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        try:
+            again = [pickle.loads(pickle.dumps(x, protocol)), copy.copy(x)]
+            if any(type(y) is not type(x) or y != x or hash(y) != hash(x)
+                   or str(y) != str(x) for y in again):
+                faults.append(f"{kind} comes back from pickle ({protocol}) "
+                              f"or copy as {again!r}")
+        except Exception as exc:
+            faults.append(f"{kind} does not pickle ({protocol}) or copy: "
+                          f"{exc!r}")
 for size in range(1, 65):
     for j in range(size):
         x, y = CoinState.at(j, size), CoinState.of(j, size)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pennyflip
-from pennyflip import reports, verify
-from pennyflip.angles import Angle
+from pennyflip import orbits, reports, verify
+from pennyflip.angles import Angle, pi_text
 from pennyflip.config import N_MAX
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 PlanarIsometry, elements, isometries,
@@ -21,12 +21,29 @@ from pennyflip.games import (PQG, Decision, GameSpec, Strategy,
 from pennyflip.orbits import stabilizer
 from pennyflip.reports import (check_rows, checks_markdown, class_json,
                                classes_markdown, decision_markdown,
-                               decision_text, dump_json, element_set_json,
-                               game_report, names_markdown, state_set_json,
+                               decision_text, dump_json, element_set_text,
+                               game_report, state_set_text,
                                table_winning_classes)
-from pennyflip.states import KET_MINUS, KET_PLUS, KET_ZERO
+from pennyflip.states import (KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
+                              CoinState, state_text)
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+# -- The dict payloads the row-set writers replace, kept as their oracle ---
+
+def state_set_json(states):
+    return [{"phi": (phi := pi_text(p, q)), "name": state_text(p, q, phi)}
+            for p, q in [s.phi.as_integer_ratio() for s in states]]
+
+
+def element_set_json(elems):
+    return [{"n": g.n, "k": g.k, "reflect": g.reflect,
+             "name": str(represent(g))} for g in elems]
+
+
+def names_markdown(rows):
+    return "{" + ", ".join(row["name"] for row in rows) + "}\n"
 
 
 def classes_d8():
@@ -246,6 +263,73 @@ class TestObjectHeads:
             for _ in range(2):
                 with pytest.raises(TypeError):
                     dump_json(payload)
+
+
+KETS = (KET_ZERO, KET_PLUS, KET_ONE, KET_MINUS)
+
+
+@st.composite
+def groups_and_states(draw):
+    """n in 3..1024 and a state: a ket, or j/m·π with m on the 2n grid,
+    a multiple of it, or any m up to 4n + 1."""
+    n = draw(st.integers(3, 1024))
+    m = draw(st.sampled_from([2 * n, 4 * n, 2 * n + 1])
+             | st.integers(1, 4 * n + 1))
+    return n, draw(st.sampled_from(KETS) | st.integers(-2 * m, 2 * m).map(
+        lambda j: CoinState.of(j, m)))
+
+
+def assert_writes(write, items, oracle):
+    """*write* prints *items* as ``json.dumps`` prints their *oracle*
+    rows, and as the Markdown set of those rows' names."""
+    rows = oracle(items)
+    assert write(items, "json") == stdlib_json(rows) + "\n"
+    assert write(items, "markdown") == names_markdown(rows)
+
+
+class TestRowSets:
+    """``state_set_text`` and ``element_set_text`` against the dict rows
+    ``dump_json`` and the Markdown renderer read before them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups_and_states())
+    def test_orbit_and_stabilizer(self, case):
+        n, x = case
+        assert_writes(state_set_text, orbits.orbit(n, x), state_set_json)
+        assert_writes(element_set_text, orbits.stabilizer(n, x),
+                      element_set_json)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 1024).flatmap(lambda n: st.lists(
+        st.builds(DihedralElement, st.just(n), st.integers(0, n - 1),
+                  st.booleans()), min_size=1, max_size=3)))
+    def test_fixed_set(self, elems):
+        n = elems[0].n
+        assert_writes(state_set_text,
+                      orbits.fixed_set(n, [represent(g) for g in elems]),
+                      state_set_json)
+
+    def test_empty_fixed_set(self):
+        states = orbits.fixed_set(12, [IDENTITY, FLIP])
+        assert states == ()
+        assert state_set_text(states, "json") == "[]\n"
+        assert state_set_text(states, "markdown") == "{}\n"
+        assert_writes(state_set_text, states, state_set_json)
+
+    def test_stabilizers_at_n_1024(self):
+        for x in (*KETS, CoinState.of(1, 5), CoinState.of(3, 2048),
+                  CoinState.of(1, 1024)):
+            elems = orbits.stabilizer(1024, x)
+            assert elems, x
+            assert_writes(element_set_text, elems, element_set_json)
+
+    def test_rows_holding_plus_and_minus(self):
+        for states in ((KET_PLUS, KET_MINUS), orbits.orbit(8, KET_PLUS),
+                       orbits.fixed_set(8, [FLIP])):
+            assert {KET_PLUS, KET_MINUS} <= set(states)
+            assert_writes(state_set_text, states, state_set_json)
+        assert state_set_text((KET_PLUS, KET_MINUS), "markdown") == (
+            "{|+⟩, |−⟩}\n")
 
 
 class TestDecisionTexts:
