@@ -1,25 +1,22 @@
-"""Exact rational multiples of pi.
+"""Exact rational multiples of pi, as text.
 
-An :class:`Angle` is a :class:`~fractions.Fraction` ``p/q`` whose value is
-``(p/q) * pi`` radians.  It adds only text (``str``/``parse``) and float
-evaluation to the fraction; arithmetic is plain ``Fraction`` arithmetic.
-An angle has no period of its own: the type that holds it owns the period
-and reduces into it once, when built.  Rotors reduce mod 2*pi and
-reflection axes mod pi (:class:`~pennyflip.dihedral.PlanarIsometry`),
-coin states mod pi (:class:`~pennyflip.states.CoinState`).  So set
-membership and equality tests are exact; floats only appear at the
-trigonometric evaluation boundary.
+An :class:`Angle` is the pair ``(p, q)`` of coprime ints, ``q > 0``, for
+``(p/q) * pi`` radians, with text (``str``/``parse``) and float evaluation
+and no arithmetic: the exact values hold their angle as int fields and
+compute on those.  The type holding an angle owns its period and reduces
+into it once, when built, with :func:`lowest_terms`: rotors mod 2*pi,
+reflection axes and coin states mod pi.  So membership and equality are
+exact; floats appear only at the trigonometric evaluation boundary.
 """
 
 from __future__ import annotations
 
-import copyreg
 import math
 import re
-from fractions import Fraction
-from operator import methodcaller
+from collections import namedtuple
 
 from .errors import ExactArithmeticOverflow
+from .values import Value, build
 
 #: Checked integer width.  Everything in this problem domain stays tiny, so
 #: blowing past 64 bits means something went wrong; fail loudly.
@@ -28,16 +25,22 @@ INT_MAX = 2**63 - 1
 _SQRT2_HALF = math.sqrt(2.0) / 2.0
 
 # cos/sin at multiples of pi/4, indexed by the eighth-turn count.
-_EIGHTH_TABLE = {
-    0: (1.0, 0.0),
-    1: (_SQRT2_HALF, _SQRT2_HALF),
-    2: (0.0, 1.0),
-    3: (-_SQRT2_HALF, _SQRT2_HALF),
-    4: (-1.0, 0.0),
-    5: (-_SQRT2_HALF, -_SQRT2_HALF),
-    6: (0.0, -1.0),
-    7: (_SQRT2_HALF, -_SQRT2_HALF),
-}
+_EIGHTH_TABLE = ((1.0, 0.0), (_SQRT2_HALF, _SQRT2_HALF), (0.0, 1.0),
+                 (-_SQRT2_HALF, _SQRT2_HALF), (-1.0, 0.0),
+                 (-_SQRT2_HALF, -_SQRT2_HALF), (0.0, -1.0),
+                 (_SQRT2_HALF, -_SQRT2_HALF))
+
+
+def lowest_terms(num: int, den: int, period: int = 0) -> tuple[int, int]:
+    """``num/den`` (den > 0) in lowest terms by one gcd, first reduced into
+    [0, period) if *period*; a part past INT_MAX is ExactArithmeticOverflow."""
+    if period:
+        num %= period * den
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if abs(num) > INT_MAX or den > INT_MAX:
+        raise ExactArithmeticOverflow(f"angle {num}/{den} exceeds 64-bit width")
+    return num, den
 
 
 def pi_text(p: int, q: int) -> str:
@@ -47,43 +50,38 @@ def pi_text(p: int, q: int) -> str:
     return f"{p}/{q}·π"
 
 
-class Angle(Fraction):
-    """A rational multiple of pi, in lowest terms."""
+class Angle(Value, namedtuple("Angle", "numerator denominator")):
+    """A rational multiple of pi, in lowest terms; *numerator* is anything
+    with ``as_integer_ratio()``, *denominator* a nonzero int."""
 
     __slots__ = ()
-    # pickled as Angle(p, q): 3.10's Fraction pickles by str, which has a π
-    __reduce__ = object.__reduce__
-    __getnewargs__ = Fraction.as_integer_ratio
+    # a tuple's concatenation and repetition are no angle arithmetic
+    __add__ = __mul__ = __rmul__ = None
 
-    def __new__(cls, numerator=0, denominator=None):
-        self = super().__new__(cls, numerator, denominator)
-        if abs(self.numerator) > INT_MAX or self.denominator > INT_MAX:
-            raise ExactArithmeticOverflow(
-                f"angle {self.numerator}/{self.denominator} exceeds 64-bit width"
-            )
-        return self
+    def __new__(cls, numerator=0, denominator: int = 1):
+        if denominator == 0:
+            raise ZeroDivisionError(f"Angle({numerator}, 0)")
+        p, q = numerator.as_integer_ratio()
+        if denominator < 0:
+            p, denominator = -p, -denominator
+        return build(cls, lowest_terms(p, q * denominator))
 
-    # -- evaluation --------------------------------------------------------
+    def as_integer_ratio(self) -> tuple[int, int]:
+        return tuple(self)
 
     def cos_sin(self) -> tuple[float, float]:
-        """Cosine and sine of the angle.
-
-        Denominators 1, 2 and 4 hit the exact table so that 0, +-1 and
-        +-sqrt(2)/2 come back bit-stable; everything else goes through the
-        float path.
-        """
-        if self.denominator in (1, 2, 4):
-            return _EIGHTH_TABLE[self.numerator * 4 // self.denominator % 8]
-        r = float(self) * math.pi
+        """Cosine and sine: denominators 1, 2 and 4 read the exact table,
+        so 0, +-1 and +-sqrt(2)/2 are bit-stable; the rest take floats."""
+        p, q = self
+        if q in (1, 2, 4):
+            return _EIGHTH_TABLE[p * 4 // q % 8]
+        r = p / q * math.pi
         return math.cos(r), math.sin(r)
 
-    # -- text --------------------------------------------------------------
-
     def __str__(self) -> str:
-        return pi_text(*self.as_integer_ratio())
+        return pi_text(*self)
 
     def __format__(self, spec: str) -> str:
-        # Fraction's own __format__ (Python 3.13+) would drop the π.
         return format(str(self), spec)
 
     _PARSE_RE = re.compile(
@@ -94,12 +92,9 @@ class Angle(Fraction):
 
     @classmethod
     def parse(cls, text: str) -> "Angle":
-        """Parse the textual form produced by ``str()``, e.g. ``3/4·π``.
-
-        ASCII spellings like ``3/4*pi`` and ``pi``, and spellings with π
-        before the denominator like ``3π/4`` and ``-pi/4``, are accepted too.
-        The value comes back as written, not reduced into any period.
-        """
+        """Parse ``str()``'s form, e.g. ``3/4·π``, ASCII ones like ``3/4*pi``
+        and ``pi``, and ones with π before the denominator like ``3π/4`` and
+        ``-pi/4``; the value comes back as written, not reduced."""
         m = cls._PARSE_RE.match(text)
         has_pi = m is not None and bool(m["pi"] or m["pi_last"])
         if (m is None or (m["pi"] and m["pi_last"])
@@ -109,6 +104,3 @@ class Angle(Fraction):
         if not has_pi and num != 0:
             raise ValueError(f"cannot parse angle: {text!r}")
         return cls(num, int(m["den"] or 1))
-
-
-copyreg.pickle(Angle, methodcaller("__reduce_ex__", 2))  # protocols 0 and 1

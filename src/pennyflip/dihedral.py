@@ -2,9 +2,9 @@
 
 Elements are kept in the normal form ``r^k s^l`` and only act, on integer
 state indices for orbits and game search; they are never multiplied.  Their
-2x2 matrix images are kept symbolically as rotors/reflectors carrying an
-exact angle, so products are exact.  An isometry reduces only an angle
-outside its period, and names and membership read its integer ratio.
+2x2 matrix images are kept symbolically as rotors/reflectors holding their
+exact angle p/q·π as two ints in lowest terms: a product is built from its
+factors' ints with one gcd, so it is exact, and names and membership read p/q.
 Floating matrices exist only for cross-checking and for the complex layer.
 Membership in D_n, the canonical element order, and the name of each
 isometry and its parsing back from that name are decided here only.
@@ -16,7 +16,7 @@ import functools
 from collections import namedtuple
 from typing import Iterable, Sequence
 
-from .angles import Angle
+from .angles import Angle, lowest_terms
 from .errors import FNotInGroup
 from .values import Value, build
 
@@ -55,23 +55,23 @@ def elements(n: int) -> tuple[DihedralElement, ...]:
                  for reflect in (False, True) for k in range(n))
 
 
-class PlanarIsometry(Value, namedtuple("PlanarIsometry", "angle reflect")):
-    """A rotor R_a, or with ``reflect`` a reflector S_a, in exact angle form.
+class PlanarIsometry(Value, namedtuple("PlanarIsometry", "p q reflect")):
+    """A rotor R_a, or with ``reflect`` a reflector S_a, of a = p/q·π.
 
-    The isometry owns the period of its angle and reduces the angle once,
-    when built: a rotation angle into [0, 2*pi), a reflection axis
-    inclination into [0, pi).  Any rational value may be passed in; an
-    ``Angle`` already in its period, as :func:`represent` gives, stays.
+    The isometry owns the period of its angle, anything with
+    ``as_integer_ratio()``, and reduces it into that period once, when
+    built: a rotation angle into [0, 2*pi), a reflection axis into [0, pi).
     """
 
     __slots__ = ()
 
     def __new__(cls, angle: Angle, reflect: bool = False):
-        period = 1 if reflect else 2
-        if not (type(angle) is Angle
-                and 0 <= angle.numerator < period * angle.denominator):
-            angle = Angle(angle % period)
-        return build(cls, (angle, reflect))
+        return build(cls, (*lowest_terms(*angle.as_integer_ratio(),
+                                         1 if reflect else 2), reflect))
+
+    @property
+    def angle(self) -> Angle:
+        return build(Angle, self[:2])
 
     @classmethod
     def parse(cls, text: str) -> "PlanarIsometry":
@@ -98,25 +98,25 @@ class PlanarIsometry(Value, namedtuple("PlanarIsometry", "angle reflect")):
         these are taken as the definition of the product, the floating
         matrix product serves only as a test oracle.
         """
-        a, b = self.angle, other.angle
-        if self.reflect:
-            if other.reflect:
-                return PlanarIsometry(2 * (a - b))
-            return PlanarIsometry(a - b / 2, True)
-        if other.reflect:
-            return PlanarIsometry(b + a / 2, True)
-        return PlanarIsometry(a + b)
+        (a, b, r), (c, d, s) = self, other
+        if r != s:      # S(a - b/2) or S(b + a/2), mod pi
+            return build(PlanarIsometry, (*lowest_terms(
+                2 * a * d - c * b if r else 2 * c * b + a * d, 2 * b * d, 1),
+                True))
+        # R(2a - 2b) or R(a + b), mod 2*pi
+        return build(PlanarIsometry, (*lowest_terms(
+            2 * (a * d - c * b) if r else a * d + c * b, b * d, 2), False))
 
     def act(self, j: int, size: int) -> int:
         """Act on the index j of j*pi/size by the angle a = p/q, q | size:
         R_a sends j to j + a*size and S_a to 2a*size - j, mod size."""
-        shift = self.angle.numerator * size // self.angle.denominator
+        shift = self.p * size // self.q
         return (2 * shift - j if self.reflect else j + shift) % size
 
     def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Floating 2x2 matrix; evaluation boundary only."""
         if self.reflect:
-            c, s = Angle(2 * self.angle).cos_sin()
+            c, s = Angle(2 * self.p, self.q).cos_sin()
             return ((c, s), (s, -c))
         c, s = self.angle.cos_sin()
         return ((c, -s), (s, c))
@@ -124,11 +124,11 @@ class PlanarIsometry(Value, namedtuple("PlanarIsometry", "angle reflect")):
     def __str__(self) -> str:
         """Octagon-style name: I, F and H by letter, R_π and S_0,
         R_{mπ/8} / S_{mπ/8} on the eighth grid, else the exact angle."""
-        p, q = self.angle.as_integer_ratio()
-        name = _LETTERS.get((p, q, self.reflect))
+        p, q, reflect = self
+        name = _LETTERS.get((p, q, reflect))
         if name is not None:
             return name
-        letter = "S" if self.reflect else "R"
+        letter = "S" if reflect else "R"
         m, r = divmod(8 * p, q)
         if r:
             return f"{letter}_{{{self.angle}}}"
@@ -137,21 +137,21 @@ class PlanarIsometry(Value, namedtuple("PlanarIsometry", "angle reflect")):
         return f"{letter}_{{{m}π/8}}"
 
 
-IDENTITY = PlanarIsometry(Angle(0))
+IDENTITY = PlanarIsometry(0)
 #: The coin flip, a reflection about the line at pi/4.
 FLIP = PlanarIsometry(Angle(1, 4), True)
 #: The Hadamard transform, a reflection about the line at pi/8.
 HADAMARD = PlanarIsometry(Angle(1, 8), True)
 _NAMED = {"I": IDENTITY, "F": FLIP, "H": HADAMARD}
-_LETTERS = {(*p.angle.as_integer_ratio(), p.reflect): name
-            for name, p in _NAMED.items()}
+_LETTERS = {tuple(p): name for name, p in _NAMED.items()}
 
 
 def represent(g: DihedralElement) -> PlanarIsometry:
-    """Standard representation: r^k -> R_{2*pi*k/n}, r^k s -> S_{pi*k/n}."""
+    """Standard representation: r^k -> R_{2*pi*k/n}, r^k s -> S_{pi*k/n},
+    each angle already in its period."""
     if g.reflect:
-        return PlanarIsometry(Angle(g.k, g.n), True)
-    return PlanarIsometry(Angle(2 * g.k, g.n))
+        return build(PlanarIsometry, (*lowest_terms(g.k, g.n), True))
+    return build(PlanarIsometry, (*lowest_terms(2 * g.k, g.n), False))
 
 
 def isometries(n: int) -> list[PlanarIsometry]:
@@ -161,16 +161,13 @@ def isometries(n: int) -> list[PlanarIsometry]:
 
 def element_for_isometry(n: int, p: PlanarIsometry) -> DihedralElement | None:
     """The unique element of D_n represented by *p*, or None if absent."""
-    num, den = p.angle.as_integer_ratio()
-    k, r = divmod(num * n, den if p.reflect else 2 * den)
+    k, r = divmod(p.p * n, p.q if p.reflect else 2 * p.q)
     return None if r else DihedralElement(n, k, p.reflect)
 
 
 def contains_isometry(n: int, p: PlanarIsometry) -> bool:
-    """Whether *p* lies in the image of the standard representation of D_n.
-
-    The flip F lies in D_n iff 4 | n and the Hadamard move H iff 8 | n.
-    """
+    """Whether *p* lies in the image of the standard representation of D_n:
+    the flip F iff 4 | n and the Hadamard move H iff 8 | n."""
     return element_for_isometry(n, p) is not None
 
 
@@ -211,6 +208,6 @@ def verify_presentation(n: int) -> bool:
     image of D_n."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    s, t = PlanarIsometry(Angle(0), True), PlanarIsometry(Angle(1, n), True)
+    s, t = PlanarIsometry(0, True), PlanarIsometry(Angle(1, n), True)
     return (satisfies_relations(s, t, n)
             and closure({s, t}) == set(isometries(n)))

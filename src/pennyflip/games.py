@@ -9,7 +9,9 @@ checks.  The subset construction of Andronikos et al., Mathematics 6(2),
 wins and best replies with no lemma of the search.  The search follows
 single states, as a winning set never holds more than one: a loop back from
 the target finds, per turn, the states from which the owner still forces it
-(:func:`_wins`), deciding a game of any length in time linear in its rounds.
+(:func:`_wins`), in time linear in the rounds: orbits before an owner's
+turn, before an opponent's the states its whole pool fixes (:func:`_fixed`,
+one table per group and process).
 Listing alone is bounded: a loop forward extends each of Q's winning lines
 through those states, and each class comes out whole, as a state path and a
 product of stabilizer cosets (:func:`winning_classes`); the oracle,
@@ -125,8 +127,7 @@ def _walk(initial: CoinState, choices: Sequence[Sequence[PlanarIsometry]],
           trail: bool = False) -> list[set[CoinState]]:
     """Play from *initial*, turn i taking any move of ``choices[i]``, on one
     grid Z_N holding every state: the final set, or with *trail* each set."""
-    size = math.lcm(2, initial.phi.denominator,
-                    *(g.angle.denominator for step in choices for g in step))
+    size = math.lcm(2, initial.q, *(g.q for step in choices for g in step))
     reached = [{initial.index(size)}]
     for step in choices:
         reached.append({g.act(j, size) for g in step for j in reached[-1]})
@@ -185,6 +186,15 @@ def _pool(n: int, player: str) -> tuple[dihedral.DihedralElement, ...]:
 _Coset = tuple[dihedral.DihedralElement, ...]
 
 
+@functools.lru_cache(maxsize=16)
+def _fixed(n: int, player: str) -> frozenset[int]:
+    """The states of Z_2n that *player*'s whole pool fixes: |+⟩ and |−⟩
+    for the classical player, in the basis orbit iff 8 | n; none for Q."""
+    size = 2 * n
+    return frozenset(y for y in range(size)
+                     if all(g.act(y, size) == y for g in _pool(n, player)))
+
+
 @functools.lru_cache(maxsize=64)
 def _images(n: int, player: str, j: int) -> tuple[tuple[int, _Coset], ...]:
     """Each image of state j of Z_2n under *player*'s pool, with its coset,
@@ -203,26 +213,27 @@ def _wins(spec: GameSpec, n: int, owner: str) -> list[frozenset[int]]:
     Single states are enough: against a fixed move tuple, the states
     reachable under the opponent's choices form a set that each move
     permutes, and both pools hold the identity, so the set never shrinks
-    and must stay the one state that ends as the target.  Each pool is a group, so before an owner's turn the preimages of
-    ``wins[i + 1]`` are its orbits, read off :func:`_images` once per orbit;
-    before an opponent's turn its states that every opponent move fixes
-    stay.  Each step runs once per distinct set, whose result is shared.
-    """
-    size = 2 * n
-    opp = _pool(n, "P" if owner == "Q" else "Q")
-    target = (spec.target_q if owner == "Q" else spec.target_p).index(size)
+    and must stay the one state that ends as the target.  Each pool is a
+    group, so before an owner's turn the preimages of ``wins[i + 1]`` are
+    its orbits, read off :func:`_images` once per orbit; before an
+    opponent's turn its states that every opponent move fixes stay, its
+    intersection with :func:`_fixed`.  Each step runs once per distinct
+    set, whose result is shared."""
+    kept = _fixed(n, "P" if owner == "Q" else "Q")
+    target = (spec.target_q if owner == "Q" else spec.target_p).index(2 * n)
     steps: dict[tuple[str, frozenset[int]], frozenset[int]] = {}
     wins = [frozenset({target})]
     for t in reversed(spec.turns):
         key = (t, wins[-1])
         if key not in steps:
-            reached: set[int] = set()
-            for y in wins[-1]:
-                if t == owner and y not in reached:
-                    reached.update(c for c, _ in _images(n, owner, y))
-                elif t != owner and all(g.act(y, size) == y for g in opp):
-                    reached.add(y)
-            steps[key] = frozenset(reached)
+            if t == owner:
+                reached: set[int] = set()
+                for y in wins[-1]:
+                    if y not in reached:
+                        reached.update(c for c, _ in _images(n, owner, y))
+                steps[key] = frozenset(reached)
+            else:
+                steps[key] = wins[-1] & kept
         wins.append(steps[key])
     wins.reverse()
     return wins
@@ -246,7 +257,7 @@ def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
             lines = [((*path, c), (*cosets, gs)) for path, cosets in lines
                      for c, gs in _images(n, "Q", path[-1])
                      if c in wins[i + 1]]
-    return [StrategyClass(tuple(CoinState.of(j, 2 * n) for j in path),
+    return [StrategyClass(tuple(CoinState.at(j, 2 * n) for j in path),
                           tuple(tuple(map(dihedral.represent, gs))
                                 for gs in cosets))
             for path, cosets in sorted(lines)]
@@ -255,11 +266,14 @@ def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
 def classify_strategies(strategies: Iterable[Strategy], initial: CoinState
                         ) -> list[tuple[tuple[CoinState, ...], list[Strategy]]]:
     """Partition by equality of state paths: ``(path, members)`` pairs,
-    paths in ascending ``phi`` order, members in input order."""
+    paths in ascending ``phi`` order, compared as indices of one grid that
+    holds every state, members in input order."""
     groups: dict[tuple[CoinState, ...], list[Strategy]] = {}
     for sigma in strategies:
         groups.setdefault(state_path(sigma, initial), []).append(sigma)
-    return sorted(groups.items(), key=lambda item: [s.phi for s in item[0]])
+    size = math.lcm(*(s.q for path in groups for s in path))
+    return sorted(groups.items(),
+                  key=lambda item: [s.index(size) for s in item[0]])
 
 
 def is_dominant(spec: GameSpec, sigma: Strategy,

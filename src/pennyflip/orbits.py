@@ -56,7 +56,7 @@ def index_stabilizer(n: int, j: int, size: int) -> tuple[DihedralElement, ...]:
 
 
 def _on_grid(n: int, x: CoinState) -> tuple[int, int]:
-    size = math.lcm(2 * n, x.phi.denominator)
+    size = math.lcm(2 * n, x.q)
     return x.index(size), size
 
 

@@ -29,7 +29,7 @@ SCHEMA_VERSION = "1"
 
 def state_set_text(states: Iterable[CoinState], fmt: str) -> str:
     rows = [(state_text(p, q, phi := pi_text(p, q)), phi)
-            for p, q in [s.phi.as_integer_ratio() for s in states]]
+            for p, q in states]
     if fmt != "json":
         return "{" + ", ".join([name for name, _ in rows]) + "}\n"
     # each row's JSON in the list, keys sorted, by an f-string: % takes

@@ -1,13 +1,13 @@
 """Projective real qubit states, their grid indices and win probabilities.
 
 A coin state cos(phi)|0> + sin(phi)|1> is identified with its antipode, so
-the carrier is a single exact angle phi that lives mod pi, like a
-reflection axis.  :class:`CoinState` owns that period: it reduces phi into
-[0, pi) once, when built.  The whole dihedral action is real, which makes
-exactness free: a rotor adds its angle and a reflector sends phi to
-2*beta - phi.  The package acts on grid indices only: phi = j/N is index j
-of Z_N (:meth:`CoinState.index`, :meth:`CoinState.at`), moved by integer
-maps; the tests keep the ``Fraction`` action as their oracle.
+the carrier is one exact angle phi = p/q·π mod pi, like a reflection axis:
+:class:`CoinState` holds ``(p, q)``, ints in lowest terms reduced into
+[0, pi) once, when built.  The whole dihedral action is real, so exactness
+is free: a rotor adds its angle, a reflector sends phi to 2*beta - phi.
+The package acts on grid indices only: phi = j/N is index j of Z_N
+(:meth:`CoinState.index`, :meth:`CoinState.at`), moved by integer maps; the
+tests keep the ``Fraction`` action as their oracle.
 """
 
 from __future__ import annotations
@@ -16,21 +16,21 @@ import math
 import re
 from collections import namedtuple
 
-from .angles import INT_MAX, Angle, pi_text
-from .errors import ExactArithmeticOverflow
+from .angles import INT_MAX, Angle, lowest_terms, pi_text
 from .values import Value, build
 
 
-class CoinState(Value, namedtuple("CoinState", "phi")):
-    """A projective state; any rational phi is reduced into [0, pi)."""
+class CoinState(Value, namedtuple("CoinState", "p q")):
+    """A projective state phi = p/q·π; any rational phi, anything with
+    ``as_integer_ratio()``, is reduced into [0, pi)."""
 
     __slots__ = ()
 
     def __new__(cls, phi: Angle):
-        # an Angle in [0, 1), as each grid index gives, stays
-        if not (type(phi) is Angle and 0 <= phi.numerator < phi.denominator):
-            phi = Angle(phi % 1)
-        return build(cls, (phi,))
+        return build(cls, lowest_terms(*phi.as_integer_ratio(), 1))
+
+    #: phi as an ``Angle``, which holds the same two ints
+    phi = property(Angle._make)
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "CoinState":
@@ -39,22 +39,19 @@ class CoinState(Value, namedtuple("CoinState", "phi")):
     @classmethod
     def at(cls, j: int, size: int) -> "CoinState":
         """``CoinState.of(j, size)`` for a grid index 0 <= j < size, built
-        with one gcd and without Fraction's constructor or the reduction,
-        the way Python 3.12's ``Fraction._from_coprime_ints`` builds."""
+        with one gcd and without the reduction."""
         g = math.gcd(j, size)
         if size // g > INT_MAX:
             return cls.of(j, size)      # which raises ExactArithmeticOverflow
-        phi = object.__new__(Angle)
-        phi._numerator, phi._denominator = j // g, size // g
-        return build(cls, (phi,))
+        return build(cls, (j // g, size // g))
 
     def index(self, size: int) -> int:
         """The j with ``CoinState.of(j, size) == self``; size must be a
-        multiple of phi's denominator."""
-        return self.phi.numerator * (size // self.phi.denominator)
+        multiple of q."""
+        return self.p * (size // self.q)
 
     def __str__(self) -> str:
-        return state_text(*self.phi.as_integer_ratio())
+        return state_text(*self)
 
     @classmethod
     def parse(cls, text: str) -> "CoinState":
@@ -85,7 +82,7 @@ KET_MINUS = CoinState.of(3, 4)
 BASIS = (KET_ZERO, KET_ONE)
 
 _KETS = {"|0⟩": KET_ZERO, "|+⟩": KET_PLUS, "|1⟩": KET_ONE, "|−⟩": KET_MINUS}
-_NAMES = {x.phi.as_integer_ratio(): name for name, x in _KETS.items()}
+_NAMES = {tuple(x): name for name, x in _KETS.items()}
 
 
 def state_text(p: int, q: int, angle: str | None = None) -> str:
@@ -99,8 +96,7 @@ def state_text(p: int, q: int, angle: str | None = None) -> str:
 
 def win_probability(final: CoinState, target: CoinState) -> float:
     """cos^2 of the projective angle between *final* and *target*."""
-    a, b = final.phi.as_integer_ratio()
-    c, d = target.phi.as_integer_ratio()
+    (a, b), (c, d) = final, target
     return difference_probability(a * d - c * b, b * d)
 
 
@@ -108,18 +104,13 @@ def difference_probability(num: int, den: int) -> float:
     """cos^2 of the difference ``num/den·π`` (den > 0), reduced mod pi on
     the integers; the differences that occur in game analysis (multiples
     of pi/4) return literal 1.0, 0.5 or 0.0 rather than approximations."""
-    num %= den
-    g = math.gcd(num, den)
-    den //= g
+    num, den = lowest_terms(num, den, 1)
     if den == 1:                        # difference 0 mod pi
         return 1.0
     if den == 2:                        # difference pi/2
         return 0.0
     if den == 4:                        # odd multiple of pi/4
         return 0.5
-    if den > INT_MAX:                   # as Angle(num // g, den) would
-        raise ExactArithmeticOverflow(
-            f"angle {num // g}/{den} exceeds 64-bit width")
     # the cosine Angle.cos_sin takes: a true division, then the float pi
-    c = math.cos(num // g / den * math.pi)
+    c = math.cos(num / den * math.pi)
     return c * c

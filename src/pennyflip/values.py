@@ -1,15 +1,17 @@
 """Immutable value classes: named tuples that compare within their class.
 
 Each value class subclasses :class:`Value` and a ``namedtuple`` of its
-fields, which gives it C field getters, ``repr`` and pickling; a class that
-checks or reduces its fields does so in ``__new__``.  Importing the package
-loads neither ``dataclasses`` nor ``inspect``: a dataclass ``exec``s the
-source of its generated methods when it is declared, which with those
-imports cost a cold start about 14 ms.
+fields, for C field getters and ``repr``; a class that checks or reduces
+its fields does so in ``__new__``, which may take other arguments, as a
+value pickles and copies as ``tuple.__new__(cls, fields)``.  Importing the
+package loads neither ``dataclasses`` nor ``inspect``: a dataclass ``exec``s
+its generated methods' source when declared, about 14 ms of a cold start.
 """
 
 from __future__ import annotations
 
+import copyreg
+import functools
 import operator
 
 
@@ -30,6 +32,9 @@ class Value(tuple):
     __hash__ = tuple.__hash__
     __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = map(_within_class, (
         "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"))
+    # protocol 1's reduction under every protocol: it rebuilds the value
+    # from its fields with the first builtin base's __new__, tuple's
+    __reduce__ = functools.partialmethod(copyreg._reduce_ex, 1)
 
 
 #: ``build(cls, fields)``: the value of *cls* holding the tuple *fields*,

@@ -35,7 +35,7 @@ EXPECTED_PATHS = (
 
 
 def _pqg_winners(n: int):
-    """Q's winners of the three-round game in D_n, their ``Fraction``-replay
+    """Q's winners of the three-round game in D_n, their replayed
     classes, and whether those take the two expected paths with 16 members
     each, equal :func:`games.winning_classes` and hold exactly the winners
     built from intermediate states."""

@@ -1,4 +1,8 @@
+import copy
 import math
+import numbers
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,17 +29,17 @@ def test_rational_addition_against_float_oracle():
     result = PlanarIsometry(Angle(2, 3)).compose(
         PlanarIsometry(Angle(2, 5))).angle
     assert result == Angle(16, 15)
-    assert float(result) * math.pi == pytest.approx(
+    assert result.numerator / result.denominator * math.pi == pytest.approx(
         (2 / 3 + 2 / 5) * math.pi, abs=1e-12)
 
 
 def test_negate_mod_full_turn():
-    assert PlanarIsometry(-Angle(1, 4)).angle == Angle(7, 4)
+    assert PlanarIsometry(Angle(-1, 4)).angle == Angle(7, 4)
 
 
 def test_scale_full_turns():
-    assert PlanarIsometry(Angle(2, 8) * 8) == IDENTITY
-    assert PlanarIsometry(Angle(2, 7) * 7) == IDENTITY
+    assert PlanarIsometry(Fraction(2, 8) * 8) == IDENTITY
+    assert PlanarIsometry(Fraction(2, 7) * 7) == IDENTITY
 
 
 def test_cos_sin_exact_shortcuts():
@@ -56,6 +60,7 @@ def test_cos_sin_general_value():
 def reference_cos_sin(a):
     """The formula ``Angle.cos_sin`` used first: reduce mod 2 as a
     ``Fraction``, read the table on the pi/4 grid, else go through floats."""
+    a = Fraction(*a.as_integer_ratio())
     f = a % 2
     if f.denominator in (1, 2, 4):
         return {0: (1.0, 0.0), 1: (math.sqrt(2) / 2,) * 2, 2: (0.0, 1.0),
@@ -130,12 +135,14 @@ def test_addition_commutes(a, b):
 
 @given(angles)
 def test_additive_inverse(a):
-    assert PlanarIsometry(a).compose(PlanarIsometry(-a)) == IDENTITY
+    assert PlanarIsometry(a).compose(
+        PlanarIsometry(Angle(-a.numerator, a.denominator))) == IDENTITY
 
 
 @given(angles)
 def test_scale_by_twice_denominator_is_zero(a):
-    assert PlanarIsometry(a * 2 * a.denominator) == IDENTITY
+    assert PlanarIsometry(
+        Fraction(*a.as_integer_ratio()) * 2 * a.denominator) == IDENTITY
 
 
 @settings(max_examples=200)
@@ -143,3 +150,35 @@ def test_scale_by_twice_denominator_is_zero(a):
 def test_pythagorean_identity(a):
     c, s = a.cos_sin()
     assert c * c + s * s == pytest.approx(1.0, abs=1e-12)
+
+
+def test_an_angle_is_text_with_no_arithmetic():
+    # an Angle is its two ints in lowest terms, not a number: it equals no
+    # int or Fraction, and a tuple's + and * are no angle arithmetic
+    a = Angle(2, 8)
+    assert tuple(a) == a.as_integer_ratio() == (1, 4)
+    assert (a.numerator, a.denominator) == (1, 4)
+    assert not isinstance(a, numbers.Rational)
+    assert Angle(0) != 0 and a != Fraction(1, 4)
+    for operation in (lambda: a + a, lambda: 2 * a, lambda: a * 2,
+                      lambda: -a, lambda: a % 1, lambda: float(a)):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_order_is_the_order_of_the_fields():
+    # as for every value: (1, 2) < (1, 4), though pi/2 > pi/4
+    assert Angle(1, 2) < Angle(1, 4)
+    assert sorted([Angle(1, 4), Angle(-1, 2), Angle(1, 2)]) == [
+        Angle(-1, 2), Angle(1, 2), Angle(1, 4)]
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_values_pickle_by_their_fields(protocol):
+    # rebuilt from the fields, without the public __new__, whose arguments
+    # differ from them
+    for x in (Angle(-3, 8), PlanarIsometry(Angle(9, 4), True),
+              CoinState(Angle(5, 4)), IDENTITY):
+        again = pickle.loads(pickle.dumps(x, protocol))
+        assert type(again) is type(x) and again == x and str(again) == str(x)
+        assert copy.copy(x) == copy.deepcopy(x) == x

@@ -792,7 +792,8 @@ for line in sys.argv[1:]:
         except SystemExit as exc:
             code = exc.code
     rows.append((code, err.getvalue(), [
-        m for m in ("numpy", "dataclasses", "inspect", "json")
+        m for m in ("numpy", "dataclasses", "inspect", "json", "fractions",
+                    "decimal")
         if m in sys.modules]))
 print(repr(rows))
 """
@@ -801,7 +802,8 @@ print(repr(rows))
 def test_numpy_free_commands_load_no_dataclasses_inspect_or_json(tmp_path):
     # every line of the usage golden and of the reachability guard but
     # sample-u2 and a verify-all that runs; verify-all reads its config and
-    # flags before it imports the numpy layer, so its usage errors need none
+    # flags before it imports the numpy layer, so its usage errors need none.
+    # The exact values hold int pairs, so fractions and decimal stay out too
     spec = json.loads((Path(__file__).parent / "golden"
                        / "usage_cli.json").read_text())
     for name, text in spec["configFiles"].items():

@@ -19,7 +19,7 @@ from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 element_for_isometry, elements, isometries,
                                 represent, satisfies_relations,
                                 verify_presentation)
-from pennyflip.errors import FNotInGroup
+from pennyflip.errors import ExactArithmeticOverflow, FNotInGroup
 from pennyflip.games import (PQG, GameSpec, Strategy,
                              brute_force_extended_check, decide_extended_game,
                              is_dominant, is_winning_strategy, play_out,
@@ -28,6 +28,7 @@ from pennyflip.games import (PQG, GameSpec, Strategy,
                              winning_classes)
 from pennyflip.orbits import fixed_set
 from pennyflip.states import KET_ONE, KET_ZERO
+from test_states import EDGES, fields_of, fraction, image, in_fields
 
 
 def rot(n, k):
@@ -157,24 +158,24 @@ class TestRepresentation:
 
 
 def reduced(angle, reflect):
-    """The angle every isometry held before the in-period fast path: the
-    value reduced ``% period`` by ``Fraction`` arithmetic."""
-    return Angle(angle % (1 if reflect else 2))
+    """The angle an isometry holds, by ``Fraction`` arithmetic: the value
+    reduced ``% period``."""
+    return Fraction(*angle.as_integer_ratio()) % (1 if reflect else 2)
 
 
 def name_of(angle, reflect):
     """The name read off ``angle * 8``, as before the integer ratio: I, F
     and H by letter, R_π and S_0, the eighth grid, else the exact angle."""
-    letters = {(Angle(0), False): "I", (Angle(1, 4), True): "F",
-               (Angle(1, 8), True): "H"}
+    letters = {(0, False): "I", (Fraction(1, 4), True): "F",
+               (Fraction(1, 8), True): "H"}
     if (angle, reflect) in letters:
         return letters[angle, reflect]
     letter = "S" if reflect else "R"
     m = angle * 8
     if m.denominator != 1:
-        return f"{letter}_{{{angle}}}"
+        return f"{letter}_{{{Angle(angle)}}}"
     if angle in (0, 1):
-        return f"{letter}_{angle}"
+        return f"{letter}_{Angle(angle)}"
     return f"{letter}_{{{m}π/8}}"
 
 
@@ -214,6 +215,64 @@ def test_isometry_matches_the_fraction_forms(angle, reflect, n):
                                                             reflect)
 
 
+def product_angle(a, b, r, s):
+    """The angle of ``(a, r) @ (b, s)`` by the composition identities on
+    ``Fraction``s, reduced into its period."""
+    a, b = fraction(a), fraction(b)
+    angle = (2 * (a - b) if r and s else a - b / 2 if r else b + a / 2 if s
+             else a + b)
+    return angle % (1 if r != s else 2)
+
+
+#: An angle as an int, a Fraction or an Angle, small or at the width.
+WIDE_ANGLES = st.one_of(
+    any_angles(),
+    st.builds(Fraction, st.integers(-3 * 2**64, 3 * 2**64), EDGES))
+
+
+class TestIntPairsAgainstFraction:
+    """Every int operation of an isometry against ``Fraction`` arithmetic,
+    including the width boundary at INT_MAX."""
+
+    @given(WIDE_ANGLES, st.booleans())
+    def test_reduction_into_the_period(self, angle, reflect):
+        fields = fields_of(PlanarIsometry, angle, reflect)
+        want = in_fields(fraction(angle) % (1 if reflect else 2))
+        assert fields == (want if want is ExactArithmeticOverflow
+                          else (*want, reflect))
+
+    @given(WIDE_ANGLES, WIDE_ANGLES, st.booleans(), st.booleans())
+    def test_compose(self, a, b, r, s):
+        try:
+            p, q = PlanarIsometry(a, r), PlanarIsometry(b, s)
+        except ExactArithmeticOverflow:
+            return
+        want = in_fields(product_angle(p.angle, q.angle, r, s))
+        assert fields_of(p.compose, q) == (
+            want if want is ExactArithmeticOverflow else (*want, r != s))
+
+    @given(any_angles(), st.booleans(), st.integers(1, 6), st.data())
+    def test_act(self, angle, reflect, m, data):
+        # on a grid Z_size that holds the angle, each index goes where the
+        # Fraction action sends its angle j/size·π
+        p = PlanarIsometry(angle, reflect)
+        size = p.q * m * data.draw(st.sampled_from([1, 2, 3]))
+        j = data.draw(st.integers(0, size - 1))
+        assert Fraction(p.act(j, size), size) == image(p, Fraction(j, size)) % 1
+
+    @example(2**63 - 1)
+    @example(2**63)
+    @given(st.integers(3, 2**64))
+    def test_represent_at_the_width(self, n):
+        # r s of D_n is S_{1/n·π}, as wide as n; r^(n-1) is R_{2(n-1)/n·π}
+        for g, angle in ((DihedralElement(n, 1, True), Fraction(1, n)),
+                         (DihedralElement(n, n - 1), Fraction(2 * n - 2, n))):
+            want = in_fields(angle)
+            assert fields_of(represent, g) == (
+                want if want is ExactArithmeticOverflow
+                else (*want, g.reflect))
+
+
 def fractions_built(monkeypatch, call) -> int:
     """How many ``Fraction``s, ``Angle``s among them, *call* builds."""
     built = []
@@ -236,11 +295,14 @@ D8 = isometries(8)
 
 
 # An isometry of D_n is built, named and placed in D_n on integers: each
-# count is of the Fractions one call builds, inputs built beforehand.
+# count is of the Fractions one call builds, inputs built beforehand.  The
+# values hold int pairs, so no call builds one: the names keep the counts
+# of Fraction-backed angles, one Angle per represent and so one per witness
+# move and 2n per pool, which are now 0.
 class TestFractionWork:
     def test_represent_builds_its_one_angle(self, monkeypatch):
         for g in (*elements(8), *elements(12)[5::6], ref(1024, 1000)):
-            assert fractions_built(monkeypatch, lambda: represent(g)) == 1
+            assert fractions_built(monkeypatch, lambda: represent(g)) == 0
 
     def test_naming_an_isometry_in_its_period_builds_none(self, monkeypatch):
         for angle, reflect in ((Angle(0), False), (Angle(1), False),
@@ -272,10 +334,8 @@ class TestFractionWork:
         games._pool.cache_clear()
         games._images.cache_clear()
         spec = GameSpec.from_string(turns, KET_ZERO, KET_ONE)
-        moves = (spec.turn_count("Q") if turns[0] == turns[-1] == "Q"
-                 else 0)
         assert fractions_built(
-            monkeypatch, lambda: brute_force_extended_check(spec, n)) == moves
+            monkeypatch, lambda: brute_force_extended_check(spec, n)) == 0
 
     # play walks indices of one grid Z_N, a state built only when returned
     @pytest.mark.parametrize("call", [
@@ -291,9 +351,9 @@ class TestFractionWork:
 
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_synthesis_builds_only_its_pool(self, monkeypatch, n):
-        # the 2n angles of isometries(n), one per represent
+        # the pool isometries(n) builds its 2n angles as int pairs
         assert fractions_built(monkeypatch, lambda: (
-            synthesize_by_intermediate_states(PQG, n))) == 2 * n
+            synthesize_by_intermediate_states(PQG, n))) == 0
 
 
 # Every entry point that needs a move in D_n asks the one membership guard,

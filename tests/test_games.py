@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pennyflip import games
+from pennyflip import games, orbits
 from pennyflip.angles import Angle
 from pennyflip.dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                                 PlanarIsometry, isometries)
@@ -20,10 +20,11 @@ from pennyflip.games import (PICARD_POOL, PQG, GameSpec, Strategy, _pool,
                              state_path, synthesize_by_intermediate_states,
                              verify_characteristic_properties,
                              winning_classes)
+from pennyflip.orbits import basis_indices, fixed_set
 from pennyflip.states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
                              CoinState, win_probability)
 from test_dihedral import compose
-from test_states import act, image
+from test_states import act, fraction, image
 
 S7 = PlanarIsometry(Angle(7, 8), True)
 R2 = PlanarIsometry(Angle(1, 4))
@@ -513,6 +514,72 @@ class TestExtendedGames:
             brute_force_extended_check(PQG, n=4)
 
 
+def scanned_wins(spec, n, owner):
+    """``_wins`` as it was before the per-group fixed set: the opponent's
+    turn tests each state of the next win set against every opponent
+    move."""
+    size = 2 * n
+    opp = _pool(n, "P" if owner == "Q" else "Q")
+    target = (spec.target_q if owner == "Q" else spec.target_p).index(size)
+    wins = [frozenset({target})]
+    for t in reversed(spec.turns):
+        reached = set()
+        for y in wins[-1]:
+            if t == owner and y not in reached:
+                reached.update(c for c, _ in games._images(n, owner, y))
+            elif t != owner and all(g.act(y, size) == y for g in opp):
+                reached.add(y)
+        wins.append(frozenset(reached))
+    wins.reverse()
+    return wins
+
+
+def searched(search, spec, n, owner):
+    """What *search* gives, or the error of a pool not in D_n."""
+    try:
+        return search(spec, n, owner)
+    except FNotInGroup:
+        return FNotInGroup
+
+
+class TestOpponentStep:
+    """``_wins`` reads the opponent's turn off the per-group fixed set,
+    ``_fixed``; the per-state scan it replaces is the oracle."""
+
+    NS = [*range(3, 65), 1024]
+
+    @pytest.mark.parametrize("owner", ["Q", "P"])
+    def test_wins_equal_the_scan(self, owner):
+        # every alternating game of 2-12 rounds, every basis initial and
+        # target pair; a pool outside D_n raises in both
+        for n in self.NS:
+            for turns in alternating_turn_sequences(2, 12):
+                for initial, target in itertools.product(BASIS, repeat=2):
+                    spec = GameSpec(turns, initial, target,
+                                    BASIS[target == BASIS[0]])
+                    assert (searched(_wins, spec, n, owner)
+                            == searched(scanned_wins, spec, n, owner)), (
+                        n, turns, initial, target)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_fixed_sets(self, n):
+        # the classical pool fixes |+> and |-> and nothing else, which
+        # join the basis orbit when 8 | n; every state has a stabilizer
+        # smaller than D_n
+        size = 2 * n
+        assert games._fixed(n, "Q") == frozenset() == frozenset(
+            y for y in range(size)
+            if len(orbits.index_stabilizer(n, y, size)) == 2 * n)
+        if n % 4:
+            with pytest.raises(FNotInGroup):
+                games._fixed(n, "P")
+            return
+        fixed = games._fixed(n, "P")
+        assert fixed == {KET_PLUS.index(size), KET_MINUS.index(size)}
+        assert fixed & set(basis_indices(n)) == {
+            x.index(size) for x in fixed_set(n, PICARD_POOL)}
+
+
 def fraction_reachable(spec, sigma, pool):
     """The final states of *sigma* over every reply from *pool*, by the
     Fraction walk."""
@@ -547,7 +614,8 @@ def fraction_classes(strategies, initial):
     groups = {}
     for sigma in strategies:
         groups.setdefault(fraction_path(sigma, initial), []).append(sigma)
-    return sorted(groups.items(), key=lambda item: [x.phi for x in item[0]])
+    return sorted(groups.items(),
+                  key=lambda item: [fraction(x.phi) for x in item[0]])
 
 
 def fraction_characteristic(spec, sigma):
@@ -674,7 +742,8 @@ class TestIndexWalk:
         # path that returns it overflows
         a = PlanarIsometry(Angle(1, 2**40))
         b = PlanarIsometry(Angle(1, 3**26))
-        back_a, back_b = PlanarIsometry(-a.angle), PlanarIsometry(-b.angle)
+        back_a = PlanarIsometry(-fraction(a.angle))
+        back_b = PlanarIsometry(-fraction(b.angle))
         assert play_out(GameSpec.from_string("QPQP"), q_strategy(a, back_a),
                         p_strategy(b, back_b)) == KET_ZERO
         with pytest.raises(ExactArithmeticOverflow):

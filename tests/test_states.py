@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pennyflip.angles import Angle
+from pennyflip.angles import INT_MAX, Angle
 from pennyflip.dihedral import FLIP, HADAMARD, IDENTITY, isometries
 from pennyflip.errors import ExactArithmeticOverflow
 from pennyflip.orbits import basis_indices
@@ -15,10 +15,17 @@ from pennyflip.states import (KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO,
                               win_probability)
 
 
+def fraction(angle) -> Fraction:
+    """The value of an ``Angle`` (or a ``Fraction``) as a ``Fraction``: the
+    oracles' arithmetic, which ``Angle`` has none of."""
+    return Fraction(*angle.as_integer_ratio())
+
+
 def image(p, phi):
     """The angle a move sends *phi* to, a plain ``Fraction``: a rotor adds
     its angle a, a reflector sends phi to 2a - phi."""
-    return 2 * p.angle - phi if p.reflect else phi + p.angle
+    a, phi = fraction(p.angle), fraction(phi)
+    return 2 * a - phi if p.reflect else phi + a
 
 
 def act(p, x):
@@ -84,7 +91,7 @@ def test_action_is_compatible_with_composition():
 def test_action_stays_projective():
     for p in isometries(16):
         for x in basis_states(16):
-            phi = act(p, x).phi
+            phi = fraction(act(p, x).phi)
             assert 0 <= phi < 1
 
 
@@ -132,7 +139,7 @@ class TestWinProbability:
 def win_probability_oracle(final: CoinState, target: CoinState) -> float:
     """The Fraction formula: the difference mod pi, the pi/4 table, else
     the cosine of the reduced angle."""
-    d = (final.phi - target.phi) % 1
+    d = (fraction(final.phi) - fraction(target.phi)) % 1
     if d.denominator == 1:
         return 1.0
     if d.denominator == 2:
@@ -226,8 +233,8 @@ def built(make, *args):
 
 
 class TestGridIndexState:
-    """``CoinState.at`` skips Fraction's constructor; ``CoinState.of`` is
-    its oracle."""
+    """``CoinState.at`` builds with one gcd and no reduction;
+    ``CoinState.of`` is its oracle."""
 
     def test_every_index_up_to_size_128(self):
         for size in range(1, 129):
@@ -243,14 +250,15 @@ class TestGridIndexState:
     def test_its_angle_takes_part_in_arithmetic(self):
         x, y = CoinState.at(3, 8), CoinState.of(3, 8)
         assert act(HADAMARD, x) == act(HADAMARD, y) == CoinState.of(7, 8)
-        assert x.phi + Angle(1, 8) == Angle(1, 2)
-        assert x.phi * 2 == Angle(3, 4)
+        assert fraction(x.phi) + Fraction(1, 8) == Fraction(1, 2)
+        assert fraction(x.phi) * 2 == Fraction(3, 4)
 
 
 def reduced_by_hand(value) -> CoinState:
-    """The state whose phi is the explicit reduction Angle(value % 1),
-    built without CoinState's own reduction."""
-    return tuple.__new__(CoinState, (Angle(Fraction(value) % 1),))
+    """The state whose phi is the explicit reduction value % 1, built
+    without CoinState's own reduction."""
+    phi = fraction(value) % 1
+    return tuple.__new__(CoinState, (phi.numerator, phi.denominator))
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**9)
@@ -263,7 +271,7 @@ fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**9)
 def test_state_angle_is_an_angle_in_the_unit_interval(value):
     x = CoinState(value)
     assert type(x.phi) is Angle
-    assert 0 <= x.phi < 1
+    assert 0 <= fraction(x.phi) < 1
     expected = reduced_by_hand(value)
     assert x == expected and hash(x) == hash(expected)
 
@@ -286,3 +294,88 @@ def test_rendering_and_parsing():
 def test_parse_inverts_str(numerator, denominator):
     x = CoinState.of(numerator, denominator)
     assert CoinState.parse(str(x)) == x
+
+
+#: Denominators at the 64-bit width: just under, at and just past INT_MAX.
+EDGES = st.sampled_from([INT_MAX - 1, INT_MAX, INT_MAX + 1, 2 * INT_MAX,
+                         2**64 + 1])
+#: Rationals past the period either way, small or at the width, as an
+#: int, a Fraction or (when it fits) an Angle: what a state is built from.
+WIDE = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**9),
+    st.builds(Fraction, st.integers(-3 * 2**64, 3 * 2**64), EDGES),
+    st.builds(Angle, st.integers(-3 * INT_MAX, 3 * INT_MAX).filter(
+        lambda p: abs(p) <= INT_MAX), st.integers(1, INT_MAX)))
+
+
+def in_fields(f: Fraction):
+    """A reduced Fraction's two ints, or the overflow an int pair wider
+    than 64 bits raises."""
+    if abs(f.numerator) > INT_MAX or f.denominator > INT_MAX:
+        return ExactArithmeticOverflow
+    return f.numerator, f.denominator
+
+
+def fields_of(make, *args):
+    """The fields *make* builds from *args*, the angle's two of them ints,
+    or the overflow raised."""
+    try:
+        x = make(*args)
+    except ExactArithmeticOverflow:
+        return ExactArithmeticOverflow
+    assert all(type(field) is int for field in x[:2])
+    return tuple(x)
+
+
+class TestIntPairsAgainstFraction:
+    """Every int operation of a state against the same ``Fraction``
+    arithmetic, including the width boundary at INT_MAX."""
+
+    @given(WIDE)
+    def test_reduction_into_the_period(self, value):
+        assert fields_of(CoinState, value) == in_fields(fraction(value) % 1)
+
+    @given(st.integers(-3 * 2**64, 3 * 2**64), EDGES | st.integers(1, 10**9))
+    def test_angle_in_lowest_terms(self, p, q):
+        assert fields_of(Angle, p, q) == in_fields(Fraction(p, q))
+        assert fields_of(Angle, -p, -q) == in_fields(Fraction(p, q))
+
+    @given(st.one_of(st.integers(1, 10**6), EDGES).flatmap(
+        lambda size: st.tuples(st.integers(0, size - 1), st.just(size))))
+    def test_grid_index_both_ways(self, args):
+        j, size = args
+        fields = fields_of(CoinState.at, j, size)
+        assert fields == in_fields(Fraction(j, size))
+        if fields is not ExactArithmeticOverflow:
+            assert CoinState.at(j, size).index(size) == j
+            assert CoinState.at(j, size).index(3 * size) == 3 * j
+
+    @given(st.integers(-2**64, 2**64), EDGES | st.integers(1, 10**9),
+           st.sampled_from(["{p}/{q}·π", "{p}/{q}*pi", "{p}π/{q}"]))
+    def test_parse(self, p, q, form):
+        # the angle as written must fit before the state reduces it
+        text, angle = form.format(p=p, q=q), in_fields(Fraction(p, q))
+        assert fields_of(Angle.parse, text) == angle
+        assert fields_of(CoinState.parse, text) == (
+            angle if angle is ExactArithmeticOverflow
+            else in_fields(Fraction(p, q) % 1))
+
+    @given(WIDE, WIDE)
+    def test_win_probability(self, a, b):
+        if ExactArithmeticOverflow in (fields_of(CoinState, a),
+                                       fields_of(CoinState, b)):
+            return
+        final, target = CoinState(a), CoinState(b)
+        try:
+            want = win_probability_oracle(final, target).hex()
+        except ExactArithmeticOverflow:
+            want = ExactArithmeticOverflow
+        assert outcome_hex(win_probability, final, target) == want
+
+
+def outcome_hex(call, *args):
+    try:
+        return call(*args).hex()
+    except ExactArithmeticOverflow:
+        return ExactArithmeticOverflow
