@@ -1,5 +1,7 @@
 """Exact dihedral-group analysis of the quantum penny flip game."""
 
+import sys
+
 from .angles import Angle
 from .dihedral import (FLIP, HADAMARD, IDENTITY, DihedralElement,
                        PlanarIsometry, closure, contains_isometry, elements,
@@ -15,6 +17,9 @@ from .games import (PICARD_POOL, PQG, Decision, GameSpec, Strategy,
 from .orbits import fixed_set, orbit, stabilizer
 from .states import (BASIS, KET_MINUS, KET_ONE, KET_PLUS, KET_ZERO, CoinState,
                      win_probability)
+
+if sys.version_info < (3, 10):      # requires-python in pyproject.toml
+    raise ImportError("pennyflip requires Python 3.10 or later")
 
 __version__ = "0.1.0"
 

@@ -1,14 +1,17 @@
-"""Command-line surface; each command prints the text ``reports`` writes.
+"""Command-line surface; each command writes the text ``reports`` builds.
 
-argparse declares the grammar and writes every help page and usage error;
-``_read`` reads a valid line off its command's option table.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 domain error (e.g.
-asking for the flip in a group that lacks it).
+The grammar is data: each option is a flag and its argparse keywords, and
+``_command`` records each spelling as a plain tuple, off which ``_read``
+reads a valid line in one pass.  argparse, built from the same options by
+``_parser``, loads only to write a help page or to refuse a line that
+``_read`` declines.  Exit codes: 0 success, 1 verification failure, 2
+usage error, 3 domain error (e.g. asking for the flip in a group that lacks
+it), 4 output fault (stdout cannot take the text), 130 interrupt.
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import sys
 
 from . import games, orbits, reports
@@ -18,88 +21,103 @@ from .errors import PennyflipError
 from .games import GameSpec
 from .states import CoinState
 
+
 def _int_range(lo: int, hi: float = float("inf")):
     def integer(text: str) -> int:
         if lo <= (value := int(text)) <= hi:
             return value
-        raise argparse.ArgumentTypeError(f"{value} is not in {lo}..{hi}")
+        from argparse import ArgumentTypeError  # argparse reports the line
+        raise ArgumentTypeError(f"{value} is not in {lo}..{hi}")
     return integer
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    def add_usage(self, usage, actions, groups, prefix=None):
-        # prefix="" builds a subparser's prog, which takes no "Usage:"
-        super().add_usage(usage, actions, groups,
-                          "Usage: " if prefix is None else prefix)
+#: Per command: its function; its options; each spelling's plain tuple
+#: (keyword, converter, choices, the value it sets, None if it takes one);
+#: and a bare line's keywords, all but the required options'.
+_COMMANDS: dict[str, tuple] = {}
 
 
-# No abbreviated options and no -h; subparsers inherit neither setting.
-_STYLE = {"formatter_class": _HelpFormatter, "allow_abbrev": False,
-          "add_help": False}
-_HELP = {"action": "help", "help": "Show this message and exit."}
-_parser = argparse.ArgumentParser(prog="pennyflip", **_STYLE, description=(
-    "Exact dihedral-group analysis of the quantum penny flip game."))
-_parser.add_argument("--help", **_HELP)
-_commands = _parser.add_subparsers(title="commands", metavar="COMMAND",
-                                   required=True)
-
-#: Options taking a value: the next token is the value, even ``-pi/4``.
-_VALUE_OPTIONS: set[str] = set()
-#: Per command: each option string's action, and a bare line's keywords.
-_TABLES: dict[str, tuple[dict[str, argparse.Action], dict]] = {}
-
-
-def _command(*options):
-    """Register the decorated function as the subcommand of its name, with
-    ``_`` as ``-``; each option is a flag and its ``add_argument`` keywords."""
+def _command(*options: tuple[str, dict]):
+    """Record the decorated function as the command of its name, with
+    ``_`` as ``-``; each option is a flag and its argparse keywords, where
+    ``action="pair"`` makes ``--x`` set True and ``--no-x`` False."""
     def register(fn):
-        name = fn.__name__.replace("_", "-")
-        sub = _commands.add_parser(name, **_STYLE, help=fn.__doc__,
-                                   description=fn.__doc__)
-        table, defaults = {}, {"command": fn, "parser": sub}
-        for flag, kwargs in options:
-            if "action" not in kwargs:          # a flag pair takes no value
-                _VALUE_OPTIONS.add(flag)
-                if "default" in kwargs:         # shown in the help
-                    shown = f"{kwargs.get('help', '')} [default: %(default)s]"
-                    kwargs = dict(kwargs, help=shown.lstrip())
-            action = sub.add_argument(flag, **kwargs)
-            table.update(dict.fromkeys(action.option_strings, action))
-            defaults[action.dest] = action.default
-        sub.add_argument("--help", **_HELP)
-        sub.set_defaults(command=fn, parser=sub)
-        _TABLES[name] = table, defaults
+        spellings, kwargs = {}, {"command": fn}
+        for flag, kw in options:
+            dest = kw.get("dest", flag[2:].replace("-", "_"))
+            for s, value in zip((flag, "--no-" + flag[2:]),
+                                (True, False) if "action" in kw else [None]):
+                spellings[s] = (dest, kw.get("type"), kw.get("choices"), value)
+            if not kw.get("required"):
+                kwargs[dest] = kw.get("default")
+        _COMMANDS[fn.__name__.replace("_", "-")] = (fn, options, spellings,
+                                                    kwargs)
         return fn
     return register
 
 
 def _read(argv: list[str]) -> dict | None:
-    """``vars(_parser.parse_args(argv))`` for a command followed only by
-    ``--option=value`` (a value other than ``--``) and bare ``--flag`` or
-    ``--no-flag`` tokens; None for any other line, which argparse reads."""
-    table, kwargs = _TABLES.get(argv[0] if argv else None, (None, None))
-    if table is None:
+    """argparse's keywords but ``parser`` for a command and its own options,
+    a value option taking the text after ``=``, else the next token, even
+    ``-pi/4``; None for any other line and any line argparse refuses."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    kwargs, seen = dict(kwargs), set()
-    for token in argv[1:]:
+    _, options, spellings, kwargs = _COMMANDS[argv[0]]
+    kwargs, tokens = dict(kwargs), iter(argv[1:])
+    for token in tokens:
         flag, eq, text = token.partition("=")
-        action = table.get(flag)
-        if (action is None or bool(eq) != (flag in _VALUE_OPTIONS)
-                or text == "--"):
+        dest, convert, choices, value = spellings.get(flag, (None,) * 4)
+        if dest is None or eq and value is not None:
             return None
-        value = flag == action.option_strings[0]
-        if eq:
+        if value is None:
+            text = text if eq else next(tokens, "--")   # "--" is no value
+            if text == "--":
+                return None
             try:
-                value = action.type(text) if action.type else text
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = convert(text) if convert else text
+            except Exception:   # argparse converts it again, and reports it
                 return None
-            if action.choices is not None and value not in action.choices:
+            if choices and value not in choices:
                 return None
-        kwargs[action.dest] = value
-        seen.add(action)
-    if any(a.required and a not in seen for a in table.values()):
-        return None
-    return kwargs
+        kwargs[dest] = value
+    # each option fills one keyword: by default, or else read (if required)
+    return kwargs if len(kwargs) > len(options) else None
+
+
+@functools.cache
+def _parser():
+    """argparse's reading of the tables, built on the first help page or
+    refused line; it reads each command's subparser as ``parser``."""
+    import argparse
+
+    class HelpFormatter(argparse.HelpFormatter):
+        def add_usage(self, usage, actions, groups, prefix=None):
+            # prefix="" builds a subparser's prog, which takes no "Usage:"
+            super().add_usage(usage, actions, groups,
+                              "Usage: " if prefix is None else prefix)
+
+    # No abbreviated options and no -h; subparsers inherit neither setting.
+    style = {"formatter_class": HelpFormatter, "allow_abbrev": False,
+             "add_help": False}
+    show = {"action": "help", "help": "Show this message and exit."}
+    parser = argparse.ArgumentParser(prog="pennyflip", **style, description=(
+        "Exact dihedral-group analysis of the quantum penny flip game."))
+    parser.add_argument("--help", **show)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                     required=True)
+    for name, (run, options, *_) in _COMMANDS.items():
+        sub = commands.add_parser(name, **style, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.register("action", "pair", argparse.BooleanOptionalAction)
+        for flag, kw in options:
+            if "default" in kw and "action" not in kw:  # shown in the help
+                shown = f"{kw.get('help', '')} [default: %(default)s]"
+                kw = dict(kw, help=shown.lstrip())
+            sub.add_argument(flag, **kw)
+        sub.add_argument("--help", **show)
+        sub.set_defaults(command=run, parser=sub)
+    parser.commands = commands.choices      # each subparser, by its name
+    return parser
 
 
 _GROUP_ORDER = _int_range(3, N_MAX)   # D_n needs n >= 3; Config caps n too
@@ -108,50 +126,66 @@ _STATE = ("--state", dict(default="0"))
 _FORMAT = ("--format", dict(dest="fmt", choices=["json", "markdown"],
                             default="json", help="Output format."))
 _GAME = (("--initial", dict(default="0")), ("--target-q", dict()))
-_FLAG = dict(action=argparse.BooleanOptionalAction, default=False)
+_FLAG = dict(action="pair", default=False)
 
 
 def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one command line, ``sys.argv[1:]`` by default.  Every exit but a
     command's success raises ``SystemExit``.  *standalone_mode* changes
     nothing: it keeps callers of ``main(argv, standalone_mode=False)``."""
-    tokens, argv = iter(sys.argv[1:] if args is None else args), []
-    for token in tokens:
-        value = next(tokens, None) if token in _VALUE_OPTIONS else None
-        argv.append(token if value is None else f"{token}={value}")
-    kwargs = _read(argv) or vars(_parser.parse_args(argv))
-    run, parser = kwargs.pop("command"), kwargs.pop("parser")
-    if [] in kwargs.values():       # argparse 3.11 reads --x=-- as x=[]
-        parser.error("-- is not a value")
+    argv = sys.argv[1:] if args is None else args
+    if (kwargs := _read(argv)) is None:
+        # each value option joined to the next token, which is its value
+        tokens, line, values = iter(argv), [], {
+            s for _, _, spellings, *_ in _COMMANDS.values()
+            for s, entry in spellings.items() if entry[3] is None}
+        for token in tokens:
+            value = next(tokens, None) if token in values else None
+            line.append(token if value is None else f"{token}={value}")
+        kwargs = vars(_parser().parse_args(line))
+        if [] in kwargs.values():   # argparse 3.11 reads --x=-- as x=[]
+            kwargs["parser"].error("-- is not a value")
+    run, parser = kwargs.pop("command"), kwargs.pop("parser", None)
     try:
         run(**kwargs)
     except PennyflipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(3)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except ValueError as exc:       # a value the command refuses
+        (parser or _parser().commands[argv[0]]).error(str(exc))
+    except KeyboardInterrupt:
+        sys.exit(130)
+
+
+def _write(text: str) -> None:
+    """Write *text* to stdout and flush it; a stream that cannot take it
+    ends the line with one ``error:`` line and exit 4."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (OSError, UnicodeEncodeError) as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        sys.exit(4)
 
 
 def _echo(payload, fmt: str = "json", render=None) -> None:
-    """Print *payload* as JSON, or as its Markdown rendering *render*."""
-    if fmt == "json":
-        print(reports.dump_json(payload))
-    else:
-        sys.stdout.write(render(payload))
+    """Write *payload* as JSON, or as its Markdown rendering *render*."""
+    _write(reports.dump_json(payload) + "\n" if fmt == "json"
+           else render(payload))
 
 
 @_command(_N, _STATE, _FORMAT)
 def orbit(n: int, state: str, fmt: str) -> None:
     """States reachable from STATE under all of D_n."""
     states = orbits.orbit(n, CoinState.parse(state))
-    sys.stdout.write(reports.state_set_text(states, fmt))
+    _write(reports.state_set_text(states, fmt))
 
 
 @_command(_N, _STATE, _FORMAT)
 def stabilizer(n: int, state: str, fmt: str) -> None:
     """Elements of D_n fixing STATE."""
     elems = orbits.stabilizer(n, CoinState.parse(state))
-    sys.stdout.write(reports.element_set_text(elems, fmt))
+    _write(reports.element_set_text(elems, fmt))
 
 
 @_command(_N, ("--elems", dict(default="I,F", help="Comma-separated "
@@ -160,7 +194,7 @@ def fixed_set(n: int, elems: str, fmt: str) -> None:
     """States in the basis orbit fixed by every listed isometry."""
     isometries = [PlanarIsometry.parse(t) for t in elems.split(",") if t.strip()]
     states = orbits.fixed_set(n, isometries)
-    sys.stdout.write(reports.state_set_text(states, fmt))
+    _write(reports.state_set_text(states, fmt))
 
 
 def _game_spec(turns: str, initial: str, target_q: str | None) -> GameSpec:

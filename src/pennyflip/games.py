@@ -38,6 +38,7 @@ from .values import Value, build
 PICARD_POOL: tuple[PlanarIsometry, ...] = (IDENTITY, FLIP)
 #: The witness's closing move when the initial state is not Q's target.
 _FLIPPED_HADAMARD = FLIP.compose(HADAMARD)
+_TURNS, _BASIS = frozenset("PQ"), frozenset(BASIS)
 
 
 class GameSpec(Value, namedtuple("GameSpec",
@@ -50,13 +51,12 @@ class GameSpec(Value, namedtuple("GameSpec",
                 target_q: CoinState, target_p: CoinState):
         if len(turns) < 2:
             raise ValueError("a game needs at least 2 rounds")
-        if any(t not in ("P", "Q") for t in turns):
+        if not _TURNS.issuperset(turns):
             raise ValueError(f"turns must be over {{P, Q}}, got {turns}")
-        for a, b in itertools.pairwise(turns):
-            if a == b:
-                raise ValueError("players may not make consecutive moves")
+        if "PP" in (played := "".join(turns)) or "QQ" in played:
+            raise ValueError("players may not make consecutive moves")
         for s in (initial, target_q, target_p):
-            if s not in BASIS:
+            if s not in _BASIS:
                 raise ValueError(f"{s} is not a basis state")
         if target_q == target_p:
             raise ValueError("the two target states must differ")
@@ -189,10 +189,13 @@ _Coset = tuple[dihedral.DihedralElement, ...]
 @functools.lru_cache(maxsize=16)
 def _fixed(n: int, player: str) -> frozenset[int]:
     """The states of Z_2n that *player*'s whole pool fixes: |+⟩ and |−⟩
-    for the classical player, in the basis orbit iff 8 | n; none for Q."""
-    size = 2 * n
-    return frozenset(y for y in range(size)
-                     if all(g.act(y, size) == y for g in _pool(n, player)))
+    for the classical player, in the basis orbit iff 8 | n; none for Q.
+    The candidates are the fixed points of pool[1], r or F: r moves every
+    state by 4, and a reflection j -> c - j fixes the roots of 2j = c."""
+    pool, size = _pool(n, player), 2 * n
+    c = pool[1].act(0, size)
+    roots = (c // 2, c // 2 + n) if pool[1].reflect and c % 2 == 0 else ()
+    return frozenset(y for y in roots if all(g.act(y, size) == y for g in pool))
 
 
 @functools.lru_cache(maxsize=64)
@@ -245,7 +248,7 @@ def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
     a Q turn once per image of its state in ``wins[i + 1]``, with the coset
     that reaches it; index paths on Z_2n sort as the ``phi`` paths do.
     Games longer than :data:`~pennyflip.config.ROUNDS_MAX` are refused."""
-    dihedral.require(n, PICARD_POOL)
+    _pool(n, "P")                       # raises FNotInGroup without F
     if len(spec.turns) > ROUNDS_MAX:
         raise SearchBudgetExceeded(
             f"{len(spec.turns)} rounds exceeds the bound of {ROUNDS_MAX}")

@@ -58,9 +58,8 @@ class CoinState(Value, namedtuple("CoinState", "p q")):
         """Parse a ket name, the ``cos(a)|0⟩+sin(a)|1⟩`` form that ``str``
         writes, or a bare angle ``a``."""
         text = text.strip()
-        for name, state in _KETS.items():
-            if text in (name, name[1:-1]):  # with or without the ket decoration
-                return state
+        if text in _KET_SPELLINGS:
+            return _KET_SPELLINGS[text]
         m = _AMPLITUDES_RE.fullmatch(text)
         if m is None:
             return cls(Angle.parse(text))
@@ -83,6 +82,8 @@ BASIS = (KET_ZERO, KET_ONE)
 
 _KETS = {"|0⟩": KET_ZERO, "|+⟩": KET_PLUS, "|1⟩": KET_ONE, "|−⟩": KET_MINUS}
 _NAMES = {tuple(x): name for name, x in _KETS.items()}
+#: Each ket name, with or without its decoration: |0⟩ or 0, |+⟩ or +, ...
+_KET_SPELLINGS = {**_KETS, **{name[1:-1]: x for name, x in _KETS.items()}}
 
 
 def state_text(p: int, q: int, angle: str | None = None) -> str:

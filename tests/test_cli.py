@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -664,36 +666,46 @@ def test_usage_errors_match_golden(runner, tmp_path, monkeypatch):
     assert usage_cli_digest(runner, spec) == spec["sha256"]
 
 
+#: The flag pairs, which take no value; every other option takes one.
+FLAG_PAIRS = {"--check", "--no-check", "--timings", "--no-timings"}
+
+
 def joined(argv):
-    """The line ``main`` hands argparse: each value option joined to the
-    token after it by ``=``."""
+    """The line ``main`` hands argparse: each value option of any command
+    joined to the token after it by ``=``."""
+    values = {o for options in COMMAND_OPTIONS.values()
+              for o in options} - FLAG_PAIRS
     tokens, line = iter(argv), []
     for token in tokens:
-        value = next(tokens, None) if token in cli._VALUE_OPTIONS else None
+        value = next(tokens, None) if token in values else None
         line.append(token if value is None else f"{token}={value}")
     return line
 
 
 def argparse_keywords(line):
-    """``vars(_parser.parse_args(line))``, or None if argparse ends the
-    line with help or a usage error."""
+    """``vars(_parser().parse_args(line))`` without the subparser, or None
+    if argparse ends the line with help or a usage error."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli._parser.parse_args(line))
+            parsed = vars(cli._parser().parse_args(line))
         except SystemExit:
             return None
+    parsed.pop("parser")
+    return parsed
 
 
 class CountingRunner(Runner):
-    """A ``Runner`` that requires ``main`` to call ``_parser.parse_args``
-    once on a line that argparse ends with help or a usage error, and
-    never on any other line; ``lines`` counts the lines of each kind."""
+    """A ``Runner`` that requires ``main`` to call the cached parser's
+    ``parse_args`` once on a line that argparse ends with help or a usage
+    error, and never on any other line; ``lines`` counts the lines of each
+    kind."""
 
     def __init__(self, monkeypatch):
         self.calls, self.lines = [], {True: 0, False: 0}
-        parse_args = cli._parser.parse_args
-        monkeypatch.setattr(cli._parser, "parse_args", lambda argv: (
+        parser = cli._parser()
+        parse_args = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: (
             self.calls.append(argv), parse_args(argv))[1])
 
     def invoke(self, main, argv):
@@ -793,17 +805,33 @@ for line in sys.argv[1:]:
             code = exc.code
     rows.append((code, err.getvalue(), [
         m for m in ("numpy", "dataclasses", "inspect", "json", "fractions",
-                    "decimal")
+                    "decimal", "argparse", "gettext", "locale")
         if m in sys.modules]))
 print(repr(rows))
 """
+#: Modules that only help pages and usage errors load.
+HELP_MODULES = ["argparse", "gettext", "locale"]
+
+
+def probe_modules(lines, cwd):
+    """``MODULES_PROBE``'s rows for *lines*, run in one fresh process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE,
+         *("\x1f".join(argv) for argv in lines)],
+        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), cwd=cwd,
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
 
 
 def test_numpy_free_commands_load_no_dataclasses_inspect_or_json(tmp_path):
     # every line of the usage golden and of the reachability guard but
     # sample-u2 and a verify-all that runs; verify-all reads its config and
     # flags before it imports the numpy layer, so its usage errors need none.
-    # The exact values hold int pairs, so fractions and decimal stay out too
+    # The exact values hold int pairs, so fractions and decimal stay out too;
+    # and argparse, gettext and locale load only for help and usage errors,
+    # so a second process runs every other line, the numpy ones too
     spec = json.loads((Path(__file__).parent / "golden"
                        / "usage_cli.json").read_text())
     for name, text in spec["configFiles"].items():
@@ -814,22 +842,96 @@ def test_numpy_free_commands_load_no_dataclasses_inspect_or_json(tmp_path):
         for code, argv in COMMANDS
         if argv[:1] != ["sample-u2"]
         and (argv[:1], code) != (["verify-all"], 0)]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", MODULES_PROBE,
-         *("\x1f".join(argv) for argv in lines)],
-        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), cwd=tmp_path,
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    rows = ast.literal_eval(proc.stdout)
-    assert [(argv, loaded) for argv, (_, _, loaded) in zip(lines, rows)
-            if loaded] == []
+    rows = probe_modules(lines, tmp_path)
+    assert [(argv, [m for m in loaded if m not in HELP_MODULES])
+            for argv, (_, _, loaded) in zip(lines, rows)
+            if set(loaded) - set(HELP_MODULES)] == []
     usage = [(argv, code, err) for argv, (code, err, _) in zip(lines, rows)
              if argv[:1] == ["verify-all"]]
     assert len(usage) >= 10
     for argv, code, err in usage:
         assert (code, err.count("error:")) == (2, 1), (argv, err)
         assert err.splitlines()[-1].startswith("pennyflip verify-all: error:")
+    reachable = [[a.replace("{config}", "verify.cfg") for a in argv]
+                 for code, argv in COMMANDS if code != 2]
+    valid = [argv for argv, (code, _, _) in zip(lines, rows)
+             if code != 2 and "--help" not in argv] + [
+        argv for argv in reachable if argv not in lines]
+    assert len(valid) >= 20
+    assert [(argv, help_modules) for argv, (_, _, loaded)
+            in zip(valid, probe_modules(valid, tmp_path))
+            if (help_modules := set(loaded) & set(HELP_MODULES))] == []
+
+
+#: One line of each command, each quick; verify-all's checks all pass.
+EVERY_COMMAND = [
+    ["orbit", "--n", "8"], ["stabilizer", "--n", "8", "--state", "+"],
+    ["fixed-set", "--n", "8", "--format", "markdown"],
+    ["enumerate", "--n", "8", "--format", "markdown"], ["classify", "--n", "8"],
+    ["analyze", "--turns", "QPQ", "--check"],
+    ["sample-u2", "--samples", "10"],
+    ["verify-all", "--n-range", "3..4", "--max-rounds", "2", "--samples", "0"],
+]
+
+
+def run_cold(argv, stdout=subprocess.PIPE, **env):
+    """*argv* run as ``python -m pennyflip.cli`` in a fresh process, with
+    *env* added to the environment."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items() if k != "PENNYFLIP_CONFIG"}
+    return subprocess.run(
+        [sys.executable, "-m", "pennyflip.cli", *argv],
+        env=dict(base, PYTHONPATH=src, **env), stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+def assert_output_fault(proc):
+    """One ``error:`` line on stderr, no traceback and exit 4."""
+    assert (proc.returncode, proc.stderr.count("\n")) == (4, 1), proc.stderr
+    assert proc.stderr.startswith("error: cannot write the output: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda a: a[0])
+def test_a_full_device_is_an_output_fault(argv):
+    with open("/dev/full", "w") as full:
+        assert_output_fault(run_cold(argv, stdout=full))
+
+
+@pytest.mark.parametrize("argv", [["orbit", "--n", "8"],
+                                  ["verify-all", "--samples", "0"]],
+                         ids=lambda a: a[0])
+def test_an_ascii_stdout_is_an_output_fault_not_a_usage_error(argv):
+    # the output holds ⟩ and —, which ASCII cannot encode
+    proc = run_cold(argv, PYTHONIOENCODING="ascii")
+    assert_output_fault(proc)
+    assert "codec can't encode" in proc.stderr and proc.stdout == ""
+
+
+#: Imports the CLI, says so on stderr, then runs a full-range verify-all.
+INTERRUPTED = """
+import sys
+from pennyflip.cli import main
+sys.stderr.write("ready\\n")
+sys.stderr.flush()
+main(["verify-all", "--n-range", "3..1024", "--samples", "0"])
+"""
+
+
+def test_an_interrupt_exits_130_without_a_traceback():
+    # the run takes seconds; SIGINT reaches it inside main, mid-check
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED],
+        env=dict({k: v for k, v in os.environ.items()
+                  if k != "PENNYFLIP_CONFIG"}, PYTHONPATH=str(
+            Path(__file__).resolve().parent.parent / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    assert proc.stderr.readline() == "ready\n"
+    time.sleep(0.2)
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (130, "", "")
 
 
 #: Every option of each command, named independently of the parser.

@@ -300,7 +300,7 @@ D8 = isometries(8)
 # of Fraction-backed angles, one Angle per represent and so one per witness
 # move and 2n per pool, which are now 0.
 class TestFractionWork:
-    def test_represent_builds_its_one_angle(self, monkeypatch):
+    def test_represent_builds_none(self, monkeypatch):
         for g in (*elements(8), *elements(12)[5::6], ref(1024, 1000)):
             assert fractions_built(monkeypatch, lambda: represent(g)) == 0
 
@@ -329,8 +329,7 @@ class TestFractionWork:
 
     @pytest.mark.parametrize("turns, n", [("QPQPQ", 16), ("QPQ", 8),
                                           ("QPQPQPQ", 1024), ("PQPQ", 8)])
-    def test_brute_force_builds_one_per_witness_move(self, monkeypatch,
-                                                    turns, n):
+    def test_brute_force_builds_none(self, monkeypatch, turns, n):
         games._pool.cache_clear()
         games._images.cache_clear()
         spec = GameSpec.from_string(turns, KET_ZERO, KET_ONE)
@@ -350,7 +349,7 @@ class TestFractionWork:
         assert fractions_built(monkeypatch, call) == 0
 
     @pytest.mark.parametrize("n", [8, 16, 24])
-    def test_synthesis_builds_only_its_pool(self, monkeypatch, n):
+    def test_synthesis_builds_none(self, monkeypatch, n):
         # the pool isometries(n) builds its 2n angles as int pairs
         assert fractions_built(monkeypatch, lambda: (
             synthesize_by_intermediate_states(PQG, n))) == 0

@@ -580,6 +580,26 @@ class TestOpponentStep:
             x.index(size) for x in fixed_set(n, PICARD_POOL)}
 
 
+def scanned_fixed(n, player):
+    """``_fixed`` as it was before it solved one move's congruence: each
+    state of Z_2n tested against every pool move."""
+    size = 2 * n
+    return frozenset(y for y in range(size)
+                     if all(g.act(y, size) == y for g in _pool(n, player)))
+
+
+@pytest.mark.parametrize("player", ["Q", "P"])
+def test_fixed_sets_equal_the_scan_at_every_n(player):
+    # the classical pool lies in D_n only when 4 | n; both raise otherwise
+    for n in range(3, 1025):
+        if player == "P" and n % 4:
+            for fixed in (games._fixed, scanned_fixed):
+                with pytest.raises(FNotInGroup):
+                    fixed(n, player)
+        else:
+            assert games._fixed(n, player) == scanned_fixed(n, player), n
+
+
 def fraction_reachable(spec, sigma, pool):
     """The final states of *sigma* over every reply from *pool*, by the
     Fraction walk."""

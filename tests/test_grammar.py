@@ -14,9 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pennyflip import cli
-from test_cli import COMMAND_OPTIONS, Runner, argparse_keywords, joined
-
-FLAG_PAIRS = {"--check", "--no-check", "--timings", "--no-timings"}
+from test_cli import (COMMAND_OPTIONS, FLAG_PAIRS, Runner, argparse_keywords,
+                      joined)
 
 #: Valid, boundary and hostile values, tried on every value option.
 VALUES = ["0", "2", "3", "8", "1024", "1025", "json", "markdown", "xml",
@@ -69,12 +68,19 @@ def same_keywords(a, b):
 
 
 @settings(max_examples=400, deadline=None)
+@example((["orbit", "--n", "8", "--state", "-pi/4"], "json", True))
+@example((["analyze", "--turns", "--check"], "json", True))
+@example((["analyze", "--turns", "QPQ", "--pool-n=--"], "json", True))
+@example((["orbit", "--n", "8", "--state", "+", "--n", "16"], "json", True))
+@example((["orbit", "--n", "8", "--state"], "json", True))
+@example((["orbit", "--format", "xml", "--n", "8"], "xml", True))
+@example((["analyze", "--check", "--pool-n", "16"], "json", True))
 @given(command_lines(lambda flag: st.sampled_from(VALID[flag])
                      | st.sampled_from(VALUES)))
 def test_read_agrees_with_argparse(drawn):
     argv, _, own = drawn
     line = joined(argv)
-    read, parsed = cli._read(line), argparse_keywords(line)
+    read, parsed = cli._read(argv), argparse_keywords(line)
     assert read is None or parsed is not None and same_keywords(read, parsed)
     # a line of the command's own options that argparse accepts never falls
     # back, unless some value is --, which _read leaves to argparse: 3.11
