@@ -65,12 +65,16 @@ def _read(argv: list[str]) -> dict | None:
     _, options, spellings, kwargs = _COMMANDS[argv[0]]
     kwargs, tokens = dict(kwargs), iter(argv[1:])
     for token in tokens:
-        flag, eq, text = token.partition("=")
-        dest, convert, choices, value = spellings.get(flag, (None,) * 4)
-        if dest is None or eq and value is not None:
-            return None
+        entry = spellings.get(token)
+        if entry is None:               # --option=value; a flag takes none
+            flag, eq, text = token.partition("=")
+            entry = spellings.get(flag) if eq else None
+            if entry is None or entry[3] is not None:
+                return None
+        elif entry[3] is None:          # the next token, whatever it is;
+            text = next(tokens, "--")   # at the end, "--", which is no value
+        dest, convert, choices, value = entry
         if value is None:
-            text = text if eq else next(tokens, "--")   # "--" is no value
             if text == "--":
                 return None
             try:

@@ -58,7 +58,7 @@ class GameSpec(Value, namedtuple("GameSpec",
         for s in (initial, target_q, target_p):
             if s not in _BASIS:
                 raise ValueError(f"{s} is not a basis state")
-        if target_q == target_p:
+        if len({target_q, target_p}) == 1:   # by hash: no __eq__ call
             raise ValueError("the two target states must differ")
         return build(cls, (turns, initial, target_q, target_p))
 
@@ -195,7 +195,8 @@ def _fixed(n: int, player: str) -> frozenset[int]:
     pool, size = _pool(n, player), 2 * n
     c = pool[1].act(0, size)
     roots = (c // 2, c // 2 + n) if pool[1].reflect and c % 2 == 0 else ()
-    return frozenset(y for y in roots if all(g.act(y, size) == y for g in pool))
+    return frozenset(y for y in roots
+                     if all(g.act(y, size) == y for g in pool))
 
 
 @functools.lru_cache(maxsize=64)
@@ -254,7 +255,9 @@ def winning_classes(spec: GameSpec, n: int) -> list[StrategyClass]:
             f"{len(spec.turns)} rounds exceeds the bound of {ROUNDS_MAX}")
     wins = _wins(spec, n, "Q")
     start = spec.initial.index(2 * n)
-    lines = [((start,), ())] if start in wins[0] else []
+    if start not in wins[0]:
+        return []
+    lines = [((start,), ())]
     for i, t in enumerate(spec.turns):
         if t == "Q":
             lines = [((*path, c), (*cosets, gs)) for path, cosets in lines
